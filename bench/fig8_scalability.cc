@@ -2,9 +2,8 @@
 //
 // The design property under test is that the read path of a warm lookup is
 // free of BOTH lock acquisitions and shared-cacheline writes: statistics go
-// to per-thread sharded slots, LRU recency is a per-dentry bit armed once,
-// and the PCC recency tick is refreshed only when the entry is not already
-// most-recent. We count the remaining shared writes the machinery performs
+// to per-thread sharded slots, and LRU and PCC recency are per-entry bits
+// armed once. We count the remaining shared writes the machinery performs
 // (`shared_writes`) next to lock acquisitions (`locks_taken`); both must be
 // ~0 per warm op. NOTE: this host exposes a single CPU, so added threads
 // time-slice rather than run in parallel — per-operation CPU time under
@@ -70,8 +69,8 @@ Point Measure(const CacheConfig& cfg, int threads) {
   Env env = MakeEnv(cfg);
   Build(env.T());
   // Warm the caches past their one-time writes: the first few hits park the
-  // dentries on the LRU, arm the second-chance bits, and settle the PCC
-  // entries at the most-recent tick. Only then is the steady state measured.
+  // dentries on the LRU and arm the dentry and PCC second-chance bits. Only
+  // then is the steady state measured.
   for (int i = 0; i < 4; ++i) {
     (void)env.T().Statx(kAtFdCwd, kPath, 0);
   }
@@ -335,8 +334,8 @@ int main() {
   std::printf(
       "\nThe design property: a warm read-side lookup takes no locks AND\n"
       "performs no shared-cacheline writes beyond the returned reference —\n"
-      "stats are per-thread shards, the LRU recency bit and the PCC tick\n"
-      "are written only when not already set. Per-op CPU time therefore\n"
+      "stats are per-thread shards, the LRU and PCC reference bits are\n"
+      "written only when not already set. Per-op CPU time therefore\n"
       "stays flat as threads are added, matching the paper's Figure 8 flat\n"
       "curves (in wall time, on 12 real cores).\n");
   std::printf("verdict: fastpath locks/op %s, shared-writes/op %s\n",

@@ -164,13 +164,10 @@ double ServerOpsPerSec(Kernel* kernel, const TaskPtr& base, const Workload& w,
 }
 
 // Warm-hit shared-write purity, fig8's definition: repeated hits on an
-// already-hot path must not write shared state. Cycling a large path set
-// would instead measure the PCC LRU recency tick (each entry is displaced
-// from most-recent by the time it is hit again — one intentional,
-// rate-limited write per op, not a fastpath defect). So the purity probe
-// stats ONE hot path through the batched rings: a warm-up window lets the
-// one-time writes settle (second-chance bit arming, PCC tick catch-up),
-// then the counter delta over the measured window must be zero.
+// already-hot path must not write shared state. The probe stats ONE hot
+// path through the batched rings: a warm-up window lets the one-time
+// writes settle (dentry and PCC second-chance bit arming), then the
+// counter delta over the measured window must be zero.
 double HotPathSharedWritesPerOp(Kernel* kernel, const TaskPtr& base,
                                 const std::string& hot, uint64_t ops) {
   server::ServerOptions opts;

@@ -21,6 +21,11 @@
 #                               #   elastic-resize + governor suite (label
 #                               #   resize: readers and mutators racing
 #                               #   online table migration)
+#   scripts/check.sh --stress   # + every concurrency|shortcut|resize|server
+#                               #   test binary run standalone (all cores,
+#                               #   no ctest -j neighbours) with
+#                               #   --gtest_repeat=10, under
+#                               #   AddressSanitizer and then ThreadSanitizer
 #   scripts/check.sh --bench    # + run every benchmark binary
 #   scripts/check.sh --bench fig7
 #                               # + run only benchmarks whose name starts
@@ -38,6 +43,8 @@ SERVER=0
 OBS=0
 SHORTCUT=0
 RESIZE=0
+STRESS=0
+STRESS_REPEAT=10
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --full) FULL=1 ;;
@@ -46,6 +53,7 @@ while [[ $# -gt 0 ]]; do
     --obs) OBS=1 ;;
     --shortcut) SHORTCUT=1 ;;
     --resize) RESIZE=1 ;;
+    --stress) STRESS=1 ;;
     --bench)
       BENCH=1
       if [[ $# -gt 1 && "${2:0:2}" != "--" ]]; then
@@ -57,6 +65,39 @@ while [[ $# -gt 0 ]]; do
   esac
   shift
 done
+
+# Configure and build one sanitizer tree: `address` -> build-asan,
+# `thread` -> build-tsan. Every sanitizer stage below shares these trees.
+sanitizer_build() {
+  local dir="build-${1:0:1}san"
+  cmake -B "$dir" -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS="-fsanitize=$1 -fno-omit-frame-pointer" \
+    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=$1" >/dev/null
+  cmake --build "$dir"
+}
+
+# The suppressions file whitelists ONLY the documented validate-after-read
+# idioms (seqlock-guarded rename splice / signature publish, epoch
+# reclamation) — everything else, including the invalidation engine and
+# the telemetry rings, runs under full TSan scrutiny.
+export TSAN_OPTIONS="suppressions=$PWD/scripts/tsan.supp history_size=7"
+
+# ctest over the given labels in the ThreadSanitizer tree.
+tsan_ctest() {
+  sanitizer_build thread
+  ctest --test-dir build-tsan --output-on-failure -L "$1"
+}
+
+# Run each test binary carrying one of the given labels on its own, one
+# after another, so its threads race on every core of the host.
+stress_binaries() {
+  local dir="$1" labels="$2" t
+  for t in $(ctest --test-dir "$dir" -N -L "$labels" |
+             sed -n 's/^ *Test *#[0-9]*: //p'); do
+    echo "-- $t x$STRESS_REPEAT ($dir)"
+    "$dir/tests/$t" --gtest_repeat="$STRESS_REPEAT" --gtest_brief=1
+  done
+}
 
 echo "== release build =="
 cmake -B build -G Ninja >/dev/null
@@ -70,27 +111,15 @@ if [[ "$FULL" == 1 ]]; then
   ctest --test-dir build-debug --output-on-failure
 
   echo "== address sanitizer =="
-  cmake -B build-asan -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DCMAKE_CXX_FLAGS="-fsanitize=address -fno-omit-frame-pointer" \
-    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address" >/dev/null
-  cmake --build build-asan
+  sanitizer_build address
   ctest --test-dir build-asan --output-on-failure
 fi
 
 if [[ "$TSAN" == 1 ]]; then
   echo "== thread sanitizer (obs + concurrency suites) =="
-  cmake -B build-tsan -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
-    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" >/dev/null
-  cmake --build build-tsan
   # Only the suites with real cross-thread traffic: the lock-free walkers,
-  # the obs recorders/sampler, and the ring-buffer stress tests. The
-  # suppressions file whitelists ONLY the documented validate-after-read
-  # idioms (seqlock-guarded rename splice / signature publish, epoch
-  # reclamation) — everything else, including the invalidation engine and
-  # the telemetry rings, runs under full TSan scrutiny.
-  TSAN_OPTIONS="suppressions=$PWD/scripts/tsan.supp history_size=7" \
-    ctest --test-dir build-tsan --output-on-failure -L 'obs|concurrency'
+  # the obs recorders/sampler, and the ring-buffer stress tests.
+  tsan_ctest 'obs|concurrency'
 fi
 
 if [[ "$SERVER" == 1 ]]; then
@@ -98,12 +127,7 @@ if [[ "$SERVER" == 1 ]]; then
   # The new cross-thread surface from the batch API redesign: the Vyukov
   # SQ/CQ rings, multi-producer Submit against the shard drain loop, and
   # Stop()'s drain-everything guarantee. Reuses the --tsan build tree.
-  cmake -B build-tsan -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
-    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" >/dev/null
-  cmake --build build-tsan
-  TSAN_OPTIONS="suppressions=$PWD/scripts/tsan.supp history_size=7" \
-    ctest --test-dir build-tsan --output-on-failure -L server
+  tsan_ctest server
 fi
 
 if [[ "$SHORTCUT" == 1 ]]; then
@@ -111,12 +135,7 @@ if [[ "$SHORTCUT" == 1 ]]; then
   # The ancestor-probe fallback's cross-thread surface: prefix-signature
   # probes and resumed walks racing renames, evictions, and epoch
   # reclamation (label shortcut). Reuses the --tsan build tree.
-  cmake -B build-tsan -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
-    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" >/dev/null
-  cmake --build build-tsan
-  TSAN_OPTIONS="suppressions=$PWD/scripts/tsan.supp history_size=7" \
-    ctest --test-dir build-tsan --output-on-failure -L shortcut
+  tsan_ctest shortcut
 fi
 
 if [[ "$RESIZE" == 1 ]]; then
@@ -125,12 +144,7 @@ if [[ "$RESIZE" == 1 ]]; then
   # and validated-lock writers racing BeginResize/MigrateStep, epoch
   # retirement of old tables under concurrent readers, and the governor's
   # eviction/steering passes (label resize). Reuses the --tsan build tree.
-  cmake -B build-tsan -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
-    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" >/dev/null
-  cmake --build build-tsan
-  TSAN_OPTIONS="suppressions=$PWD/scripts/tsan.supp history_size=7" \
-    ctest --test-dir build-tsan --output-on-failure -L resize
+  tsan_ctest resize
 fi
 
 if [[ "$OBS" == 1 ]]; then
@@ -139,11 +153,20 @@ if [[ "$OBS" == 1 ]]; then
   # RequestTrace copies, Chrome-trace rendering) are memory-layout heavy;
   # ASan catches the overflow/use-after-free class TSan doesn't. Reuses the
   # --full ASan build tree.
-  cmake -B build-asan -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DCMAKE_CXX_FLAGS="-fsanitize=address -fno-omit-frame-pointer" \
-    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address" >/dev/null
-  cmake --build build-asan
+  sanitizer_build address
   ctest --test-dir build-asan --output-on-failure -L 'obs|server'
+fi
+
+if [[ "$STRESS" == 1 ]]; then
+  # Races that hide under `ctest -j` load (or on one CPU) show up when each
+  # binary has the whole machine: repeated standalone runs, memory errors
+  # first, then data races.
+  echo "== stress: address sanitizer, standalone x$STRESS_REPEAT =="
+  sanitizer_build address
+  stress_binaries build-asan 'concurrency|shortcut|resize|server'
+  echo "== stress: thread sanitizer, standalone x$STRESS_REPEAT =="
+  sanitizer_build thread
+  stress_binaries build-tsan 'concurrency|shortcut|resize|server'
 fi
 
 if [[ "$BENCH" == 1 ]]; then

@@ -98,22 +98,16 @@ bool Pcc::LookupKey(uint64_t key, uint32_t seq, CacheStats* stats,
       }
       return false;  // stale memo for this dentry
     }
-    // Touch the LRU tick — but only when this entry is not already the
-    // most recently used. A hot entry hit repeatedly is already at the
-    // global tick, so the warm path reads and never writes: a PCC shared
-    // by many threads of one credential would otherwise bounce `tick_`'s
-    // and the entry's cache lines on every single hit (the tick halves are
-    // best-effort: a plain load+store race only skews LRU slightly, never
-    // correctness — the seq half is rewritten intact).
-    uint32_t now = tick_.load(std::memory_order_relaxed);
-    if (static_cast<uint32_t>(meta) != now) {
-      uint32_t next = now + 1;
-      tick_.store(next, std::memory_order_relaxed);
-      e.meta.store((meta & 0xffffffff00000000ULL) | next,
-                   std::memory_order_release);
-      if (stats != nullptr) {
-        stats->shared_writes.Add();
-      }
+    // Arm the reference bit, only when it is clear: a warm entry's hits
+    // read and never write, so readers sharing this cred's PCC do not
+    // bounce its lines. The CAS can only OR the bit into the meta it read;
+    // if a racing insert rewrote the word, the CAS fails and the hit just
+    // leaves the new entry unreferenced.
+    if ((meta & kReferenced) == 0 &&
+        e.meta.compare_exchange_strong(meta, meta | kReferenced,
+                                       std::memory_order_relaxed) &&
+        stats != nullptr) {
+      stats->shared_writes.Add();
     }
     NoteLookup(true);
     if (stats != nullptr) {
@@ -141,15 +135,13 @@ void Pcc::InsertPrefix(const Signature& sig, uint32_t seq) {
 
 void Pcc::InsertKey(uint64_t key, uint32_t seq) {
   Entry* set = &entries_[SetFor(key) * kWays];
-  uint32_t now = tick_.fetch_add(1, std::memory_order_relaxed);
-  uint64_t meta = (static_cast<uint64_t>(seq) << 32) | now;
+  // New entries start unreferenced: only a hit earns a second chance.
+  const uint64_t meta = static_cast<uint64_t>(seq) << 32;
 
   // Prefer updating an existing entry for this dentry, then an empty way,
-  // then the LRU way.
+  // then the second-chance victim.
   Entry* match = nullptr;
   Entry* empty = nullptr;
-  Entry* lru = nullptr;
-  uint32_t lru_tick = ~0u;
   for (size_t way = 0; way < kWays; ++way) {
     Entry& e = set[way];
     uint64_t k = e.key.load(std::memory_order_acquire);
@@ -157,20 +149,27 @@ void Pcc::InsertKey(uint64_t key, uint32_t seq) {
       match = &e;
       break;
     }
-    if (k == 0) {
-      if (empty == nullptr) {
-        empty = &e;
-      }
-      continue;
-    }
-    uint32_t t =
-        static_cast<uint32_t>(e.meta.load(std::memory_order_relaxed));
-    if (t <= lru_tick) {
-      lru = &e;
-      lru_tick = t;
+    if (k == 0 && empty == nullptr) {
+      empty = &e;
     }
   }
-  Entry* victim = match != nullptr ? match : (empty != nullptr ? empty : lru);
+  Entry* victim = match != nullptr ? match : empty;
+  if (victim == nullptr) {
+    // Clock sweep from a key-derived way (so sets do not all evict way 0
+    // first): clear each set reference bit in passing and evict the first
+    // way found clear. One lap clears every bit, so two laps always end
+    // the sweep even while hits re-arm bits behind it.
+    const size_t start = static_cast<size_t>(MixPointer(key) >> 32);
+    for (size_t i = 0; victim == nullptr; ++i) {
+      Entry& e = set[(start + i) % kWays];
+      if (i + 1 == 2 * kWays ||
+          (e.meta.load(std::memory_order_relaxed) & kReferenced) == 0) {
+        victim = &e;
+      } else {
+        e.meta.fetch_and(~kReferenced, std::memory_order_relaxed);
+      }
+    }
+  }
   // Claim the slot (key = kBusy) so two racing writers cannot interleave
   // one dentry's key with another's metadata; publish the key last so
   // readers' key/meta/key protocol stays sound. kBusy (1) can never be a

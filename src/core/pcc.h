@@ -7,10 +7,11 @@
 // moves (bumped recursively on any ancestor permission or structure change),
 // so the PCC itself never needs to be walked on invalidation.
 //
-// The table is set-associative with per-set LRU, sized in bytes (paper
-// default 64 KB), and safely shared by all processes holding the same cred.
-// Lookups and inserts are lock-free; a racy entry can only produce a miss
-// (forcing the slowpath), never a false hit — see the key re-check below.
+// The table is set-associative with second-chance (clock) replacement per
+// set, sized in bytes (paper default 64 KB), and safely shared by all
+// processes holding the same cred. Lookups and inserts are lock-free; a racy
+// entry can only produce a miss (forcing the slowpath), never a false hit —
+// see the key re-check below.
 #ifndef DIRCACHE_CORE_PCC_H_
 #define DIRCACHE_CORE_PCC_H_
 
@@ -46,13 +47,14 @@ class Pcc {
   explicit Pcc(size_t bytes, bool track_occupancy = false);
 
   // True if (dentry, seq) is present — i.e. the memoized prefix check for
-  // this credential is still current. A hit refreshes the entry's per-set
-  // recency tick only when the entry is not already the most recent, so a
-  // warm single-entry hit path performs no write at all; when a refresh
-  // does write (a shared line — the PCC is shared by every process holding
-  // this cred), it is counted into `stats->shared_writes` if provided.
-  // `miss` (optional) receives why the lookup failed (PccMiss::kNone on a
-  // hit); `stats` additionally takes pcc_hits/pcc_stale bumps.
+  // this credential is still current. A hit arms the entry's reference bit
+  // with one CAS, and only when the bit is clear, so once an entry has been
+  // hit a warm hit performs no write at all, however many entries the
+  // readers cycle through. That first write (a shared line — the PCC is
+  // shared by every process holding this cred) is counted into
+  // `stats->shared_writes` if provided. `miss` (optional) receives why the
+  // lookup failed (PccMiss::kNone on a hit); `stats` additionally takes
+  // pcc_hits/pcc_stale bumps.
   bool Lookup(const void* dentry, uint32_t seq, CacheStats* stats = nullptr,
               PccMiss* miss = nullptr);
 
@@ -139,9 +141,12 @@ class Pcc {
     // Dentry pointer >> 3 (dentries are 8-aligned); 0 = empty. The paper
     // packs the 32 unique pointer bits tighter; we keep the shifted word.
     std::atomic<uint64_t> key{0};
-    // Packed (seq << 32 | lru tick).
+    // Packed (seq << 32 | kReferenced bit).
     std::atomic<uint64_t> meta{0};
   };
+  // Second-chance bit in meta's low word (the Dentry::lru_referenced
+  // idiom): set by a hit, cleared as InsertKey's eviction scan passes.
+  static constexpr uint64_t kReferenced = 1;
 
   static uint64_t KeyFor(const void* dentry) {
     return reinterpret_cast<uintptr_t>(dentry) >> 3;
@@ -156,7 +161,6 @@ class Pcc {
   size_t sets_;
   size_t set_mask_;
   std::vector<Entry> entries_;
-  std::atomic<uint32_t> tick_{1};
   std::atomic<uint64_t> epoch_{0};
 
   // Occupancy tracking (enabled only under the auto-resize policy).

@@ -140,7 +140,7 @@ class ShardedCounter {
 
 // `shared_writes` counts writes to *shared* mutable state performed by the
 // lookup machinery itself: lock acquisitions, LRU list edits, per-dentry
-// reference-bit arming, PCC recency updates. It deliberately excludes the
+// and per-PCC-entry reference-bit arming. It deliberately excludes the
 // reference count of the handle a successful resolution returns to the
 // caller (taking that reference is the caller's request, not cache
 // bookkeeping). A warm hit path reports 0 here — the property Figure 8's

@@ -23,6 +23,8 @@ size_t RoundUpPow2(size_t n) {
 
 }  // namespace
 
+thread_local RaceHook DentryCache::after_last_put = nullptr;
+
 DentryCache::DentryCache(Kernel* kernel, const CacheConfig& config)
     : kernel_(kernel),
       buckets_(RoundUpPow2(config.dcache_buckets)),
@@ -155,11 +157,18 @@ Dentry* DentryCache::MakeRoot(SuperBlock* sb, Inode* inode) {
 }
 
 void DentryCache::Dput(Dentry* d) {
+  // Once our reference is gone, an eviction may retire `d` at any moment;
+  // the read section keeps it allocated while the checks below still look
+  // at it (Linux's dput holds rcu_read_lock for the same reason).
+  EpochDomain::ReadGuard epoch(EpochDomain::Global());
   if (d->DputNeedsRelease()) {
     Release(d);
     return;
   }
   if (d->ref_count() == 0 && !d->IsDead()) {
+    if (after_last_put != nullptr) {
+      after_last_put(d);
+    }
     if (d->TestFlags(kDentOnLru)) {
       // Already resident on the LRU. Recency is carried by the per-dentry
       // reference bit (armed by the lookup that took this reference), so
@@ -182,6 +191,10 @@ void DentryCache::Dput(Dentry* d) {
 }
 
 void DentryCache::Release(Dentry* d) {
+  // Every kill path unhashes the dentry from the DLHT under d->lock, and
+  // Populate never re-publishes a dead one; a reader in a later epoch must
+  // not find it on a chain once it is retired below.
+  assert(d->fast.on_dlht.load(std::memory_order_acquire) == nullptr);
   {
     SpinGuard lru_guard(lru_lock_);
     if (d->lru_node.linked()) {

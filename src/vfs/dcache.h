@@ -71,6 +71,9 @@ class DentryCache {
 
   // --- references -----------------------------------------------------------
   void Dput(Dentry* d);
+  // Testing hook (see RaceHook): Dput, after dropping the last reference of
+  // a live dentry and before looking at it again.
+  static thread_local RaceHook after_last_put;
 
   // --- removal ---------------------------------------------------------------
   // Unhash + mark dead (unlink/rmdir/rename-victim). Safe with or without

@@ -206,6 +206,12 @@ class Dentry {
   std::atomic<uint32_t> refs_{1};
 };
 
+// Testing hook type: called with a dentry inside a race window so a test
+// can run the losing side of the race deterministically (e.g. kill or
+// evict the dentry). See PathWalker::before_publish and
+// DentryCache::after_last_put.
+using RaceHook = void (*)(Dentry*);
+
 // Recover the owning dentry from its embedded FastDentry (the VFS knows the
 // layout; the core library treats dentries as opaque). Lives next to the
 // `fast` member it depends on so the two cannot drift apart.

@@ -130,6 +130,24 @@ class SuperBlock {
   std::unordered_map<InodeNum, Inode*> map_;
 };
 
+// stat() attributes of a cached inode. Used by Task's stat calls and by the
+// fastpath's reference-free stat, which copies them inside an epoch guard
+// and validates the dentry afterwards.
+inline Stat StatFromInode(const Inode& inode) {
+  Stat st;
+  st.dev = inode.sb()->dev_id();
+  st.ino = inode.ino();
+  st.type = inode.type();
+  st.mode = inode.mode();
+  st.uid = inode.uid();
+  st.gid = inode.gid();
+  st.nlink = inode.nlink();
+  st.size = inode.size();
+  st.mtime = inode.mtime();
+  st.ctime = inode.ctime();
+  return st;
+}
+
 }  // namespace dircache
 
 #endif  // DIRCACHE_VFS_INODE_H_

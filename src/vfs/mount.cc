@@ -109,9 +109,4 @@ void MountNamespace::DetachAll() {
   mounts_at_.clear();
 }
 
-void MountNamespace::MountPut(Mount* m) {
-  m->refs.fetch_sub(1, std::memory_order_acq_rel);
-  // Mounts are freed with the namespace (teardown is not perf-critical).
-}
-
 }  // namespace dircache

@@ -29,6 +29,10 @@ struct MountFlags {
   bool noexec = false;
 };
 
+// A Mount has no reference count. It lives until its namespace is destroyed
+// at kernel teardown (RemoveMount only detaches it), so walkers and
+// PathHandles hold plain non-owning Mount pointers and a warm lookup writes
+// nothing on the mount.
 struct Mount {
   Mount(MountNamespace* ns, SuperBlock* sb, Dentry* root, Mount* parent,
         Dentry* mountpoint, MountFlags flags);
@@ -40,9 +44,6 @@ struct Mount {
   Dentry* const mountpoint;  // dentry covered in the parent mount (ref held)
   const MountFlags flags;
 
-  void Get() { refs.fetch_add(1, std::memory_order_relaxed); }
-  // Put() is provided by the namespace (it frees detached mounts).
-  std::atomic<uint32_t> refs{1};
   // Cleared on umount; detached mounts no longer block their parents.
   std::atomic<bool> attached{true};
 };
@@ -77,8 +78,6 @@ class MountNamespace {
 
   // All mounts, for namespace cloning and teardown.
   std::vector<Mount*> AllMounts() const;
-
-  void MountPut(Mount* m);
 
   // Drop the dentry references held by every mount (kernel teardown; must
   // run before the dentry cache is destroyed).

@@ -1,4 +1,4 @@
-// PathHandle: an owning (mount, dentry) pair — the kernel's struct path.
+// PathHandle: a (mount, dentry) pair — the kernel's struct path.
 #ifndef DIRCACHE_VFS_PATH_H_
 #define DIRCACHE_VFS_PATH_H_
 
@@ -8,13 +8,14 @@
 
 namespace dircache {
 
-// Holds one dentry reference and one mount reference. Copyable (copies take
-// additional references) and movable.
+// Holds one dentry reference and a non-owning mount pointer (mounts live
+// until kernel teardown; see Mount). Copyable (copies take an additional
+// dentry reference) and movable.
 class PathHandle {
  public:
   PathHandle() = default;
 
-  // Adopts already-acquired references.
+  // Adopts an already-acquired dentry reference.
   static PathHandle Adopt(Mount* mnt, Dentry* dentry) {
     PathHandle p;
     p.mnt_ = mnt;
@@ -22,22 +23,16 @@ class PathHandle {
     return p;
   }
 
-  // Takes new references (caller's references are untouched). The dentry
+  // Takes a new dentry reference (the caller's is untouched). The dentry
   // must be alive (callers pass dentries they hold references on).
   static PathHandle Acquire(Mount* mnt, Dentry* dentry) {
     dentry->DgetHeld();
-    if (mnt != nullptr) {
-      mnt->Get();
-    }
     return Adopt(mnt, dentry);
   }
 
   PathHandle(const PathHandle& o) : mnt_(o.mnt_), dentry_(o.dentry_) {
     if (dentry_ != nullptr) {
       dentry_->DgetHeld();
-    }
-    if (mnt_ != nullptr) {
-      mnt_->Get();
     }
   }
 
@@ -72,10 +67,7 @@ class PathHandle {
       dentry_->sb()->kernel()->dcache().Dput(dentry_);
       dentry_ = nullptr;
     }
-    if (mnt_ != nullptr) {
-      mnt_->ns->MountPut(mnt_);
-      mnt_ = nullptr;
-    }
+    mnt_ = nullptr;
   }
 
   explicit operator bool() const { return dentry_ != nullptr; }

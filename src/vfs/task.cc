@@ -194,21 +194,6 @@ size_t Task::open_files() const {
   return n;
 }
 
-Stat Task::StatFromInode(const Inode& inode) {
-  Stat st;
-  st.dev = inode.sb()->dev_id();
-  st.ino = inode.ino();
-  st.type = inode.type();
-  st.mode = inode.mode();
-  st.uid = inode.uid();
-  st.gid = inode.gid();
-  st.nlink = inode.nlink();
-  st.size = inode.size();
-  st.mtime = inode.mtime();
-  st.ctime = inode.ctime();
-  return st;
-}
-
 // ---------------------------------------------------------------------------
 // batched submission (DESIGN.md §12)
 //
@@ -410,9 +395,14 @@ void Task::ExecuteSqe(const server::SubmissionQueueEntry& s,
 Result<Stat> Task::DoStat(const PathHandle* base, std::string_view path,
                           bool follow) {
   PathWalker walker(kernel_);
-  auto p = walker.Resolve(*this, base, path, follow ? kWalkFollow : 0);
+  Stat st;
+  auto p = walker.Resolve(*this, base, path, follow ? kWalkFollow : 0,
+                          nullptr, &st);
   if (!p.ok()) {
     return p.error();
+  }
+  if (!*p) {
+    return st;  // fastpath hit, served without a dentry reference
   }
   Inode* inode = p->inode();
   if (inode == nullptr) {
@@ -602,9 +592,7 @@ Result<FdNum> Task::DoOpen(const PathHandle* base, std::string_view path,
         return fresh.error();
       }
       dir_inode->set_mtime(dir_inode->mtime() + 1);
-      VfsMount* m = parent->mnt();
-      m->Get();
-      p = PathHandle::Adopt(m, *fresh);
+      p = PathHandle::Adopt(parent->mnt(), *fresh);
     }
   } else {
     auto full = walker.Resolve(*this, base, path, wf);

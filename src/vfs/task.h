@@ -209,7 +209,6 @@ class Task : public std::enable_shared_from_this<Task> {
   Status DoAccess(std::string_view path, int may_mask);
   Status DoClose(FdNum fd);
   Result<std::vector<DirEntry>> DoReadDir(FdNum fd, size_t max_entries);
-  static Stat StatFromInode(const Inode& inode);
 
   Kernel* const kernel_;
   CredPtr cred_;

@@ -17,6 +17,8 @@ namespace dircache {
 thread_local WalkPhaseProfile* g_walk_profile = nullptr;
 thread_local bool PathWalker::force_fastpath_miss = false;
 thread_local bool PathWalker::forbid_slowpath = false;
+thread_local RaceHook PathWalker::before_publish = nullptr;
+thread_local RaceHook PathWalker::before_stat_validate = nullptr;
 
 namespace {
 
@@ -349,11 +351,20 @@ static void Populate(Kernel* kernel, Task& task, Mount* mnt, Dentry* d,
   if (!st.ok()) {
     return;
   }
+  if (PathWalker::before_publish != nullptr) {
+    PathWalker::before_publish(d);
+  }
   Dlht& dlht = mnt->ns->dlht();
   uint32_t seq;
   Signature sig;
   {
     SpinGuard guard(d->lock);
+    if (d->IsDead()) {
+      // Killed since the walk took its reference. Kill already unhashed it
+      // under this lock; re-publishing would leave it on a DLHT chain after
+      // the last Dput retires it.
+      return;
+    }
     if (!d->fast.path_valid.load(std::memory_order_acquire)) {
       return;  // raced with an invalidation
     }
@@ -412,7 +423,7 @@ struct PrefixDirs {
   static constexpr size_t kMax = 24;
   struct Item {
     Dentry* d;
-    Mount* mnt;  // raw is safe: mounts are freed with their namespace
+    Mount* mnt;  // mounts live until kernel teardown (see Mount)
     uint32_t seq;
   };
   std::array<Item, kMax> dirs;
@@ -546,7 +557,6 @@ static void ProbeShortcutAncestor(Kernel* k, Task& task,
       k->dcache().Dput(a);
       return;  // the tree moved mid-probe; take the plain full walk
     }
-    m->Get();
     sc->found = true;
     sc->ancestor = PathHandle::Adopt(m, a);
     sc->suffix_offset = prefixes.suffix_off[pd - 1];
@@ -562,10 +572,11 @@ static void ProbeShortcutAncestor(Kernel* k, Task& task,
 
 Result<PathHandle> PathWalker::Resolve(Task& task, const PathHandle* base,
                                        std::string_view path, int wflags,
-                                       std::string* last_out) {
+                                       std::string* last_out,
+                                       Stat* stat_out) {
   Observability& obs = kernel_->obs();
   if (!obs.enabled()) {
-    return DoResolve(task, base, path, wflags, last_out);
+    return DoResolve(task, base, path, wflags, last_out, stat_out);
   }
   // Trace this walk. Scratch is saved/restored so a walk nested inside
   // another (task-level operations resolve several paths) records its own
@@ -574,7 +585,8 @@ Result<PathHandle> PathWalker::Resolve(Task& task, const PathHandle* base,
   g_walk_trace = WalkTraceScratch{};
   g_walk_trace.armed = true;
   uint64_t t0 = NowNanos();
-  Result<PathHandle> r = DoResolve(task, base, path, wflags, last_out);
+  Result<PathHandle> r =
+      DoResolve(task, base, path, wflags, last_out, stat_out);
   uint64_t t1 = NowNanos();
   obs::WalkTraceEvent ev;
   ev.outcome = g_walk_trace.outcome;
@@ -603,7 +615,8 @@ Result<PathHandle> PathWalker::Resolve(Task& task, const PathHandle* base,
 
 Result<PathHandle> PathWalker::DoResolve(Task& task, const PathHandle* base,
                                          std::string_view path, int wflags,
-                                         std::string* last_out) {
+                                         std::string* last_out,
+                                         Stat* stat_out) {
   if (path.empty()) {
     return Errno::kENOENT;
   }
@@ -654,7 +667,8 @@ Result<PathHandle> PathWalker::DoResolve(Task& task, const PathHandle* base,
   if (rcfg.fastpath && !force_fastpath_miss && !privileged_blocked) {
     Result<PathHandle> result = Errno::kENOENT;
     ShortcutResume resume;
-    if (TryFastResolve(task, start, effective, wflags, &result, &resume)) {
+    if (TryFastResolve(task, start, effective, wflags, stat_out, &result,
+                       &resume)) {
       stats.fastpath_hits.Add();
       TraceOutcome(result.ok() ? obs::WalkOutcome::kFastHit
                                : obs::WalkOutcome::kFastNegative);
@@ -925,7 +939,6 @@ Result<PathHandle> PathWalker::OptimisticWalk(Task& task,
     if (d->MarkReferenced()) {
       stats.shared_writes.Add();
     }
-    mnt->Get();
   }
   PathHandle result = PathHandle::Adopt(mnt, d);
   {
@@ -953,12 +966,9 @@ struct RefPos {
     d = dent;
   }
   void MoveTo(Mount* m, Dentry* dent) {
-    // Takes ownership of the caller's references on (m, dent).
+    // Takes ownership of the caller's reference on `dent`.
     if (d != nullptr) {
       k->dcache().Dput(d);
-    }
-    if (mnt != nullptr) {
-      mnt->ns->MountPut(mnt);
     }
     mnt = m;
     d = dent;
@@ -968,10 +978,7 @@ struct RefPos {
       k->dcache().Dput(d);
       d = nullptr;
     }
-    if (mnt != nullptr) {
-      mnt->ns->MountPut(mnt);
-      mnt = nullptr;
-    }
+    mnt = nullptr;
   }
 };
 
@@ -995,7 +1002,6 @@ Result<PathHandle> PathWalker::LockedWalk(Task& task, const PathHandle& start,
 
   RefPos pos{k};
   start.dentry()->DgetHeld();
-  start.mnt()->Get();
   pos.Set(start.mnt(), start.dentry());
   PrefixDirs prefixes;
 
@@ -1104,7 +1110,6 @@ Result<PathHandle> PathWalker::LockedWalk(Task& task, const PathHandle& start,
           Dentry* mp = pos.mnt->mountpoint;
           Mount* pm = pos.mnt->parent;
           mp->DgetHeld();
-          pm->Get();
           pos.MoveTo(pm, mp);
           continue;
         }
@@ -1113,7 +1118,6 @@ Result<PathHandle> PathWalker::LockedWalk(Task& task, const PathHandle& start,
           return fail(Errno::kESTALE);
         }
         p->DgetHeld();
-        pos.mnt->Get();
         pos.MoveTo(pos.mnt, p);
         break;
       }
@@ -1183,18 +1187,15 @@ Result<PathHandle> PathWalker::LockedWalk(Task& task, const PathHandle& start,
       }
     }
 
-    // Cross mount points: the new position's mount reference is built in
-    // `nmnt` and handed to pos.MoveTo together with `child`.
+    // Cross mount points: the new position's mount is built in `nmnt` and
+    // handed to pos.MoveTo together with `child`.
     Mount* nmnt = pos.mnt;
-    nmnt->Get();
     while (child->TestFlags(kDentMountpoint)) {
       Mount* covered = task.ns()->MountAt(nmnt, child);
       if (covered == nullptr) {
         break;
       }
       TraceMountCrossing();
-      covered->Get();
-      nmnt->ns->MountPut(nmnt);
       nmnt = covered;
       Dentry* root = covered->root;
       root->DgetHeld();
@@ -1204,7 +1205,6 @@ Result<PathHandle> PathWalker::LockedWalk(Task& task, const PathHandle& start,
 
     Inode* ci = child->inode();
     if (ci == nullptr) {
-      nmnt->ns->MountPut(nmnt);
       k->dcache().Dput(child);
       return fail(Errno::kENOENT);
     }
@@ -1214,7 +1214,6 @@ Result<PathHandle> PathWalker::LockedWalk(Task& task, const PathHandle& start,
         pos.MoveTo(nmnt, child);
         break;
       }
-      nmnt->ns->MountPut(nmnt);
       TraceSymlink();
       if (++link_depth > kMaxSymlinkDepth) {
         k->dcache().Dput(child);
@@ -1265,7 +1264,6 @@ Result<PathHandle> PathWalker::LockedWalk(Task& task, const PathHandle& start,
         Dentry* rd = task.root().dentry();
         Mount* rm = task.root().mnt();
         rd->DgetHeld();
-        rm->Get();
         pos.MoveTo(rm, rd);
       }
       k->dcache().Dput(child);
@@ -1528,7 +1526,7 @@ Result<Dentry*> PathWalker::LookupOrInstantiate(Task& task, Dentry* parent,
 
 bool PathWalker::TryFastResolve(Task& task, const PathHandle& start,
                                 std::string_view path, int wflags,
-                                Result<PathHandle>* result,
+                                Stat* stat_out, Result<PathHandle>* result,
                                 ShortcutResume* resume) {
   Kernel* k = kernel_;
   const CacheConfig& cfg = k->config();
@@ -1818,17 +1816,29 @@ bool PathWalker::TryFastResolve(Task& task, const PathHandle& start,
     return false;  // something is mounted over this path: slowpath crosses
   }
 
-  if (!d->DgetLive()) {
+  if (stat_out != nullptr) {
+    // Reference-free stat: copy the attributes, then validate as a seqlock
+    // reader does. The epoch guard keeps the inode allocated even if the
+    // dentry dies meanwhile (Release defers its Iput to the grace period).
+    *stat_out = StatFromInode(*inode);
+    std::atomic_thread_fence(std::memory_order_acquire);
+    if (before_stat_validate != nullptr) {
+      before_stat_validate(d);
+    }
+    if (d->IsDead()) {
+      return false;
+    }
+  } else if (!d->DgetLive()) {
     return false;
   }
-  if (fd->seq.load(std::memory_order_seq_cst) != seq) {
-    k->dcache().Dput(d);
-    return false;
-  }
-  if (!k->dcache().InvalidationTokenValid(inval_token)) {
-    // A coherence section opened mid-walk: the deferred pass may not have
-    // reached this dentry yet, so the stable seq proves nothing (§3.2).
-    k->dcache().Dput(d);
+  // A coherence section opened mid-walk means the deferred pass may not
+  // have reached this dentry yet, so a stable seq alone proves nothing
+  // (§3.2).
+  if (fd->seq.load(std::memory_order_seq_cst) != seq ||
+      !k->dcache().InvalidationTokenValid(inval_token)) {
+    if (stat_out == nullptr) {
+      k->dcache().Dput(d);
+    }
     return false;
   }
   // Arm the second-chance bit so the clock eviction sees this dentry as
@@ -1837,8 +1847,7 @@ bool PathWalker::TryFastResolve(Task& task, const PathHandle& start,
   if (d->MarkReferenced()) {
     stats.shared_writes.Add();
   }
-  m->Get();
-  *result = PathHandle::Adopt(m, d);
+  *result = stat_out != nullptr ? PathHandle() : PathHandle::Adopt(m, d);
   return true;
 }
 

@@ -65,9 +65,13 @@ class PathWalker {
   // Resolve `path` for `task` starting from `base` (empty base = cwd for
   // relative paths; absolute paths always restart from the task root).
   // With kWalkParent, returns the parent directory and sets `last_out`.
+  // With `stat_out` set, a fastpath hit fills it with the resolved inode's
+  // attributes and returns an empty handle, taking no dentry reference;
+  // every other outcome returns a referenced handle as without it.
   Result<PathHandle> Resolve(Task& task, const PathHandle* base,
                              std::string_view path, int wflags,
-                             std::string* last_out = nullptr);
+                             std::string* last_out = nullptr,
+                             Stat* stat_out = nullptr);
 
   // Find the child in the dcache or instantiate it from the low-level FS
   // (positive or negative dentry). Used by the mutation syscalls under the
@@ -81,6 +85,12 @@ class PathWalker {
   static thread_local bool force_fastpath_miss;
   // Testing hook: forbid slowpath (asserts fastpath coverage in tests).
   static thread_local bool forbid_slowpath;
+  // Testing hooks (see RaceHook). Populate: after EnsurePathState, before
+  // the DLHT publish.
+  static thread_local RaceHook before_publish;
+  // Reference-free fastpath stat: after the attribute copy, before its
+  // validation.
+  static thread_local RaceHook before_stat_validate;
 
  private:
   struct Ctx;
@@ -88,14 +98,15 @@ class PathWalker {
   // Resolve() body; the public wrapper only adds walk tracing (obs).
   Result<PathHandle> DoResolve(Task& task, const PathHandle* base,
                                std::string_view path, int wflags,
-                               std::string* last_out);
+                               std::string* last_out, Stat* stat_out);
 
   // Fastpath attempt. Returns true if it produced a definitive outcome
-  // (hit or fast negative) in *result. On a final-probe DLHT miss with the
+  // (hit or fast negative) in *result; a hit with `stat_out` set fills it
+  // instead of taking a reference. On a final-probe DLHT miss with the
   // shortcut enabled, fills `resume` (never null) with the deepest cached
   // ancestor so DoResolve can restart the slowpath mid-tree.
   bool TryFastResolve(Task& task, const PathHandle& start,
-                      std::string_view path, int wflags,
+                      std::string_view path, int wflags, Stat* stat_out,
                       Result<PathHandle>* result, ShortcutResume* resume);
 
   // Slowpath drivers.

@@ -601,5 +601,116 @@ TEST_F(InvalEngineTest, OverlappingSubtreeInvalidationsKeepSeqsCoherent) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Race windows replayed deterministically: PathWalker's race hooks run the
+// losing side of a race at the exact point a concurrent mutator could, so
+// each test fails the same way every run instead of once in many.
+
+class RaceWindowTest : public ::testing::Test {
+ protected:
+  RaceWindowTest() : world_(CacheConfig::Optimized()) {
+    Task& t = *world_.root;
+    EXPECT_OK(t.Mkdir("/d"));
+    auto fd = t.Open("/d/f", kOCreat | kOWrite);
+    EXPECT_OK(fd);
+    EXPECT_OK(t.Close(*fd));
+    kernel_ = world_.kernel.get();
+    mutator_ = world_.root->Fork();
+  }
+
+  void TearDown() override {
+    PathWalker::before_publish = nullptr;
+    PathWalker::before_stat_validate = nullptr;
+    DentryCache::after_last_put = nullptr;
+    mutator_.reset();
+    obs::AuditReport report = world_.kernel->Audit();
+    EXPECT_TRUE(report.clean()) << report.ToText();
+  }
+
+  // The hooks are plain function pointers; they reach the world here.
+  static inline Kernel* kernel_ = nullptr;
+  static inline TaskPtr mutator_;
+  TestWorld world_;
+};
+
+// An unlink whose invalidation pass finished just before a slow walk took
+// its counter snapshot kills the victim while that walk is in Populate,
+// between computing the path state and publishing it. Publishing the dead
+// dentry left it chained on the DLHT after its last Dput retired it, so a
+// later probe read freed memory (the CreateUnlinkChurnWithReaders abort).
+TEST_F(RaceWindowTest, PopulateNeverPublishesDentryKilledMidWalk) {
+  Task& t = *world_.root;
+  PathWalker::before_publish = [](Dentry* d) {
+    if (d->name() == "f") {
+      PathWalker::before_publish = nullptr;
+      kernel_->dcache().Kill(d);  // the unlink's Kill, after its pass
+    }
+  };
+  PathWalker walker(world_.kernel.get());
+  PathWalker::force_fastpath_miss = true;  // resolve through Populate
+  auto h = walker.Resolve(t, nullptr, "/d/f", 0);
+  PathWalker::force_fastpath_miss = false;
+  ASSERT_OK(h);
+  Dentry* d = h->dentry();
+  ASSERT_TRUE(d->IsDead()) << "the hook never ran";
+  EXPECT_EQ(d->fast.on_dlht.load(), nullptr);
+  obs::AuditReport report = world_.kernel->Audit();
+  EXPECT_TRUE(report.clean()) << report.ToText();
+  {
+    // Unchain it anyway, so a regression fails above instead of crashing
+    // in a later probe once the handle's release retires the dentry.
+    SpinGuard guard(d->lock);
+    Dlht::RemoveFromCurrent(&d->fast);
+  }
+}
+
+// A warm Statx is served without a dentry reference: the attributes are
+// copied first and validated after. Here /d/f is unlinked between the two;
+// the stat must fall back and report ENOENT, never the dead dentry's Stat.
+TEST_F(RaceWindowTest, ReferenceFreeStatFallsBackWhenDentryDies) {
+  Task& t = *world_.root;
+  ASSERT_OK(t.Statx(kAtFdCwd, "/d/f", 0));  // slow walk populates
+  const uint64_t hits = world_.kernel->stats().fastpath_hits.value();
+  ASSERT_OK(t.Statx(kAtFdCwd, "/d/f", 0));
+  ASSERT_EQ(world_.kernel->stats().fastpath_hits.value(), hits + 1);
+
+  PathWalker::before_stat_validate = [](Dentry* d) {
+    PathWalker::before_stat_validate = nullptr;
+    EXPECT_OK(mutator_->Unlink("/d/f"));
+    EXPECT_TRUE(d->IsDead());
+  };
+  EXPECT_ERR(t.Statx(kAtFdCwd, "/d/f", 0), Errno::kENOENT);
+  EXPECT_EQ(PathWalker::before_stat_validate, nullptr) << "the hook never ran";
+}
+
+// Dput drops the last reference and only then looks at the dentry again
+// (to park it on the LRU). An eviction in that window retires the dentry;
+// unless Dput holds the epoch across the window, the grace period can end
+// and free the dentry under it (the EvictionRacesLookups heap corruption).
+TEST_F(RaceWindowTest, DputKeepsDentryAllocatedAfterLastReference) {
+  Task& t = *world_.root;
+  PathWalker walker(world_.kernel.get());
+  auto h = walker.Resolve(t, nullptr, "/d/f", 0);
+  ASSERT_OK(h);
+  EpochDomain::Global().Synchronize();  // no older garbage left to free
+  DentryCache::after_last_put = [](Dentry* d) {
+    DentryCache::after_last_put = nullptr;
+    EpochDomain& epoch = EpochDomain::Global();
+    const uint64_t freed = epoch.freed_count();
+    {
+      std::unique_lock<std::shared_mutex> tree(kernel_->tree_lock());
+      kernel_->dcache().Shrink(1024);
+    }
+    EXPECT_TRUE(d->IsDead()) << "the eviction did not take the dentry";
+    // Enough retirements to end several grace periods if nothing pins one.
+    for (int i = 0; i < 256; ++i) {
+      epoch.RetireObject(new int(i));
+    }
+    EXPECT_EQ(epoch.freed_count(), freed);
+  };
+  h->Reset();
+  EXPECT_EQ(DentryCache::after_last_put, nullptr) << "the hook never ran";
+}
+
 }  // namespace
 }  // namespace dircache

@@ -1,4 +1,6 @@
 // Direct Lookup Hash Table and Prefix Check Cache unit tests (§3.1).
+#include <array>
+
 #include <gtest/gtest.h>
 
 #include "src/core/dlht.h"
@@ -182,6 +184,30 @@ TEST(PccTest, CapacityEvictsLruNotHot) {
     pcc.Insert(&storage[i], 2);
     EXPECT_TRUE(pcc.Lookup(&hot, 1)) << "evicted after " << i;
   }
+}
+
+TEST(PccTest, WarmInterleavedHitsWriteNothing) {
+  // A PCC shared by every process of a cred must not turn its hits into
+  // shared-line writes once each entry has been hit: readers cycling
+  // through a working set interleave hits on every way of a set.
+  Pcc pcc(1);  // a single set of kWays entries
+  ASSERT_EQ(pcc.sets(), 1u);
+  std::array<int64_t, Pcc::kWays> keys{};
+  for (int64_t& k : keys) {
+    pcc.Insert(&k, 3);
+  }
+  CacheStats stats;
+  for (int64_t& k : keys) {
+    ASSERT_TRUE(pcc.Lookup(&k, 3, &stats));  // arms each entry once
+  }
+  const uint64_t armed = stats.shared_writes.value();
+  for (int round = 0; round < 64; ++round) {
+    for (int64_t& k : keys) {
+      ASSERT_TRUE(pcc.Lookup(&k, 3, &stats));
+    }
+  }
+  EXPECT_EQ(stats.shared_writes.value() - armed, 0u);
+  EXPECT_EQ(stats.pcc_hits.value(), 65u * Pcc::kWays);
 }
 
 TEST(PccTest, SizesRoundToPowerOfTwoSets) {
