@@ -4,28 +4,21 @@
 #
 #   scripts/check.sh            # release build + ctest
 #   scripts/check.sh --full     # + debug & asan test passes
-#   scripts/check.sh --tsan     # + thread sanitizer pass over the
-#                               #   concurrency-sensitive suites (labels
-#                               #   obs + concurrency)
-#   scripts/check.sh --server   # + thread sanitizer pass over just the
-#                               #   batch/server suite (label server: the
-#                               #   SQ/CQ rings and the shard drain loop)
-#   scripts/check.sh --obs      # + address sanitizer pass over the obs +
-#                               #   server suites (span rings, flight
-#                               #   recorder, trace plumbing) on top of the
-#                               #   TSan coverage --tsan/--server give them
-#   scripts/check.sh --shortcut # + thread sanitizer pass over just the
-#                               #   miss-shortcut suite (label shortcut:
-#                               #   ancestor probes racing renames)
-#   scripts/check.sh --resize   # + thread sanitizer pass over just the
-#                               #   elastic-resize + governor suite (label
-#                               #   resize: readers and mutators racing
-#                               #   online table migration)
-#   scripts/check.sh --stress   # + every concurrency|shortcut|resize|server
-#                               #   test binary run standalone (all cores,
-#                               #   no ctest -j neighbours) with
-#                               #   --gtest_repeat=10, under
-#                               #   AddressSanitizer and then ThreadSanitizer
+#   scripts/check.sh --tsan[=LABELS]
+#                               # + ThreadSanitizer ctest over the suites
+#                               #   whose labels match the ctest -L regex
+#                               #   LABELS (default obs|concurrency; the
+#                               #   server, shortcut and resize suites also
+#                               #   carry the concurrency label)
+#   scripts/check.sh --asan     # + AddressSanitizer ctest over the obs
+#                               #   and server suites (span rings, the
+#                               #   flight recorder's by-value copies,
+#                               #   Chrome-trace rendering)
+#   scripts/check.sh --stress   # + every obs|concurrency test binary run
+#                               #   standalone (all cores, no ctest -j
+#                               #   neighbours) with --gtest_repeat=10,
+#                               #   under AddressSanitizer and then
+#                               #   ThreadSanitizer
 #   scripts/check.sh --bench    # + run every benchmark binary
 #   scripts/check.sh --bench fig7
 #                               # + run only benchmarks whose name starts
@@ -38,21 +31,16 @@ cd "$(dirname "$0")/.."
 FULL=0
 BENCH=0
 BENCH_FILTER=""
-TSAN=0
-SERVER=0
-OBS=0
-SHORTCUT=0
-RESIZE=0
+TSAN_LABELS=""
+ASAN=0
 STRESS=0
 STRESS_REPEAT=10
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --full) FULL=1 ;;
-    --tsan) TSAN=1 ;;
-    --server) SERVER=1 ;;
-    --obs) OBS=1 ;;
-    --shortcut) SHORTCUT=1 ;;
-    --resize) RESIZE=1 ;;
+    --tsan) TSAN_LABELS='obs|concurrency' ;;
+    --tsan=*) TSAN_LABELS="${1#*=}" ;;
+    --asan) ASAN=1 ;;
     --stress) STRESS=1 ;;
     --bench)
       BENCH=1
@@ -82,12 +70,6 @@ sanitizer_build() {
 # the telemetry rings, runs under full TSan scrutiny.
 export TSAN_OPTIONS="suppressions=$PWD/scripts/tsan.supp history_size=7"
 
-# ctest over the given labels in the ThreadSanitizer tree.
-tsan_ctest() {
-  sanitizer_build thread
-  ctest --test-dir build-tsan --output-on-failure -L "$1"
-}
-
 # Run each test binary carrying one of the given labels on its own, one
 # after another, so its threads race on every core of the host.
 stress_binaries() {
@@ -115,39 +97,16 @@ if [[ "$FULL" == 1 ]]; then
   ctest --test-dir build-asan --output-on-failure
 fi
 
-if [[ "$TSAN" == 1 ]]; then
-  echo "== thread sanitizer (obs + concurrency suites) =="
-  # Only the suites with real cross-thread traffic: the lock-free walkers,
-  # the obs recorders/sampler, and the ring-buffer stress tests.
-  tsan_ctest 'obs|concurrency'
+if [[ -n "$TSAN_LABELS" ]]; then
+  echo "== thread sanitizer (labels $TSAN_LABELS) =="
+  # The suites with real cross-thread traffic: the lock-free walkers, the
+  # obs recorders/sampler, the SQ/CQ rings, shortcut resumes racing
+  # renames, and online DLHT resize.
+  sanitizer_build thread
+  ctest --test-dir build-tsan --output-on-failure -L "$TSAN_LABELS"
 fi
 
-if [[ "$SERVER" == 1 ]]; then
-  echo "== thread sanitizer (batch/server suite) =="
-  # The new cross-thread surface from the batch API redesign: the Vyukov
-  # SQ/CQ rings, multi-producer Submit against the shard drain loop, and
-  # Stop()'s drain-everything guarantee. Reuses the --tsan build tree.
-  tsan_ctest server
-fi
-
-if [[ "$SHORTCUT" == 1 ]]; then
-  echo "== thread sanitizer (miss-shortcut suite) =="
-  # The ancestor-probe fallback's cross-thread surface: prefix-signature
-  # probes and resumed walks racing renames, evictions, and epoch
-  # reclamation (label shortcut). Reuses the --tsan build tree.
-  tsan_ctest shortcut
-fi
-
-if [[ "$RESIZE" == 1 ]]; then
-  echo "== thread sanitizer (elastic-resize + governor suite) =="
-  # The elastic DLHT's cross-thread surface: the two-candidate reader probe
-  # and validated-lock writers racing BeginResize/MigrateStep, epoch
-  # retirement of old tables under concurrent readers, and the governor's
-  # eviction/steering passes (label resize). Reuses the --tsan build tree.
-  tsan_ctest resize
-fi
-
-if [[ "$OBS" == 1 ]]; then
+if [[ "$ASAN" == 1 ]]; then
   echo "== address sanitizer (obs + server suites) =="
   # The request-tracing surfaces (span rings, the flight recorder's by-value
   # RequestTrace copies, Chrome-trace rendering) are memory-layout heavy;
@@ -163,10 +122,10 @@ if [[ "$STRESS" == 1 ]]; then
   # first, then data races.
   echo "== stress: address sanitizer, standalone x$STRESS_REPEAT =="
   sanitizer_build address
-  stress_binaries build-asan 'concurrency|shortcut|resize|server'
+  stress_binaries build-asan 'obs|concurrency'
   echo "== stress: thread sanitizer, standalone x$STRESS_REPEAT =="
   sanitizer_build thread
-  stress_binaries build-tsan 'concurrency|shortcut|resize|server'
+  stress_binaries build-tsan 'obs|concurrency'
 fi
 
 if [[ "$BENCH" == 1 ]]; then

@@ -1,5 +1,5 @@
-// Coherence event journal (DESIGN.md §10): per-shard rings of begin/end
-// span events for the cache's write side.
+// Coherence event journal (DESIGN.md §10): begin/end span events for the
+// cache's write side.
 //
 // The paper's §3.2 coherence protocol makes mutations pay O(cached-subtree)
 // work; this journal records what each mutation actually cost: every
@@ -7,21 +7,14 @@
 // reports how many version counters it bumped and how many DLHT entries it
 // evicted, rename records its rename_lock (rename_seq write section) hold
 // time, locked slow walks record their spans, and PCC epoch advances land
-// as instants. The journal drains into snapshots (schema v2 `journal`
-// section) and exports as Chrome trace-event JSON (ObsSnapshot::
-// ToChromeTrace) for chrome://tracing.
-//
-// Ring design follows WalkTraceRing: one ring per stats shard, lock-free
-// writers (relaxed fetch_add claims a slot, payload words stored relaxed, a
-// nonzero begin-timestamp word published last with release order doubles as
-// the valid flag), torn reads detected by re-sampling the timestamp and
-// skipped.
+// as instants. Events land in the recording shard's SeqRing (seq_ring.h),
+// drain into snapshots (schema v2 `journal` section) and export as Chrome
+// trace-event JSON (ObsSnapshot::ToChromeTrace) for chrome://tracing.
 #ifndef DIRCACHE_OBS_EVENT_JOURNAL_H_
 #define DIRCACHE_OBS_EVENT_JOURNAL_H_
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace dircache {
 namespace obs {
@@ -94,10 +87,10 @@ inline const char* JournalEventName(JournalEvent e) {
 // The meaning of arg0..arg3 per event type, for rendering.
 const char* JournalArgName(JournalEvent e, int arg);
 // How many payload args the event type carries (2 or 4). Renderers emit
-// exactly this many keys; the ring always stores all four words.
+// exactly this many keys; the record always carries all four.
 int JournalArgCount(JournalEvent e);
 
-// One journal span, in unpacked (snapshot) form.
+// One journal span.
 struct JournalEventRecord {
   JournalEvent type = JournalEvent::kCount;
   uint32_t shard = 0;        // recording shard (exported as Chrome tid)
@@ -107,85 +100,6 @@ struct JournalEventRecord {
   uint64_t arg1 = 0;
   uint64_t arg2 = 0;         // schema v2 addition: parallel-pass payloads
   uint64_t arg3 = 0;
-};
-
-// Fixed-capacity lock-free ring of journal events.
-class JournalRing {
- public:
-  explicit JournalRing(size_t capacity)
-      : slots_(RoundPow2(capacity)), mask_(slots_.size() - 1) {}
-  JournalRing(const JournalRing&) = delete;
-  JournalRing& operator=(const JournalRing&) = delete;
-
-  void Record(JournalEvent type, uint64_t begin_ns, uint64_t duration_ns,
-              uint64_t arg0, uint64_t arg1, uint64_t arg2 = 0,
-              uint64_t arg3 = 0) {
-    Slot& s = slots_[head_.fetch_add(1, std::memory_order_relaxed) & mask_];
-    // Same publication protocol as WalkTraceRing: invalidate, write the
-    // payload, publish a nonzero begin timestamp last.
-    s.ts.store(0, std::memory_order_relaxed);
-    s.dur.store(duration_ns, std::memory_order_relaxed);
-    s.arg0.store(arg0, std::memory_order_relaxed);
-    s.arg1.store(arg1, std::memory_order_relaxed);
-    s.arg2.store(arg2, std::memory_order_relaxed);
-    s.arg3.store(arg3, std::memory_order_relaxed);
-    s.type.store(static_cast<uint64_t>(type), std::memory_order_relaxed);
-    s.ts.store(begin_ns | 1, std::memory_order_release);
-  }
-
-  // Append all consistent events to `out` (unordered; caller sorts).
-  // `shard` stamps the records' origin ring.
-  void Drain(uint32_t shard, std::vector<JournalEventRecord>* out) const {
-    for (const Slot& s : slots_) {
-      uint64_t ts1 = s.ts.load(std::memory_order_acquire);
-      if (ts1 == 0) {
-        continue;
-      }
-      JournalEventRecord rec;
-      rec.duration_ns = s.dur.load(std::memory_order_relaxed);
-      rec.arg0 = s.arg0.load(std::memory_order_relaxed);
-      rec.arg1 = s.arg1.load(std::memory_order_relaxed);
-      rec.arg2 = s.arg2.load(std::memory_order_relaxed);
-      rec.arg3 = s.arg3.load(std::memory_order_relaxed);
-      uint64_t type = s.type.load(std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (s.ts.load(std::memory_order_relaxed) != ts1) {
-        continue;  // torn by a concurrent writer; skip
-      }
-      if (type >= kJournalEventCount) {
-        continue;
-      }
-      rec.type = static_cast<JournalEvent>(type);
-      rec.shard = shard;
-      rec.begin_ns = ts1 & ~1ull;
-      out->push_back(rec);
-    }
-  }
-
-  size_t capacity() const { return slots_.size(); }
-
- private:
-  struct Slot {
-    std::atomic<uint64_t> ts{0};  // 0 = empty; low bit forced to 1 when set
-    std::atomic<uint64_t> dur{0};
-    std::atomic<uint64_t> arg0{0};
-    std::atomic<uint64_t> arg1{0};
-    std::atomic<uint64_t> arg2{0};
-    std::atomic<uint64_t> arg3{0};
-    std::atomic<uint64_t> type{0};
-  };
-
-  static size_t RoundPow2(size_t n) {
-    size_t p = 1;
-    while (p < n) {
-      p *= 2;
-    }
-    return p;
-  }
-
-  std::vector<Slot> slots_;
-  std::atomic<uint64_t> head_{0};
-  const size_t mask_;
 };
 
 }  // namespace obs

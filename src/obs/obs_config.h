@@ -1,17 +1,14 @@
-// Observability configuration: the compile- and run-time switches for the
-// latency-histogram / walk-trace subsystem (DESIGN.md §9).
+// Observability configuration: the run-time switch for the latency-histogram
+// / walk-trace subsystem (DESIGN.md §9) and the fixed sizes of its
+// recording structures.
 //
 // The paper's argument is quantitative (hit ratios, per-component walk
 // costs, scalability knees), so the repro needs tails and outcome
 // breakdowns — but the measurement layer must never perturb the property it
-// measures. Two gates guarantee that:
-//
-//  - Compile time: defining DIRCACHE_OBS_OFF turns every recording entry
-//    point into an empty inline function (zero code on the hot path).
-//  - Run time: ObsConfig::enabled (default OFF) gates recording behind a
-//    single plain-bool branch. Disabled kernels allocate no histogram or
-//    trace memory at all, and the warm-hit read path stays exactly as
-//    shared-write-free as PR 1 left it.
+// measures. ObsConfig::enabled (default OFF) gates recording behind a single
+// plain-bool branch. Disabled kernels allocate no histogram or trace memory
+// at all, and the warm-hit read path stays exactly as shared-write-free as
+// with no observability in the tree.
 #ifndef DIRCACHE_OBS_OBS_CONFIG_H_
 #define DIRCACHE_OBS_OBS_CONFIG_H_
 
@@ -25,12 +22,6 @@ struct ObsConfig {
   // headline benchmarks measure the undisturbed read path.
   bool enabled = false;
 
-  // Capacity (events) of each per-thread walk-trace ring. Power of two.
-  size_t trace_ring_events = 128;
-
-  // Maximum number of (most recent) trace events included in a snapshot.
-  size_t trace_snapshot_limit = 32;
-
   // --- background sampler (timeline, schema v2) ---------------------------
   // Opt-in on top of `enabled`: a background thread takes periodic snapshot
   // deltas into a fixed ring, yielding rate/percentile time series and the
@@ -38,8 +29,6 @@ struct ObsConfig {
   // so warm-hit lookups stay shared-write-free while it runs.
   bool sampler = false;
   uint64_t sample_interval_ms = 100;
-  // Ring capacity (samples); the oldest sample is overwritten.
-  size_t timeline_capacity = 128;
   // Watchdog: flag a fastpath hit-rate collapse when a window with at least
   // `watchdog_min_walks` walks hits below `watchdog_min_hit_rate`.
   double watchdog_min_hit_rate = 0.10;
@@ -48,30 +37,11 @@ struct ObsConfig {
   // invalidation passes per second.
   double watchdog_max_invalidations_per_sec = 10000.0;
 
-  // --- path heat sketches (schema v2) -------------------------------------
-  // Per-shard Space-Saving slot count (top-K candidates per shard) and the
-  // number of entries reported per sketch in a snapshot.
-  size_t heat_slots = 32;
-  size_t heat_snapshot_topk = 20;
-
-  // --- coherence event journal (schema v2) --------------------------------
-  // Capacity (events) of each per-shard journal ring. Power of two.
-  size_t journal_ring_events = 256;
-  // Maximum number of (most recent) journal events included in a snapshot.
-  size_t journal_snapshot_limit = 64;
-
   // --- request-scoped tracing (schema v3) ---------------------------------
   // Sampling rate: trace 1 in N submitted requests. 0 traces only entries
   // carrying the force flag (Sqe::trace_force); 1 traces everything. The
   // dice are per-thread counters, so untraced requests never share state.
   uint32_t trace_sample_every = 0;
-  // Capacity (spans) of each per-shard span ring. Power of two.
-  size_t span_ring_events = 256;
-  // Maximum number of (most recent) spans included in a snapshot.
-  size_t span_snapshot_limit = 96;
-  // Flight recorder: last N fully traced requests retained per shard,
-  // dumped when a watchdog flag trips or Kernel::Audit() fails.
-  size_t flight_recorder_depth = 4;
 
   static ObsConfig Enabled() {
     ObsConfig c;
@@ -95,14 +65,30 @@ struct ObsConfig {
   }
 };
 
-// Compile-time master switch: build with -DDIRCACHE_OBS_OFF to compile the
-// whole subsystem out (recording becomes empty inline functions).
-#ifdef DIRCACHE_OBS_OFF
-inline constexpr bool kObsCompiledIn = false;
-#else
-inline constexpr bool kObsCompiledIn = true;
-#endif
+namespace obs {
 
+// Per-shard ring capacities (records; powers of two) and the number of
+// newest records of each stream a snapshot reports.
+inline constexpr size_t kTraceRingEvents = 128;
+inline constexpr size_t kTraceSnapshotLimit = 32;
+inline constexpr size_t kJournalRingEvents = 256;
+inline constexpr size_t kJournalSnapshotLimit = 64;
+inline constexpr size_t kSpanRingEvents = 256;
+inline constexpr size_t kSpanSnapshotLimit = 96;
+
+// Path heat sketches (schema v2): Space-Saving slots per shard, and the
+// entries reported per sketch in a snapshot.
+inline constexpr size_t kHeatSlots = 32;
+inline constexpr size_t kHeatSnapshotTopK = 20;
+
+// Samples the background sampler retains; the oldest is overwritten.
+inline constexpr size_t kTimelineCapacity = 128;
+
+// Flight recorder: the last N fully traced requests retained per shard,
+// dumped when a watchdog flag trips or Kernel::Audit() fails.
+inline constexpr size_t kFlightRecorderDepth = 4;
+
+}  // namespace obs
 }  // namespace dircache
 
 #endif  // DIRCACHE_OBS_OBS_CONFIG_H_

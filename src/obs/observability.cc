@@ -45,38 +45,50 @@ std::string_view DirnameOf(std::string_view path) {
   return path.substr(0, pos);
 }
 
+// Drains one ring per shard and keeps the `limit` newest records by `time`,
+// oldest first.
+template <typename Record>
+std::vector<Record> NewestRecords(
+    const std::vector<std::unique_ptr<obs::SeqRing<Record>>>& rings,
+    uint64_t Record::*time, size_t limit) {
+  std::vector<Record> out;
+  for (const auto& ring : rings) {
+    ring->Drain(&out);
+  }
+  std::sort(out.begin(), out.end(), [time](const Record& a, const Record& b) {
+    return a.*time < b.*time;
+  });
+  if (out.size() > limit) {
+    out.erase(out.begin(), out.end() - static_cast<ptrdiff_t>(limit));
+  }
+  return out;
+}
+
 }  // namespace
 
 Observability::State::State(const ObsConfig& c)
     : cfg(c),
       heat_key(kHeatHashSeed),
       heat_hasher(&heat_key),
-      hot_paths(c.heat_slots),
-      slow_paths(c.heat_slots),
-      miss_dirs(c.heat_slots) {
-  rings.reserve(kStatsShardCount);
-  journals.reserve(kStatsShardCount);
-  span_rings.reserve(kStatsShardCount);
-  flight.reserve(kStatsShardCount);
-  const size_t depth =
-      cfg.flight_recorder_depth == 0 ? 1 : cfg.flight_recorder_depth;
+      hot_paths(obs::kHeatSlots),
+      slow_paths(obs::kHeatSlots),
+      miss_dirs(obs::kHeatSlots) {
   for (size_t i = 0; i < kStatsShardCount; ++i) {
-    rings.push_back(
-        std::make_unique<obs::WalkTraceRing>(cfg.trace_ring_events));
+    rings.push_back(std::make_unique<obs::SeqRing<obs::WalkTraceEvent>>(
+        obs::kTraceRingEvents));
     journals.push_back(
-        std::make_unique<obs::JournalRing>(cfg.journal_ring_events));
-    span_rings.push_back(
-        std::make_unique<obs::SpanRing>(cfg.span_ring_events));
-    auto fr = std::make_unique<FlightRecorder>();
-    fr->ring.resize(depth);
-    flight.push_back(std::move(fr));
+        std::make_unique<obs::SeqRing<obs::JournalEventRecord>>(
+            obs::kJournalRingEvents));
+    span_rings.push_back(std::make_unique<obs::SeqRing<obs::SpanEvent>>(
+        obs::kSpanRingEvents));
+    flight.push_back(std::make_unique<FlightRecorder>());
   }
 }
 
 Observability::~Observability() = default;
 
 void Observability::Configure(const ObsConfig& cfg) {
-  if (!kObsCompiledIn || !cfg.enabled) {
+  if (!cfg.enabled) {
     state_.reset();
     return;
   }
@@ -98,27 +110,29 @@ void Observability::CompleteTrace(const obs::RequestTrace& t) {
   }
   State& s = *state_;
   const uint32_t shard = internal::StatsShardId();
-  obs::SpanRing& ring = *s.span_rings[shard];
+  obs::SeqRing<obs::SpanEvent>& ring = *s.span_rings[shard];
+  auto record = [&](obs::SpanKind kind, uint64_t begin_ns,
+                    uint64_t duration_ns, uint64_t arg0, uint64_t arg1) {
+    ring.Push({kind, t.op, shard, t.trace_id, begin_ns, duration_ns, arg0,
+               arg1});
+  };
 
   // The framing spans are synthesized from the SQE timestamps: the whole
   // request, then the ring wait and the batch-position cost when the entry
   // travelled through a server shard (both 0-width on the direct path).
   const uint64_t start = t.submit_ns != 0 ? t.submit_ns : t.begin_ns;
   const uint64_t total = t.complete_ns >= start ? t.complete_ns - start : 0;
-  ring.Record(obs::SpanKind::kRequest, t.op, t.trace_id, start, total,
-              static_cast<uint64_t>(static_cast<int64_t>(t.res)),
-              t.span_count);
+  record(obs::SpanKind::kRequest, start, total,
+         static_cast<uint64_t>(static_cast<int64_t>(t.res)), t.span_count);
   uint64_t queue_ns = 0;
   uint64_t dispatch_ns = 0;
   if (t.submit_ns != 0 && t.dequeue_ns > t.submit_ns) {
     queue_ns = t.dequeue_ns - t.submit_ns;
-    ring.Record(obs::SpanKind::kQueue, t.op, t.trace_id, t.submit_ns,
-                queue_ns, 0, 0);
+    record(obs::SpanKind::kQueue, t.submit_ns, queue_ns, 0, 0);
   }
   if (t.dequeue_ns != 0 && t.begin_ns > t.dequeue_ns) {
     dispatch_ns = t.begin_ns - t.dequeue_ns;
-    ring.Record(obs::SpanKind::kDispatch, t.op, t.trace_id, t.dequeue_ns,
-                dispatch_ns, 0, 0);
+    record(obs::SpanKind::kDispatch, t.dequeue_ns, dispatch_ns, 0, 0);
   }
 
   uint64_t walk_fast_ns = 0;
@@ -130,8 +144,7 @@ void Observability::CompleteTrace(const obs::RequestTrace& t) {
   uint64_t shortcut_resumes = 0;
   for (uint32_t i = 0; i < t.span_count; ++i) {
     const obs::TraceSpan& sp = t.spans[i];
-    ring.Record(sp.kind, t.op, t.trace_id, sp.begin_ns, sp.duration_ns,
-                sp.arg0, sp.arg1);
+    record(sp.kind, sp.begin_ns, sp.duration_ns, sp.arg0, sp.arg1);
     switch (sp.kind) {
       case obs::SpanKind::kWalkFast:
         walk_fast_ns += sp.duration_ns;
@@ -196,7 +209,7 @@ void Observability::RecordWalkSlow(const obs::WalkTraceEvent& ev,
   State& s = *state_;
   s.outcomes[static_cast<size_t>(ev.outcome)].Add();
   s.ops[static_cast<size_t>(obs::ObsOp::kLookup)].Record(ev.latency_ns);
-  s.rings[internal::StatsShardId()]->Record(ev);
+  s.rings[internal::StatsShardId()]->Push(ev);
   if (path.empty()) {
     return;
   }
@@ -259,53 +272,17 @@ obs::ObsSnapshot Observability::Snapshot(const CacheStats* stats) const {
   obs::ObsSnapshot core = CoreSample(s);
   snap.ops = core.ops;
   snap.outcomes = core.outcomes;
-  std::vector<obs::WalkTraceEvent> events;
-  for (const auto& ring : s.rings) {
-    ring->Drain(&events);
-  }
-  std::sort(events.begin(), events.end(),
-            [](const obs::WalkTraceEvent& a, const obs::WalkTraceEvent& b) {
-              return a.timestamp_ns < b.timestamp_ns;
-            });
-  if (events.size() > s.cfg.trace_snapshot_limit) {
-    events.erase(events.begin(),
-                 events.end() -
-                     static_cast<ptrdiff_t>(s.cfg.trace_snapshot_limit));
-  }
-  snap.trace = std::move(events);
-  snap.heat.hot_paths = s.hot_paths.Drain(s.cfg.heat_snapshot_topk);
-  snap.heat.slow_paths = s.slow_paths.Drain(s.cfg.heat_snapshot_topk);
-  snap.heat.miss_dirs = s.miss_dirs.Drain(s.cfg.heat_snapshot_topk);
-  std::vector<obs::JournalEventRecord> journal;
-  for (size_t i = 0; i < s.journals.size(); ++i) {
-    s.journals[i]->Drain(static_cast<uint32_t>(i), &journal);
-  }
-  std::sort(journal.begin(), journal.end(),
-            [](const obs::JournalEventRecord& a,
-               const obs::JournalEventRecord& b) {
-              return a.begin_ns < b.begin_ns;
-            });
-  if (journal.size() > s.cfg.journal_snapshot_limit) {
-    journal.erase(journal.begin(),
-                  journal.end() -
-                      static_cast<ptrdiff_t>(s.cfg.journal_snapshot_limit));
-  }
-  snap.journal = std::move(journal);
+  snap.trace = NewestRecords(s.rings, &obs::WalkTraceEvent::timestamp_ns,
+                             obs::kTraceSnapshotLimit);
+  snap.heat.hot_paths = s.hot_paths.Drain(obs::kHeatSnapshotTopK);
+  snap.heat.slow_paths = s.slow_paths.Drain(obs::kHeatSnapshotTopK);
+  snap.heat.miss_dirs = s.miss_dirs.Drain(obs::kHeatSnapshotTopK);
+  snap.journal =
+      NewestRecords(s.journals, &obs::JournalEventRecord::begin_ns,
+                    obs::kJournalSnapshotLimit);
   // v3 sections: drained span rings, attribution totals, dump count.
-  std::vector<obs::SpanEvent> spans;
-  for (size_t i = 0; i < s.span_rings.size(); ++i) {
-    s.span_rings[i]->Drain(static_cast<uint32_t>(i), &spans);
-  }
-  std::sort(spans.begin(), spans.end(),
-            [](const obs::SpanEvent& a, const obs::SpanEvent& b) {
-              return a.begin_ns < b.begin_ns;
-            });
-  if (spans.size() > s.cfg.span_snapshot_limit) {
-    spans.erase(spans.begin(),
-                spans.end() -
-                    static_cast<ptrdiff_t>(s.cfg.span_snapshot_limit));
-  }
-  snap.spans = std::move(spans);
+  snap.spans = NewestRecords(s.span_rings, &obs::SpanEvent::begin_ns,
+                             obs::kSpanSnapshotLimit);
   for (size_t i = 0; i < obs::kTraceOpCount; ++i) {
     const State::AttributionCell& c = s.attribution[i];
     obs::OpAttribution& a = snap.attribution[i];
@@ -461,10 +438,10 @@ void Observability::Reset() {
     cell.shortcut_resumes.store(0, std::memory_order_relaxed);
     cell.spans_dropped.store(0, std::memory_order_relaxed);
   }
-  // Trace, journal, span, and flight-recorder rings are not cleared: the "most recent events"
-  // windows are already self-evicting, and zeroing slots under concurrent
-  // writers buys nothing. The sampler's clamped deltas (see
-  // HistogramSummary::Since) absorb the counter reset.
+  // Trace, journal, span, and flight-recorder rings are not cleared: the
+  // "most recent events" windows are already self-evicting, and zeroing
+  // slots under concurrent writers buys nothing. The sampler's clamped
+  // deltas (see HistogramSummary::Since) absorb the counter reset.
 }
 
 }  // namespace dircache

@@ -6,10 +6,11 @@
 // owns no memory and every recording entry point is a single plain-bool
 // branch — the warm-hit read path stays exactly as shared-write-free as the
 // scalability work left it. When enabled, recording goes to sharded
-// structures (histograms, outcome counters, trace rings, heat sketches,
-// journal rings) that follow the same thread->shard mapping as
-// ShardedCounter, so concurrent recorders do not contend. The optional
-// sampler thread only *reads* that sharded state.
+// structures (histograms, outcome counters, heat sketches, and one SeqRing
+// per shard for each of walk traces, journal events and request spans) that
+// follow the same thread->shard mapping as ShardedCounter, so concurrent
+// recorders do not contend. The optional sampler thread only *reads* that
+// sharded state.
 //
 // The read side is Kernel::Observe(), which asks this class for a
 // versioned ObsSnapshot (see snapshot.h), and Kernel::Timeline() for the
@@ -32,8 +33,8 @@
 #include "src/obs/obs_config.h"
 #include "src/obs/request_trace.h"
 #include "src/obs/sampler.h"
+#include "src/obs/seq_ring.h"
 #include "src/obs/snapshot.h"
-#include "src/obs/span_ring.h"
 #include "src/obs/walk_trace.h"
 #include "src/util/clock.h"
 #include "src/util/hash.h"
@@ -55,7 +56,7 @@ class Observability {
   // constructor).
   void Configure(const ObsConfig& cfg);
 
-  bool enabled() const { return kObsCompiledIn && state_ != nullptr; }
+  bool enabled() const { return state_ != nullptr; }
 
   void RecordLatency(obs::ObsOp op, uint64_t ns) {
     if (!enabled()) {
@@ -85,9 +86,9 @@ class Observability {
     if (!enabled()) {
       return;
     }
-    state_->journals[internal::StatsShardId()]->Record(type, begin_ns,
-                                                       duration_ns, arg0,
-                                                       arg1, arg2, arg3);
+    const uint32_t shard = internal::StatsShardId();
+    state_->journals[shard]->Push(
+        {type, shard, begin_ns, duration_ns, arg0, arg1, arg2, arg3});
   }
 
   // --- request-scoped tracing (schema v3, DESIGN.md §13) -------------------
@@ -153,8 +154,12 @@ class Observability {
     ObsConfig cfg;
     std::array<obs::LatencyHistogram, obs::kObsOpCount> ops;
     std::array<ShardedCounter, obs::kWalkOutcomeCount> outcomes;
-    // One trace ring per stats shard (same mapping as ShardedCounter).
-    std::vector<std::unique_ptr<obs::WalkTraceRing>> rings;
+    // One ring per stats shard (same mapping as ShardedCounter) for each
+    // record stream.
+    std::vector<std::unique_ptr<obs::SeqRing<obs::WalkTraceEvent>>> rings;
+    std::vector<std::unique_ptr<obs::SeqRing<obs::JournalEventRecord>>>
+        journals;
+    std::vector<std::unique_ptr<obs::SeqRing<obs::SpanEvent>>> span_rings;
 
     // §3.3 hash family for heat-sketch keys. A fixed seed (not the kernel's
     // signer key): heat keys only need distribution, and a stable seed
@@ -164,12 +169,6 @@ class Observability {
     obs::PathHeatSketch hot_paths;
     obs::PathHeatSketch slow_paths;
     obs::PathHeatSketch miss_dirs;
-
-    // One journal ring per stats shard.
-    std::vector<std::unique_ptr<obs::JournalRing>> journals;
-
-    // One request-trace span ring per stats shard (schema v3).
-    std::vector<std::unique_ptr<obs::SpanRing>> span_rings;
 
     // Tail-latency attribution cells, one per TraceOp. Relaxed atomics:
     // written only when a *traced* request completes (the sampling rate),
@@ -191,14 +190,15 @@ class Observability {
     };
     std::array<AttributionCell, obs::kTraceOpCount> attribution;
 
-    // Flight recorder: the last flight_recorder_depth fully traced requests
+    // Flight recorder: the last kFlightRecorderDepth fully traced requests
     // per stats shard. A per-shard mutex (touched at the sampling rate, not
     // per op) keeps the ~1 KiB RequestTrace copies torn-read-free without a
     // word-by-word atomic protocol.
     struct FlightRecorder {
       mutable std::mutex mu;
-      std::vector<obs::RequestTrace> ring;  // slot = seq % ring.size()
-      uint64_t seq = 0;                     // total traces recorded
+      // slot = seq % ring.size()
+      std::array<obs::RequestTrace, obs::kFlightRecorderDepth> ring;
+      uint64_t seq = 0;  // total traces recorded
     };
     std::vector<std::unique_ptr<FlightRecorder>> flight;
 

@@ -12,14 +12,15 @@
 // nothing else, so the warm-hit read path stays shared-write-free.
 //
 // On completion, Observability::CompleteTrace folds the finished tree into
-// the per-shard span rings (snapshot `spans` section), the tail-latency
-// attributor (snapshot `attribution` section), and the flight recorder.
+// the recording shard's span ring (snapshot `spans` section), the
+// tail-latency attributor (snapshot `attribution` section), and the flight
+// recorder.
 #ifndef DIRCACHE_OBS_REQUEST_TRACE_H_
 #define DIRCACHE_OBS_REQUEST_TRACE_H_
 
+#include <cstddef>
 #include <cstdint>
 
-#include "src/obs/obs_config.h"
 #include "src/util/clock.h"
 
 namespace dircache {
@@ -134,6 +135,19 @@ struct TraceSpan {
   uint64_t arg1 = 0;
 };
 
+// One completed span as a snapshot reports it: a TraceSpan stamped with
+// its request's identity and the shard whose ring it was recorded into.
+struct SpanEvent {
+  SpanKind kind = SpanKind::kCount;
+  TraceOp op = TraceOp::kNop;  // the owning request's operation
+  uint32_t shard = 0;          // recording ring (exported as Chrome tid)
+  uint64_t trace_id = 0;
+  uint64_t begin_ns = 0;
+  uint64_t duration_ns = 0;    // 0 for instants
+  uint64_t arg0 = 0;           // per-kind payload (see TraceSpan)
+  uint64_t arg1 = 0;
+};
+
 // Deep-enough for an 8-component slowpath walk with per-component instants
 // plus I/O; overflow increments spans_dropped instead of spilling.
 inline constexpr size_t kMaxTraceSpans = 24;
@@ -184,12 +198,7 @@ inline uint64_t NextTraceId() {
 // only ever read it.
 inline thread_local RequestTrace* g_active_trace = nullptr;
 
-inline RequestTrace* ActiveTrace() {
-  if constexpr (!kObsCompiledIn) {
-    return nullptr;
-  }
-  return g_active_trace;
-}
+inline RequestTrace* ActiveTrace() { return g_active_trace; }
 
 // Hook-site helper: append a span to the active trace, if any. One
 // thread-local load when no trace is active.

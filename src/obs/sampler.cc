@@ -19,13 +19,12 @@ uint64_t DeltaClamped(uint64_t cur, uint64_t prev) {
 Sampler::Sampler(const ObsConfig& cfg, SnapshotFn snapshot_fn,
                  WatchdogFn on_watchdog)
     : interval_ms_(cfg.sample_interval_ms == 0 ? 1 : cfg.sample_interval_ms),
-      capacity_(cfg.timeline_capacity == 0 ? 1 : cfg.timeline_capacity),
       min_hit_rate_(cfg.watchdog_min_hit_rate),
       min_walks_(cfg.watchdog_min_walks),
       max_inval_per_sec_(cfg.watchdog_max_invalidations_per_sec),
       snapshot_fn_(std::move(snapshot_fn)),
       on_watchdog_(std::move(on_watchdog)) {
-  ring_.reserve(capacity_);
+  ring_.reserve(kTimelineCapacity);
   thread_ = std::thread([this] { Loop(); });
 }
 
@@ -52,9 +51,9 @@ ObsTimeline Sampler::Timeline() const {
   t.invalidation_spike = invalidation_spike_;
   t.samples.reserve(ring_.size());
   // ring_next_ is the oldest slot once the ring has wrapped.
-  if (ring_.size() == capacity_) {
-    for (size_t i = 0; i < capacity_; ++i) {
-      t.samples.push_back(ring_[(ring_next_ + i) % capacity_]);
+  if (ring_.size() == kTimelineCapacity) {
+    for (size_t i = 0; i < kTimelineCapacity; ++i) {
+      t.samples.push_back(ring_[(ring_next_ + i) % kTimelineCapacity]);
     }
   } else {
     t.samples = ring_;
@@ -114,11 +113,11 @@ void Sampler::Loop() {
     prev = std::move(cur);
     t_prev = t_now;
     lk.lock();
-    if (ring_.size() < capacity_) {
+    if (ring_.size() < kTimelineCapacity) {
       ring_.push_back(sample);
     } else {
       ring_[ring_next_] = sample;
-      ring_next_ = (ring_next_ + 1) % capacity_;
+      ring_next_ = (ring_next_ + 1) % kTimelineCapacity;
     }
     ++samples_taken_;
     // Fire the watchdog callback only on the false -> true transition, and

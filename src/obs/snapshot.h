@@ -25,7 +25,6 @@
 #include "src/obs/heat_sketch.h"
 #include "src/obs/histogram.h"
 #include "src/obs/request_trace.h"
-#include "src/obs/span_ring.h"
 #include "src/obs/walk_trace.h"
 
 namespace dircache {
@@ -200,8 +199,7 @@ struct ObsSnapshot {
   // Walk-outcome breakdown, indexed by WalkOutcome.
   std::array<uint64_t, kWalkOutcomeCount> outcomes{};
 
-  // Most recent traced walks, oldest first (bounded by the config's
-  // trace_snapshot_limit).
+  // Most recent traced walks, oldest first (at most kTraceSnapshotLimit).
   std::vector<WalkTraceEvent> trace;
 
   // Flat cache counters (label, value), in CacheStats declaration order.
@@ -215,13 +213,13 @@ struct ObsSnapshot {
   // Top-K path heat (hottest paths, slowpath paths, top miss directories).
   HeatSnapshot heat;
 
-  // Most recent coherence journal events, oldest first (bounded by the
-  // config's journal_snapshot_limit).
+  // Most recent coherence journal events, oldest first (at most
+  // kJournalSnapshotLimit).
   std::vector<JournalEventRecord> journal;
 
   // --- schema v3 additions (absent from v1/v2 documents) -------------------
-  // Most recent request-trace spans, oldest first (bounded by the config's
-  // span_snapshot_limit). Spans sharing a trace_id form one request tree.
+  // Most recent request-trace spans, oldest first (at most
+  // kSpanSnapshotLimit). Spans sharing a trace_id form one request tree.
   std::vector<SpanEvent> spans;
 
   // Tail-latency attribution totals, indexed by TraceOp.

@@ -1,28 +1,19 @@
-// Walk tracing: the outcome taxonomy and the per-thread trace rings
+// Walk tracing: the outcome taxonomy and the traced-walk record
 // (DESIGN.md §9).
 //
 // Every path resolution is classified by *where* it was decided — the
 // question Figure 3 / §6.3 of the paper keep asking ("why did this lookup
 // fall off the fastpath?"). The classification plus the walk's shape
 // (component count, symlink/mount crossings, retries) and its latency are
-// recorded as one fixed-size event in a per-thread ring buffer.
-//
-// Ring design: one ring per stats shard (the same thread->shard mapping as
-// ShardedCounter, so a thread records into "its" ring and up to
-// kStatsShardCount concurrent threads never share a ring). Writers are
-// lock-free: a relaxed fetch_add claims a slot, the event is packed into
-// three atomic words, and a nonzero timestamp word published last (release)
-// doubles as the valid flag. Readers snapshot by sampling the timestamp
-// word before and after the payload; a torn slot is simply skipped.
+// recorded as one fixed-size WalkTraceEvent in the recording shard's
+// SeqRing (seq_ring.h).
 #ifndef DIRCACHE_OBS_WALK_TRACE_H_
 #define DIRCACHE_OBS_WALK_TRACE_H_
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "src/util/result.h"
-#include "src/util/stats.h"
 
 namespace dircache {
 namespace obs {
@@ -85,7 +76,7 @@ inline const char* WalkOutcomeName(WalkOutcome o) {
 inline constexpr size_t kWalkOutcomeCount =
     static_cast<size_t>(WalkOutcome::kCount);
 
-// One traced walk, in unpacked (snapshot) form.
+// One traced walk.
 struct WalkTraceEvent {
   WalkOutcome outcome = WalkOutcome::kSlowLocked;
   Errno err = Errno::kOk;          // final result of the resolution
@@ -97,89 +88,6 @@ struct WalkTraceEvent {
   uint16_t resumed_depth = 0;      // components skipped by a shortcut resume
   uint64_t latency_ns = 0;
   uint64_t timestamp_ns = 0;       // completion time (snapshot ordering key)
-};
-
-// Fixed-capacity lock-free ring of packed events.
-class WalkTraceRing {
- public:
-  explicit WalkTraceRing(size_t capacity)
-      : slots_(RoundPow2(capacity)), mask_(slots_.size() - 1) {}
-  WalkTraceRing(const WalkTraceRing&) = delete;
-  WalkTraceRing& operator=(const WalkTraceRing&) = delete;
-
-  void Record(const WalkTraceEvent& ev) {
-    Slot& s = slots_[head_.fetch_add(1, std::memory_order_relaxed) & mask_];
-    uint64_t meta =
-        static_cast<uint64_t>(ev.outcome) |
-        (static_cast<uint64_t>(static_cast<uint16_t>(ev.err)) << 8) |
-        (static_cast<uint64_t>(ev.components) << 24) |
-        (static_cast<uint64_t>(ev.symlink_crossings) << 40) |
-        (static_cast<uint64_t>(ev.mount_crossings) << 48) |
-        (static_cast<uint64_t>(ev.retries & 0xf) << 56) |
-        (static_cast<uint64_t>(ev.wflags & 0xf) << 60);
-    // Invalidate, write payload, publish the timestamp last: a reader that
-    // sees the same nonzero timestamp on both sides of its payload reads
-    // observed a consistent slot.
-    s.ts.store(0, std::memory_order_relaxed);
-    s.meta.store(meta, std::memory_order_relaxed);
-    s.latency.store(ev.latency_ns, std::memory_order_relaxed);
-    s.extra.store(static_cast<uint64_t>(ev.resumed_depth),
-                  std::memory_order_relaxed);
-    s.ts.store(ev.timestamp_ns | 1, std::memory_order_release);
-  }
-
-  // Append all consistent events to `out` (unordered; caller sorts).
-  void Drain(std::vector<WalkTraceEvent>* out) const {
-    for (const Slot& s : slots_) {
-      uint64_t ts1 = s.ts.load(std::memory_order_acquire);
-      if (ts1 == 0) {
-        continue;
-      }
-      uint64_t meta = s.meta.load(std::memory_order_relaxed);
-      uint64_t latency = s.latency.load(std::memory_order_relaxed);
-      uint64_t extra = s.extra.load(std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (s.ts.load(std::memory_order_relaxed) != ts1) {
-        continue;  // torn by a concurrent writer; skip
-      }
-      WalkTraceEvent ev;
-      ev.outcome = static_cast<WalkOutcome>(meta & 0xff);
-      ev.err = static_cast<Errno>(static_cast<int16_t>((meta >> 8) & 0xffff));
-      ev.components = static_cast<uint16_t>((meta >> 24) & 0xffff);
-      ev.symlink_crossings = static_cast<uint8_t>((meta >> 40) & 0xff);
-      ev.mount_crossings = static_cast<uint8_t>((meta >> 48) & 0xff);
-      ev.retries = static_cast<uint8_t>((meta >> 56) & 0xf);
-      ev.wflags = static_cast<uint8_t>((meta >> 60) & 0xf);
-      ev.resumed_depth = static_cast<uint16_t>(extra & 0xffff);
-      ev.latency_ns = latency;
-      ev.timestamp_ns = ts1 & ~1ull;
-      if (static_cast<size_t>(ev.outcome) < kWalkOutcomeCount) {
-        out->push_back(ev);
-      }
-    }
-  }
-
-  size_t capacity() const { return slots_.size(); }
-
- private:
-  struct Slot {
-    std::atomic<uint64_t> ts{0};  // 0 = empty; low bit forced to 1 when set
-    std::atomic<uint64_t> meta{0};
-    std::atomic<uint64_t> latency{0};
-    std::atomic<uint64_t> extra{0};  // resumed_depth (low 16 bits)
-  };
-
-  static size_t RoundPow2(size_t n) {
-    size_t p = 1;
-    while (p < n) {
-      p *= 2;
-    }
-    return p;
-  }
-
-  std::vector<Slot> slots_;
-  std::atomic<uint64_t> head_{0};
-  const size_t mask_;
 };
 
 }  // namespace obs

@@ -1,15 +1,18 @@
 // Observability subsystem tests (DESIGN.md §9–§10): histogram bucketing,
-// the lock-free trace and journal rings (including multi-writer wraparound
-// and torn-read skipping), the path heat sketches, the background sampler's
-// timeline and watchdogs, the versioned snapshot and its Chrome-trace
-// export, the invariant auditor, and — most load-bearing — that a disabled
-// kernel records nothing and keeps the warm hit path shared-write-free.
+// the lock-free SeqRing behind the walk-trace, journal and span streams
+// (including multi-writer wraparound and torn-read skipping), the path heat
+// sketches, the background sampler's timeline and watchdogs, the versioned
+// snapshot and its Chrome-trace export, the invariant auditor, and — most
+// load-bearing — that a disabled kernel records nothing and keeps the warm
+// hit path shared-write-free.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "src/obs/audit.h"
@@ -17,8 +20,8 @@
 #include "src/obs/heat_sketch.h"
 #include "src/obs/histogram.h"
 #include "src/obs/request_trace.h"
+#include "src/obs/seq_ring.h"
 #include "src/obs/snapshot.h"
-#include "src/obs/span_ring.h"
 #include "src/obs/walk_trace.h"
 #include "src/server/batch.h"
 #include "tests/test_util.h"
@@ -32,13 +35,13 @@ using obs::BucketLow;
 using obs::HistogramSummary;
 using obs::JournalEvent;
 using obs::JournalEventRecord;
-using obs::JournalRing;
 using obs::LatencyHistogram;
 using obs::ObsOp;
 using obs::PathHeatSketch;
+using obs::SeqRing;
+using obs::SpanEvent;
 using obs::WalkOutcome;
 using obs::WalkTraceEvent;
-using obs::WalkTraceRing;
 
 // --- histogram ------------------------------------------------------------
 
@@ -123,42 +126,18 @@ TEST(Histogram, SinceClampsUnderflowFromAReset) {
   EXPECT_LE(d.P99(), 15u);  // quantiles from clamped buckets stay sane
 }
 
-// --- trace ring -----------------------------------------------------------
+// --- SeqRing --------------------------------------------------------------
 
-TEST(WalkTraceRing, CapacityRoundsToPowerOfTwo) {
-  EXPECT_EQ(WalkTraceRing(1).capacity(), 1u);
-  EXPECT_EQ(WalkTraceRing(5).capacity(), 8u);
-  EXPECT_EQ(WalkTraceRing(128).capacity(), 128u);
+TEST(SeqRing, CapacityRoundsToPowerOfTwo) {
+  EXPECT_EQ(SeqRing<WalkTraceEvent>(1).capacity(), 1u);
+  EXPECT_EQ(SeqRing<WalkTraceEvent>(5).capacity(), 8u);
+  EXPECT_EQ(SeqRing<WalkTraceEvent>(128).capacity(), 128u);
 }
 
-TEST(WalkTraceRing, WraparoundKeepsTheNewestEvents) {
-  WalkTraceRing ring(8);
-  for (uint64_t i = 1; i <= 20; ++i) {
-    WalkTraceEvent ev;
-    ev.outcome = WalkOutcome::kFastHit;
-    ev.err = Errno::kOk;
-    ev.components = static_cast<uint16_t>(i);
-    ev.latency_ns = i * 10;
-    ev.timestamp_ns = i * 100;
-    ring.Record(ev);
-  }
-  std::vector<WalkTraceEvent> out;
-  ring.Drain(&out);
-  ASSERT_EQ(out.size(), 8u);
-  // The 8 survivors are events 13..20 (oldest overwritten), fields intact.
-  uint64_t min_ts = ~0ull;
-  for (const WalkTraceEvent& ev : out) {
-    EXPECT_EQ(ev.outcome, WalkOutcome::kFastHit);
-    EXPECT_EQ(ev.err, Errno::kOk);
-    EXPECT_EQ(ev.latency_ns, ev.components * 10u);
-    EXPECT_EQ(ev.timestamp_ns, ev.components * 100u);
-    min_ts = std::min(min_ts, ev.timestamp_ns);
-  }
-  EXPECT_EQ(min_ts, 13u * 100);
-}
-
-TEST(WalkTraceRing, PacksEveryField) {
-  WalkTraceRing ring(4);
+// Every field survives the ring unchanged, including the timestamp's low
+// bit.
+TEST(SeqRing, RoundTripKeepsEveryFieldAndAnOddTimestamp) {
+  SeqRing<WalkTraceEvent> ring(4);
   WalkTraceEvent ev;
   ev.outcome = WalkOutcome::kSlowRetried;
   ev.err = Errno::kENOENT;
@@ -167,9 +146,10 @@ TEST(WalkTraceRing, PacksEveryField) {
   ev.mount_crossings = 2;
   ev.retries = 1;
   ev.wflags = 0x5;
+  ev.resumed_depth = 7;
   ev.latency_ns = 12345;
-  ev.timestamp_ns = 42;  // low bit is the valid flag; 42 survives (&~1)
-  ring.Record(ev);
+  ev.timestamp_ns = 43;
+  ring.Push(ev);
   std::vector<WalkTraceEvent> out;
   ring.Drain(&out);
   ASSERT_EQ(out.size(), 1u);
@@ -180,136 +160,175 @@ TEST(WalkTraceRing, PacksEveryField) {
   EXPECT_EQ(out[0].mount_crossings, 2u);
   EXPECT_EQ(out[0].retries, 1u);
   EXPECT_EQ(out[0].wflags, 0x5u);
+  EXPECT_EQ(out[0].resumed_depth, 7u);
   EXPECT_EQ(out[0].latency_ns, 12345u);
-  EXPECT_EQ(out[0].timestamp_ns, 42u);
+  EXPECT_EQ(out[0].timestamp_ns, 43u);
 }
 
-// Wraparound under concurrent writers, with a reader draining mid-storm:
-// every drained event must be internally consistent (the publication
-// protocol either skips a torn slot or yields a fully published one — never
-// a mix of two writers' fields). Writers encode a checkable invariant into
-// each event: latency = seq * 8 + writer, components = seq & 0xffff,
-// retries = writer.
-TEST(WalkTraceRing, ConcurrentWritersNeverYieldTornEvents) {
-  WalkTraceRing ring(16);  // tiny: maximize slot reuse / wraparound
-  constexpr int kWriters = 4;
-  constexpr int kEventsPerWriter = 20000;
-  std::atomic<bool> stop{false};
-  std::atomic<int> torn{0};
+// Self-checking records for the typed ring tests: every field derives from
+// one id (the record's time field), so a record that mixes two writes fails
+// Intact().
+template <typename Record>
+struct RecordCodec;
 
+template <>
+struct RecordCodec<WalkTraceEvent> {
+  static WalkTraceEvent Make(uint64_t id) {
+    WalkTraceEvent ev;
+    ev.outcome = static_cast<WalkOutcome>(id % obs::kWalkOutcomeCount);
+    ev.err = id % 2 == 0 ? Errno::kOk : Errno::kENOENT;
+    ev.components = static_cast<uint16_t>(id);
+    ev.symlink_crossings = static_cast<uint8_t>(id >> 2);
+    ev.mount_crossings = static_cast<uint8_t>(id >> 4);
+    ev.retries = static_cast<uint8_t>(id >> 6);
+    ev.wflags = static_cast<uint8_t>(id & 0xf);
+    ev.resumed_depth = static_cast<uint16_t>(id * 3);
+    ev.latency_ns = id * 7;
+    ev.timestamp_ns = id;
+    return ev;
+  }
+  static uint64_t Id(const WalkTraceEvent& ev) { return ev.timestamp_ns; }
+  static auto Fields(const WalkTraceEvent& ev) {
+    return std::tie(ev.outcome, ev.err, ev.components, ev.symlink_crossings,
+                    ev.mount_crossings, ev.retries, ev.wflags,
+                    ev.resumed_depth, ev.latency_ns, ev.timestamp_ns);
+  }
+};
+
+template <>
+struct RecordCodec<JournalEventRecord> {
+  static JournalEventRecord Make(uint64_t id) {
+    return {static_cast<JournalEvent>(id % obs::kJournalEventCount),
+            static_cast<uint32_t>(id % kStatsShardCount),
+            /*begin_ns=*/id, /*duration_ns=*/id * 7, id * 3, id * 5, id * 9,
+            id * 11};
+  }
+  static uint64_t Id(const JournalEventRecord& ev) { return ev.begin_ns; }
+  static auto Fields(const JournalEventRecord& ev) {
+    return std::tie(ev.type, ev.shard, ev.begin_ns, ev.duration_ns, ev.arg0,
+                    ev.arg1, ev.arg2, ev.arg3);
+  }
+};
+
+template <>
+struct RecordCodec<SpanEvent> {
+  static SpanEvent Make(uint64_t id) {
+    return {static_cast<obs::SpanKind>(id % obs::kSpanKindCount),
+            static_cast<obs::TraceOp>(id % obs::kTraceOpCount),
+            static_cast<uint32_t>(id % kStatsShardCount),
+            /*trace_id=*/id * 13, /*begin_ns=*/id, /*duration_ns=*/id * 7,
+            id * 3, id * 5};
+  }
+  static uint64_t Id(const SpanEvent& ev) { return ev.begin_ns; }
+  static auto Fields(const SpanEvent& ev) {
+    return std::tie(ev.kind, ev.op, ev.shard, ev.trace_id, ev.begin_ns,
+                    ev.duration_ns, ev.arg0, ev.arg1);
+  }
+};
+
+template <typename Record>
+bool Intact(const Record& r) {
+  using Codec = RecordCodec<Record>;
+  return Codec::Fields(r) == Codec::Fields(Codec::Make(Codec::Id(r)));
+}
+
+// Four writers push distinct self-checking records into `ring` while a
+// reader drains it throughout. Returns how many drained records were mixed.
+template <typename Record>
+int MixedRecordsUnderConcurrentWriters(SeqRing<Record>& ring) {
+  constexpr uint64_t kWriters = 4;
+  constexpr uint64_t kRecordsPerWriter = 20000;
+  std::atomic<bool> stop{false};
+  int mixed = 0;
   std::thread reader([&] {
+    std::vector<Record> out;
     while (!stop.load(std::memory_order_acquire)) {
-      std::vector<WalkTraceEvent> out;
+      out.clear();
       ring.Drain(&out);
-      for (const WalkTraceEvent& ev : out) {
-        uint64_t writer = ev.retries;
-        uint64_t seq = ev.latency_ns / 8;
-        if (ev.latency_ns % 8 != writer ||
-            ev.components != (seq & 0xffff) ||
-            ev.outcome != WalkOutcome::kFastHit) {
-          torn.fetch_add(1);
-        }
+      for (const Record& r : out) {
+        mixed += Intact(r) ? 0 : 1;
       }
     }
   });
   std::vector<std::thread> writers;
-  for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&, w] {
-      for (uint64_t seq = 0; seq < kEventsPerWriter; ++seq) {
-        WalkTraceEvent ev;
-        ev.outcome = WalkOutcome::kFastHit;
-        ev.err = Errno::kOk;
-        ev.components = static_cast<uint16_t>(seq & 0xffff);
-        ev.retries = static_cast<uint8_t>(w);
-        ev.latency_ns = seq * 8 + static_cast<uint64_t>(w);
-        // Globally unique (and even, so the |1 valid-bit keeps them
-        // distinct): the torn-read re-check is timestamp-based, like the
-        // real recorder's nanosecond clock.
-        ev.timestamp_ns = (seq * kWriters + static_cast<uint64_t>(w)) * 2;
-        ring.Record(ev);
+  for (uint64_t w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&ring, w] {
+      for (uint64_t seq = 0; seq < kRecordsPerWriter; ++seq) {
+        ring.Push(RecordCodec<Record>::Make(seq * kWriters + w + 1));
       }
     });
   }
-  for (auto& t : writers) {
+  for (std::thread& t : writers) {
     t.join();
   }
   stop.store(true, std::memory_order_release);
   reader.join();
-  EXPECT_EQ(torn.load(), 0);
+  return mixed;
+}
 
-  // Quiescent drain still works and yields at most `capacity` events.
-  std::vector<WalkTraceEvent> out;
+// A quiescent ring holds exactly one whole record per slot.
+template <typename Record>
+void ExpectFullAndIntact(const SeqRing<Record>& ring) {
+  std::vector<Record> out;
   ring.Drain(&out);
-  EXPECT_LE(out.size(), ring.capacity());
-  EXPECT_FALSE(out.empty());
+  EXPECT_EQ(out.size(), ring.capacity());
+  for (const Record& r : out) {
+    EXPECT_TRUE(Intact(r));
+  }
 }
 
-// --- journal ring ---------------------------------------------------------
+// The walk-trace, journal and span streams all run the same ring tests.
+template <typename Record>
+class SeqRingTest : public ::testing::Test {};
 
-TEST(JournalRing, WraparoundKeepsTheNewestEvents) {
-  JournalRing ring(8);
-  for (uint64_t i = 1; i <= 20; ++i) {
-    ring.Record(JournalEvent::kChmod, /*begin_ns=*/i * 100,
-                /*duration_ns=*/i * 10, /*arg0=*/i, /*arg1=*/i * 2);
-  }
-  std::vector<JournalEventRecord> out;
-  ring.Drain(/*shard=*/3, &out);
-  ASSERT_EQ(out.size(), 8u);
-  uint64_t min_begin = ~0ull;
-  for (const JournalEventRecord& ev : out) {
-    EXPECT_EQ(ev.type, JournalEvent::kChmod);
-    EXPECT_EQ(ev.shard, 3u);
-    EXPECT_EQ(ev.duration_ns, ev.arg0 * 10);
-    EXPECT_EQ(ev.arg1, ev.arg0 * 2);
-    min_begin = std::min(min_begin, ev.begin_ns);
-  }
-  EXPECT_EQ(min_begin, 13u * 100);  // events 13..20 survive
-}
-
-TEST(JournalRing, ConcurrentWritersNeverYieldTornEvents) {
-  JournalRing ring(16);
-  constexpr int kWriters = 4;
-  constexpr int kEventsPerWriter = 20000;
-  std::atomic<bool> stop{false};
-  std::atomic<int> torn{0};
-
-  std::thread reader([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      std::vector<JournalEventRecord> out;
-      ring.Drain(0, &out);
-      for (const JournalEventRecord& ev : out) {
-        // Writers encode: arg0 = seq*8 + writer, arg1 = arg0*3,
-        // dur = arg0*7 — any cross-writer mix breaks the relation.
-        if (ev.arg1 != ev.arg0 * 3 || ev.duration_ns != ev.arg0 * 7 ||
-            ev.type != JournalEvent::kInvalidateSubtree) {
-          torn.fetch_add(1);
-        }
-      }
+struct RecordName {
+  template <typename Record>
+  static std::string GetName(int) {
+    if constexpr (std::is_same_v<Record, WalkTraceEvent>) {
+      return "Walk";
+    } else if constexpr (std::is_same_v<Record, JournalEventRecord>) {
+      return "Journal";
+    } else {
+      return "Span";
     }
-  });
-  std::vector<std::thread> writers;
-  for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&, w] {
-      for (uint64_t seq = 0; seq < kEventsPerWriter; ++seq) {
-        uint64_t a = seq * 8 + static_cast<uint64_t>(w);
-        // Globally unique even begin timestamps — see the walk-ring test.
-        uint64_t begin = (seq * kWriters + static_cast<uint64_t>(w) + 1) * 2;
-        ring.Record(JournalEvent::kInvalidateSubtree, begin,
-                    /*duration_ns=*/a * 7, a, a * 3);
-      }
-    });
   }
-  for (auto& t : writers) {
-    t.join();
-  }
-  stop.store(true, std::memory_order_release);
-  reader.join();
-  EXPECT_EQ(torn.load(), 0);
+};
 
-  std::vector<JournalEventRecord> out;
-  ring.Drain(0, &out);
-  EXPECT_LE(out.size(), ring.capacity());
-  EXPECT_FALSE(out.empty());
+using RecordTypes =
+    ::testing::Types<WalkTraceEvent, JournalEventRecord, SpanEvent>;
+TYPED_TEST_SUITE(SeqRingTest, RecordTypes, RecordName);
+
+TYPED_TEST(SeqRingTest, WraparoundKeepsTheNewestRecords) {
+  using Codec = RecordCodec<TypeParam>;
+  SeqRing<TypeParam> ring(8);
+  for (uint64_t id = 1; id <= 20; ++id) {
+    ring.Push(Codec::Make(id));
+  }
+  std::vector<TypeParam> out;
+  ring.Drain(&out);
+  ASSERT_EQ(out.size(), 8u);  // exactly one lap survives
+  std::vector<uint64_t> ids;
+  for (const TypeParam& r : out) {
+    EXPECT_TRUE(Intact(r));
+    ids.push_back(Codec::Id(r));
+  }
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(ids, (std::vector<uint64_t>{13, 14, 15, 16, 17, 18, 19, 20}));
+}
+
+TYPED_TEST(SeqRingTest, ConcurrentWritersNeverYieldTornRecords) {
+  SeqRing<TypeParam> ring(16);
+  EXPECT_EQ(MixedRecordsUnderConcurrentWriters(ring), 0);
+  ExpectFullAndIntact(ring);
+}
+
+// Two slots for four writers: nearly every push wraps onto a slot another
+// writer may still hold, so a ring that lets two writers share a slot hands
+// the reader records that mix both writes.
+TYPED_TEST(SeqRingTest, TwoSlotStressNeverYieldsMixedRecords) {
+  SeqRing<TypeParam> ring(2);
+  EXPECT_EQ(MixedRecordsUnderConcurrentWriters(ring), 0);
+  ExpectFullAndIntact(ring);
 }
 
 // --- heat sketch ----------------------------------------------------------
@@ -565,10 +584,11 @@ TEST(Observe, JournalRecordsCoherenceEvents) {
   EXPECT_GE(count_of(JournalEvent::kInvalidateSubtree), 1u);
   // Journal is oldest-first, and a subtree invalidation reports its work:
   // the rename pass covered /j/sub (itself + f), so arg0 (version bumps)
-  // must be at least 2.
+  // must be at least 2. Every event came from this thread's shard.
   uint64_t prev = 0;
   uint64_t max_bumped = 0;
   for (const JournalEventRecord& ev : snap.journal) {
+    EXPECT_EQ(ev.shard, internal::StatsShardId());
     EXPECT_GE(ev.begin_ns, prev);
     prev = ev.begin_ns;
     if (ev.type == JournalEvent::kInvalidateSubtree) {
@@ -777,76 +797,6 @@ TEST(Observe, WatchdogFlagsClearAndRearm) {
   EXPECT_TRUE(w.kernel->Timeline().invalidation_spike);
 }
 
-// --- span ring (schema v3) ------------------------------------------------
-
-TEST(SpanRing, WraparoundKeepsTheNewestSpans) {
-  obs::SpanRing ring(8);
-  ASSERT_EQ(ring.capacity(), 8u);
-  for (uint64_t i = 1; i <= 20; ++i) {
-    ring.Record(obs::SpanKind::kWalkFast, obs::TraceOp::kStatx,
-                /*trace_id=*/i, /*begin_ns=*/i * 100, /*duration_ns=*/i,
-                /*arg0=*/i, /*arg1=*/i * 2);
-  }
-  std::vector<obs::SpanEvent> out;
-  ring.Drain(3, &out);
-  ASSERT_EQ(out.size(), 8u);  // exactly one lap survives
-  for (const obs::SpanEvent& ev : out) {
-    EXPECT_GT(ev.trace_id, 12u);  // only the newest 8 of 20
-    EXPECT_EQ(ev.kind, obs::SpanKind::kWalkFast);
-    EXPECT_EQ(ev.op, obs::TraceOp::kStatx);
-    EXPECT_EQ(ev.shard, 3u);
-    EXPECT_EQ(ev.arg0, ev.trace_id);
-    EXPECT_EQ(ev.arg1, ev.trace_id * 2);
-    EXPECT_EQ(ev.begin_ns, ev.trace_id * 100);
-  }
-}
-
-TEST(SpanRing, ConcurrentWritersNeverYieldTornSpans) {
-  obs::SpanRing ring(64);
-  constexpr int kThreads = 4;
-  constexpr uint64_t kPerThread = 5000;
-  std::atomic<bool> go{false};
-  std::vector<std::thread> writers;
-  for (int t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&, t] {
-      while (!go.load(std::memory_order_acquire)) {
-      }
-      for (uint64_t i = 1; i <= kPerThread; ++i) {
-        // Self-consistent payload: every field derives from (t, i), so any
-        // cross-writer tearing is detectable on drain.
-        uint64_t id = (static_cast<uint64_t>(t) << 32) | i;
-        ring.Record(obs::SpanKind::kIo, obs::TraceOp::kOpen, id,
-                    /*begin_ns=*/id * 2, /*duration_ns=*/id * 3,
-                    /*arg0=*/id * 5, /*arg1=*/id * 7);
-      }
-    });
-  }
-  std::atomic<bool> stop{false};
-  std::thread reader([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      std::vector<obs::SpanEvent> out;
-      ring.Drain(0, &out);
-      for (const obs::SpanEvent& ev : out) {
-        ASSERT_EQ(ev.kind, obs::SpanKind::kIo);
-        ASSERT_EQ(ev.op, obs::TraceOp::kOpen);
-        ASSERT_EQ(ev.begin_ns, (ev.trace_id * 2) & ~1ull);
-        ASSERT_EQ(ev.duration_ns, ev.trace_id * 3);
-        ASSERT_EQ(ev.arg0, ev.trace_id * 5);
-        ASSERT_EQ(ev.arg1, ev.trace_id * 7);
-      }
-    }
-  });
-  go.store(true, std::memory_order_release);
-  for (auto& th : writers) {
-    th.join();
-  }
-  stop.store(true, std::memory_order_release);
-  reader.join();
-  std::vector<obs::SpanEvent> out;
-  ring.Drain(0, &out);
-  EXPECT_EQ(out.size(), 64u);  // quiescent ring: every slot consistent
-}
-
 // --- request tracing (schema v3) ------------------------------------------
 
 TEST(Trace, ForcedStatxProducesSpanTreeAndAttribution) {
@@ -892,6 +842,7 @@ TEST(Trace, ForcedStatxProducesSpanTreeAndAttribution) {
     }
     EXPECT_EQ(ev.trace_id, trace_id);  // one traced request, one id
     EXPECT_EQ(ev.op, obs::TraceOp::kStatx);
+    EXPECT_EQ(ev.shard, internal::StatsShardId());
     if (ev.kind == obs::SpanKind::kRequest) {
       saw_request = true;
       EXPECT_EQ(ev.arg0, 0u);  // res
@@ -1002,19 +953,24 @@ TEST(Trace, ManualDumpBumpsCounterAndAuditStaysQuiet) {
 }
 
 TEST(Trace, ChromeTraceStaysWellFormedUnderWraparound) {
-  // Tiny rings + trace-everything: every structure wraps several times and
-  // the exported document must stay loadable and time-ordered.
+  // Trace everything and drive more records than any ring holds: every
+  // stream wraps and the exported document must stay loadable and
+  // time-ordered. One thread records, so everything lands in one shard's
+  // rings. Per round: 20 stats are at least 20 walks and 40 spans (request
+  // + walk each), and 2 renames journal at least 4 events (rename +
+  // rename_lock each).
+  constexpr size_t kRounds = 70;
+  static_assert(20 * kRounds > obs::kTraceRingEvents);
+  static_assert(40 * kRounds > obs::kSpanRingEvents);
+  static_assert(4 * kRounds > obs::kJournalRingEvents);
   ObsConfig cfg = ObsConfig::Enabled();
   cfg.trace_sample_every = 1;
-  cfg.span_ring_events = 8;
-  cfg.journal_ring_events = 8;
-  cfg.trace_ring_events = 8;
   TestWorld w(CacheConfig::Optimized(), nullptr, cfg);
   ASSERT_OK(w.root->Mkdir("/c"));
   auto fd = w.root->Open("/c/f", kOCreat | kOWrite);
   ASSERT_OK(fd);
   ASSERT_OK(w.root->Close(*fd));
-  for (int round = 0; round < 10; ++round) {
+  for (size_t round = 0; round < kRounds; ++round) {
     for (int i = 0; i < 20; ++i) {
       EXPECT_OK(w.root->Statx(kAtFdCwd, "/c/f", 0));
     }

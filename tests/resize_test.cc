@@ -145,8 +145,8 @@ TEST_F(ResizeTest, AuditCleanWithResizeParkedMidFlight) {
 }
 
 // Readers and mutators race grow/shrink cycles. Run under TSan
-// (scripts/check.sh --resize) this validates the two-candidate probe and
-// validated-lock writer protocol; under ASan it validates that retired
+// (scripts/check.sh --tsan=resize) this validates the two-candidate probe
+// and validated-lock writer protocol; under ASan it validates that retired
 // tables outlive every reader (epoch reclamation).
 TEST_F(ResizeTest, ConcurrentStormSurvivesResizeCycles) {
   constexpr size_t kFiles = 64;
