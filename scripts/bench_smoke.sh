@@ -5,8 +5,10 @@
 # elastic-resize/eviction-storm bench, and leave
 # machine-readable results at the repo root (BENCH_fig8.json,
 # BENCH_fig7.json, BENCH_server.json, BENCH_micro.json,
-# BENCH_shortcut.json, BENCH_resize.json). Exits nonzero if fig8's verdict fails
-# (the optimized warm hit path took locks or shared writes), if fig7's
+# BENCH_shortcut.json, BENCH_resize.json). Every stage and every verdict
+# runs; each failure is printed as it happens and again in a summary at the
+# end, and the script then exits nonzero. A verdict fails if fig8's verdict
+# fails (the optimized warm hit path took locks or shared writes), if fig7's
 # verdict fails (no parallel speedup on big subtrees, a heap allocation on a
 # small-subtree invalidation, shared writes on warm hits, or a rename
 # write-section that scales with the subtree), if the server bench's verdict
@@ -35,38 +37,46 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" --target fig8_scalability \
   fig7_mutation_cost microbench server_throughput shortcut_miss \
   eviction_storm shell
 
+# A failed stage is recorded and the next one still runs.
+FAILED=()
+fail() {
+  echo "FAILED: $1" >&2
+  FAILED+=("$1")
+}
+
 echo "== fig8 (quick) =="
-FIG8_QUICK=1 "$BUILD_DIR/bench/fig8_scalability"
+FIG8_QUICK=1 "$BUILD_DIR/bench/fig8_scalability" || fail "fig8 verdict"
 
 echo "== fig7 mutation cost (quick) =="
 # Exits nonzero itself when any verdict fails; the schema/budget assertions
 # below re-check the artifact it wrote.
-FIG7_QUICK=1 "$BUILD_DIR/bench/fig7_mutation_cost"
+FIG7_QUICK=1 "$BUILD_DIR/bench/fig7_mutation_cost" || fail "fig7 verdict"
 
 echo "== server throughput (quick) =="
 # Exits nonzero itself when its verdict block fails (batched speedup < 2x
 # or warm hits took shared writes); the schema assertions below re-check
 # the artifact it wrote.
-SERVER_QUICK=1 "$BUILD_DIR/bench/server_throughput"
+SERVER_QUICK=1 "$BUILD_DIR/bench/server_throughput" || fail "server verdict"
 
 echo "== shortcut miss fallback =="
 # Exits nonzero itself when any verdict fails (churn component reduction
 # < 2x, no cold-replay resumes, idle p50 regression >= 2%, or an impure
 # warm loop); the schema assertions below re-check the artifact it wrote.
-"$BUILD_DIR/bench/shortcut_miss"
+"$BUILD_DIR/bench/shortcut_miss" || fail "shortcut verdict"
 
 echo "== eviction storm / elastic resize =="
 # Exits nonzero itself when any verdict fails (p99 excursion > 10% through
 # the resize cycle, an impure hot loop mid-migration, quiet-tenant survival
 # < 95% under the byte budget, or idle governor overhead >= 1%); the
 # schema assertions below re-check the artifact it wrote.
-"$BUILD_DIR/bench/eviction_storm"
+"$BUILD_DIR/bench/eviction_storm" || fail "eviction_storm verdict"
 
 echo "== microbench (quick) =="
 "$BUILD_DIR/bench/microbench" \
   --benchmark_filter='BM_(Stat8Comp|Stat1Comp|OpenClose)' \
   --benchmark_min_time=0.05 \
-  --benchmark_out=BENCH_micro.json --benchmark_out_format=json
+  --benchmark_out=BENCH_micro.json --benchmark_out_format=json ||
+  fail "microbench"
 
 echo "== obs schema + sampler budget check =="
 # Both artifacts must carry the introspection schema version they were
@@ -76,8 +86,18 @@ echo "== obs schema + sampler budget check =="
 # sampler inside its overhead budget, and the sampler-enabled microbench
 # must report a shared-write-free warm hit path.
 if command -v python3 >/dev/null; then
-  python3 - <<'PY'
+  python3 - <<'PY' || fail "obs schema + sampler budget check"
 import json
+import sys
+
+failures = []
+
+
+def check(ok, msg):  # record a failed verdict and go on to the next
+    if not ok:
+        print(f"FAIL: {msg}")
+        failures.append(msg)
+
 
 OBS_SCHEMA = 4
 # Enabled-sampler budget on the warm stat loop. The ISSUE budget is <3%;
@@ -93,31 +113,31 @@ TRACING_NOISE_FLOOR_NS = 60.0
 
 fig8 = json.load(open("BENCH_fig8.json"))
 got = fig8["obs"]["schema_version"]
-assert got == OBS_SCHEMA, f"BENCH_fig8.json obs schema {got} != {OBS_SCHEMA}"
-assert fig8["obs"]["ops"], "BENCH_fig8.json obs has no per-op histograms"
-assert fig8["obs"]["walk_outcomes"], "BENCH_fig8.json obs has no outcomes"
-assert "timeline" in fig8["obs"], "BENCH_fig8.json obs has no v2 timeline"
+check(got == OBS_SCHEMA, f"BENCH_fig8.json obs schema {got} != {OBS_SCHEMA}")
+check(fig8["obs"]["ops"], "BENCH_fig8.json obs has no per-op histograms")
+check(fig8["obs"]["walk_outcomes"], "BENCH_fig8.json obs has no outcomes")
+check("timeline" in fig8["obs"], "BENCH_fig8.json obs has no v2 timeline")
 # Schema v3 appends the request-tracing sections after every v2 field; a
 # snapshot without tracing armed still carries them (empty/zeroed).
 for key in ("spans", "attribution", "flight_dumps"):
-    assert key in fig8["obs"], f"BENCH_fig8.json obs has no v3 {key}"
+    check(key in fig8["obs"], f"BENCH_fig8.json obs has no v3 {key}")
 # Schema v4 inserts the memory-accounting block between attribution and
 # flight_dumps; it is filled even with the governor off (budget 0 means
 # unenforced, the usage numbers are still real).
 mem = fig8["obs"].get("memory")
-assert mem is not None, "BENCH_fig8.json obs has no v4 memory block"
+check(mem is not None, "BENCH_fig8.json obs has no v4 memory block")
 for key in ("budget_bytes", "total_bytes", "dentry_count", "dlht_buckets",
             "dlht_resize_in_flight", "tenants"):
-    assert key in mem, f"BENCH_fig8.json obs memory has no {key}"
-assert mem["dentry_count"] > 0, "fig8 memory block counted no dentries"
-assert mem["dlht_buckets"] > 0, "fig8 memory block counted no DLHT buckets"
+    check(key in mem, f"BENCH_fig8.json obs memory has no {key}")
+check(mem["dentry_count"] > 0, "fig8 memory block counted no dentries")
+check(mem["dlht_buckets"] > 0, "fig8 memory block counted no DLHT buckets")
 
 sampler = fig8["sampler"]
-assert sampler["samples_taken"] > 0, "sampler never sampled during fig8"
+check(sampler["samples_taken"] > 0, "sampler never sampled during fig8")
 pct = sampler["overhead_pct"]
-assert pct < SAMPLER_OVERHEAD_BUDGET_PCT, (
+check(pct < SAMPLER_OVERHEAD_BUDGET_PCT, (
     f"sampler overhead {pct:.2f}% exceeds "
-    f"{SAMPLER_OVERHEAD_BUDGET_PCT}% budget")
+    f"{SAMPLER_OVERHEAD_BUDGET_PCT}% budget"))
 
 micro = json.load(open("BENCH_micro.json"))
 versions = {
@@ -125,18 +145,18 @@ versions = {
     for b in micro["benchmarks"]
     if "obs_schema_version" in b
 }
-assert versions == {OBS_SCHEMA}, f"BENCH_micro.json obs schemas: {versions}"
+check(versions == {OBS_SCHEMA}, f"BENCH_micro.json obs schemas: {versions}")
 
 # The continuous-telemetry zero-cost claim: warm hits stay shared-write-free
 # with the sampler thread running.
 sampler_benches = [
     b for b in micro["benchmarks"] if b["name"].startswith("BM_Stat8CompObsSampler")
 ]
-assert sampler_benches, "BM_Stat8CompObsSampler missing from BENCH_micro.json"
+check(sampler_benches, "BM_Stat8CompObsSampler missing from BENCH_micro.json")
 for b in sampler_benches:
     sw = b["shared_writes_per_op"]
-    assert sw < 1e-3, f"{b['name']}: shared_writes_per_op {sw} != 0"
-    assert b["timeline_samples"] > 0, f"{b['name']}: sampler never sampled"
+    check(sw < 1e-3, f"{b['name']}: shared_writes_per_op {sw} != 0")
+    check(b["timeline_samples"] > 0, f"{b['name']}: sampler never sampled")
 
 # Idle-governor verdict (schema v4): the warm stat loop with the governor
 # policy thread awake at its default interval must stay shared-write-free,
@@ -147,11 +167,11 @@ for b in sampler_benches:
 governed = [
     b for b in micro["benchmarks"] if b["name"] == "BM_Stat8CompGoverned"
 ]
-assert governed, "BM_Stat8CompGoverned missing from BENCH_micro.json"
+check(governed, "BM_Stat8CompGoverned missing from BENCH_micro.json")
 for b in governed:
     sw = b["shared_writes_per_op"]
-    assert sw < 1e-3, f"{b['name']}: shared_writes_per_op {sw} != 0"
-    assert b["governor_ticks"] > 0, f"{b['name']}: governor never ticked"
+    check(sw < 1e-3, f"{b['name']}: shared_writes_per_op {sw} != 0")
+    check(b["governor_ticks"] > 0, f"{b['name']}: governor never ticked")
 
 # Tracing-overhead verdict (schema v3): the traced warm stat loop (1-in-100
 # sampling) vs the identical obs-only loop. The untraced 99% must keep the
@@ -161,22 +181,25 @@ def median_time(name):
         b for b in micro["benchmarks"]
         if b["name"] == name and b.get("run_type", "iteration") == "iteration"
     ]
-    assert runs, f"{name} missing from BENCH_micro.json"
+    check(runs, f"{name} missing from BENCH_micro.json")
     times = sorted(r["real_time"] for r in runs)
     return runs[0], times[len(times) // 2]
 
 traced_bench, traced_ns = median_time("BM_Stat8CompTraced")
 _, obs_ns = median_time("BM_Stat8CompObs")
 sw = traced_bench["shared_writes_per_op"]
-assert sw < 1e-3, f"BM_Stat8CompTraced: shared_writes_per_op {sw} != 0"
-assert traced_bench["traced_requests"] > 0, "tracing armed but nothing traced"
+check(sw < 1e-3, f"BM_Stat8CompTraced: shared_writes_per_op {sw} != 0")
+check(traced_bench["traced_requests"] > 0, "tracing armed but nothing traced")
 overhead_ns = traced_ns - obs_ns
 budget_ns = max(obs_ns * TRACING_OVERHEAD_BUDGET_PCT / 100.0,
                 TRACING_NOISE_FLOOR_NS)
-assert overhead_ns <= budget_ns, (
+check(overhead_ns <= budget_ns, (
     f"tracing overhead {overhead_ns:.1f} ns/op "
     f"(traced {traced_ns:.1f} vs obs {obs_ns:.1f}) exceeds "
-    f"{TRACING_OVERHEAD_BUDGET_PCT}% budget ({budget_ns:.1f} ns)")
+    f"{TRACING_OVERHEAD_BUDGET_PCT}% budget ({budget_ns:.1f} ns)"))
+
+if failures:
+    sys.exit(1)
 
 print(f"obs schema v{OBS_SCHEMA} OK; sampler overhead {pct:.2f}% "
       f"(budget {SAMPLER_OVERHEAD_BUDGET_PCT}%); warm hits shared-write-free "
@@ -184,9 +207,10 @@ print(f"obs schema v{OBS_SCHEMA} OK; sampler overhead {pct:.2f}% "
       f"{overhead_ns:.1f} ns/op within budget")
 PY
 else
-  grep -q '"schema_version":4' BENCH_fig8.json
-  grep -Eq '"obs_schema_version": 4(\.0+)?' BENCH_micro.json
-  echo "obs schema v4 OK (grep fallback)"
+  { grep -q '"schema_version":4' BENCH_fig8.json &&
+    grep -Eq '"obs_schema_version": 4(\.0+)?' BENCH_micro.json &&
+    echo "obs schema v4 OK (grep fallback)"; } ||
+    fail "obs schema (grep fallback)"
 fi
 
 echo "== fig7 schema + budget check =="
@@ -197,63 +221,77 @@ echo "== fig7 schema + budget check =="
 # under the open coherence gate bounded at 5 ms (generous: warm slowpath
 # walks on this host measure in the hundreds of nanoseconds).
 if command -v python3 >/dev/null; then
-  python3 - <<'PY'
+  python3 - <<'PY' || fail "fig7 schema + budget check"
 import json
+import sys
+
+failures = []
+
+
+def check(ok, msg):  # record a failed verdict and go on to the next
+    if not ok:
+        print(f"FAIL: {msg}")
+        failures.append(msg)
+
 
 READER_GATE_P99_BUDGET_NS = 5_000_000
 
 fig7 = json.load(open("BENCH_fig7.json"))
-assert fig7["benchmark"] == "fig7_mutation_cost", fig7.get("benchmark")
+check(fig7["benchmark"] == "fig7_mutation_cost", fig7.get("benchmark"))
 
 verdict = fig7["verdict"]
 for key in ("parallel_speedup_ok", "small_subtree_alloc_free",
             "warm_hit_shared_write_free", "rename_hold_decoupled"):
-    assert verdict[key] is True, f"fig7 verdict {key} = {verdict[key]}"
+    check(verdict[key] is True, f"fig7 verdict {key} = {verdict[key]}")
 
 sizes = fig7["sizes"]
-assert sizes, "BENCH_fig7.json has no size points"
+check(sizes, "BENCH_fig7.json has no size points")
 big = max(sizes, key=lambda s: s["dentries"])
-assert big["dentries"] >= 10000, f"largest subtree {big['dentries']} < 10k"
+check(big["dentries"] >= 10000, f"largest subtree {big['dentries']} < 10k")
 serial_ns = big["serial"]["critical_path_ns"]
 parallel_ns = big["parallel"]["critical_path_ns"]
-assert parallel_ns > 0 and serial_ns >= 2 * parallel_ns, (
+check(parallel_ns > 0 and serial_ns >= 2 * parallel_ns, (
     f"parallel pass not >=2x cheaper: serial {serial_ns} ns vs "
-    f"parallel {parallel_ns} ns")
-assert big["parallel"]["workers"] == 8, big["parallel"]["workers"]
-assert big["parallel"]["dlht_batches"] > 0, "no batched DLHT eviction"
+    f"parallel {parallel_ns} ns"))
+check(big["parallel"]["workers"] == 8, big["parallel"]["workers"])
+check(big["parallel"]["dlht_batches"] > 0, "no batched DLHT eviction")
 
 small = min(sizes, key=lambda s: s["dentries"])
 for side in ("serial", "parallel"):
     allocs = small[side]["allocs_per_invalidate"]
-    assert allocs == 0, (
+    check(allocs == 0, (
         f"{side} invalidation of {small['dentries']}-dentry subtree "
-        f"allocated {allocs} times")
+        f"allocated {allocs} times"))
 
 reader = fig7["reader"]
-assert reader["shared_writes_per_op"] < 1e-3, reader["shared_writes_per_op"]
+check(reader["shared_writes_per_op"] < 1e-3, reader["shared_writes_per_op"])
 p99 = reader["gate_open_p99_ns"]
-assert 0 < p99 < READER_GATE_P99_BUDGET_NS, (
+check(0 < p99 < READER_GATE_P99_BUDGET_NS, (
     f"reader p99 under open gate {p99} ns exceeds "
-    f"{READER_GATE_P99_BUDGET_NS} ns budget")
+    f"{READER_GATE_P99_BUDGET_NS} ns budget"))
 
 rename = fig7["rename"]
-assert rename["journaled"] is True, "rename events missing from obs journal"
-assert rename["lock_hold_ns"] < rename["inval_pass_ns"], (
+check(rename["journaled"] is True, "rename events missing from obs journal")
+check(rename["lock_hold_ns"] < rename["inval_pass_ns"], (
     f"rename write-section hold {rename['lock_hold_ns']} ns not decoupled "
-    f"from the {rename['inval_pass_ns']} ns descendant pass")
+    f"from the {rename['inval_pass_ns']} ns descendant pass"))
 
 speedup = verdict["parallel_speedup_10k"]
+if failures:
+    sys.exit(1)
+
 print(f"fig7 OK: {speedup:.2f}x parallel speedup at {big['dentries']} "
       f"dentries, 0 allocs at {small['dentries']}, gate-open reader p99 "
       f"{p99} ns, rename hold {rename['lock_hold_ns']} ns vs pass "
       f"{rename['inval_pass_ns']} ns")
 PY
 else
-  grep -q '"parallel_speedup_ok": true' BENCH_fig7.json
-  grep -q '"small_subtree_alloc_free": true' BENCH_fig7.json
-  grep -q '"warm_hit_shared_write_free": true' BENCH_fig7.json
-  grep -q '"rename_hold_decoupled": true' BENCH_fig7.json
-  echo "fig7 verdict OK (grep fallback)"
+  { grep -q '"parallel_speedup_ok": true' BENCH_fig7.json &&
+    grep -q '"small_subtree_alloc_free": true' BENCH_fig7.json &&
+    grep -q '"warm_hit_shared_write_free": true' BENCH_fig7.json &&
+    grep -q '"rename_hold_decoupled": true' BENCH_fig7.json &&
+    echo "fig7 verdict OK (grep fallback)"; } ||
+    fail "fig7 verdict (grep fallback)"
 fi
 
 echo "== server batch schema + verdict check =="
@@ -263,51 +301,65 @@ echo "== server batch schema + verdict check =="
 # through the server rings), and the batch_* histograms from the obs-ON
 # rerun under the v2 introspection schema.
 if command -v python3 >/dev/null; then
-  python3 - <<'PY'
+  python3 - <<'PY' || fail "server batch schema + verdict check"
 import json
+import sys
+
+failures = []
+
+
+def check(ok, msg):  # record a failed verdict and go on to the next
+    if not ok:
+        print(f"FAIL: {msg}")
+        failures.append(msg)
+
 
 OBS_SCHEMA = 4
 
 srv = json.load(open("BENCH_server.json"))
-assert srv["benchmark"] == "server_throughput", srv.get("benchmark")
-assert srv["batch_abi_version"] == 2, srv.get("batch_abi_version")
+check(srv["benchmark"] == "server_throughput", srv.get("benchmark"))
+check(srv["batch_abi_version"] == 2, srv.get("batch_abi_version"))
 
 verdict = srv["verdict"]
 for key in ("batched_speedup_ok", "warm_hit_shared_write_free"):
-    assert verdict[key] is True, f"server verdict {key} = {verdict[key]}"
+    check(verdict[key] is True, f"server verdict {key} = {verdict[key]}")
 speedup = verdict["batched_speedup"]
-assert speedup >= 2.0, f"batched speedup {speedup:.2f}x < 2x"
+check(speedup >= 2.0, f"batched speedup {speedup:.2f}x < 2x")
 
 warm = srv["warm"]
-assert warm["batch_depth"] >= 32, f"batch depth {warm['batch_depth']} < 32"
+check(warm["batch_depth"] >= 32, f"batch depth {warm['batch_depth']} < 32")
 sw = warm["shared_writes_per_op"]
-assert sw < 1e-3, f"warm-hit shared_writes_per_op {sw} != 0"
-assert warm["batched_ops_per_sec"] > warm["unbatched_ops_per_sec"], warm
+check(sw < 1e-3, f"warm-hit shared_writes_per_op {sw} != 0")
+check(warm["batched_ops_per_sec"] > warm["unbatched_ops_per_sec"], warm)
 
 mixed = srv["mixed"]
-assert mixed["ops"] > 0 and mixed["ops_per_sec"] > 0, mixed
-assert 0.05 < mixed["mutation_fraction"] < 0.25, mixed["mutation_fraction"]
-assert mixed["p50_ns"] <= mixed["p99_ns"] <= mixed["p999_ns"], mixed
+check(mixed["ops"] > 0 and mixed["ops_per_sec"] > 0, mixed)
+check(0.05 < mixed["mutation_fraction"] < 0.25, mixed["mutation_fraction"])
+check(mixed["p50_ns"] <= mixed["p99_ns"] <= mixed["p999_ns"], mixed)
 
 got = srv["obs"]["schema_version"]
-assert got == OBS_SCHEMA, f"BENCH_server.json obs schema {got} != {OBS_SCHEMA}"
+check(got == OBS_SCHEMA, f"BENCH_server.json obs schema {got} != {OBS_SCHEMA}")
 batch_ops = {
     name: op for name, op in srv["obs"]["ops"].items()
     if name.startswith("batch_")
 }
 for name in ("batch_depth", "batch_occupancy", "batch_dispatch"):
-    assert name in batch_ops, f"{name} histogram missing from obs rerun"
-    assert batch_ops[name]["count"] > 0, f"{name} histogram empty"
+    check(name in batch_ops, f"{name} histogram missing from obs rerun")
+    check(batch_ops[name]["count"] > 0, f"{name} histogram empty")
+
+if failures:
+    sys.exit(1)
 
 print(f"server batch OK: {speedup:.2f}x at depth {warm['batch_depth']}, "
       f"warm shared_writes/op {sw}, mixed p99 {mixed['p99_ns']} ns, "
       f"batch_* histograms present under schema v{OBS_SCHEMA}")
 PY
 else
-  grep -q '"batched_speedup_ok": true' BENCH_server.json
-  grep -q '"warm_hit_shared_write_free": true' BENCH_server.json
-  grep -q '"batch_abi_version": 2' BENCH_server.json
-  echo "server verdict OK (grep fallback)"
+  { grep -q '"batched_speedup_ok": true' BENCH_server.json &&
+    grep -q '"warm_hit_shared_write_free": true' BENCH_server.json &&
+    grep -q '"batch_abi_version": 2' BENCH_server.json &&
+    echo "server verdict OK (grep fallback)"; } ||
+    fail "server verdict (grep fallback)"
 fi
 
 echo "== shortcut schema + verdict check =="
@@ -318,42 +370,55 @@ echo "== shortcut schema + verdict check =="
 # the warm 8-component loop stays probe-free and shared-write-free with
 # p50 within 2% of the shortcut-off build.
 if command -v python3 >/dev/null; then
-  python3 - <<'PY'
+  python3 - <<'PY' || fail "shortcut schema + verdict check"
 import json
+import sys
+
+failures = []
+
+
+def check(ok, msg):  # record a failed verdict and go on to the next
+    if not ok:
+        print(f"FAIL: {msg}")
+        failures.append(msg)
+
 
 IDLE_OVERHEAD_BUDGET_PCT = 2.0
 
 sc = json.load(open("BENCH_shortcut.json"))
-assert sc["benchmark"] == "shortcut_miss", sc.get("benchmark")
+check(sc["benchmark"] == "shortcut_miss", sc.get("benchmark"))
 
 verdict = sc["verdict"]
 for key in ("churn_reduction_ok", "cold_replay_resumes_ok",
             "idle_overhead_ok", "warm_loop_pure"):
-    assert verdict[key] is True, f"shortcut verdict {key} = {verdict[key]}"
+    check(verdict[key] is True, f"shortcut verdict {key} = {verdict[key]}")
 
 churn = sc["churn"]
 on, off = churn["shortcut_on"], churn["shortcut_off"]
-assert on["resumes"] > 0, "churn phase never resumed a walk"
-assert on["mean_components"] > 0 and off["mean_components"] > 0, churn
+check(on["resumes"] > 0, "churn phase never resumed a walk")
+check(on["mean_components"] > 0 and off["mean_components"] > 0, churn)
 reduction = churn["component_reduction"]
-assert reduction >= 2.0, (
+check(reduction >= 2.0, (
     f"churn component reduction {reduction:.2f}x < 2x "
     f"(on {on['mean_components']:.2f} vs off {off['mean_components']:.2f} "
-    f"components/walk)")
+    f"components/walk)"))
 
 cold = sc["cold_dovecot"]
-assert cold["fast_miss_shortcut_hit"] > 0, (
-    "cold Dovecot replay produced no fast_miss_shortcut_hit walks")
-assert cold["components_skipped"] >= cold["resumes"], cold
+check(cold["fast_miss_shortcut_hit"] > 0, (
+    "cold Dovecot replay produced no fast_miss_shortcut_hit walks"))
+check(cold["components_skipped"] >= cold["resumes"], cold)
 
 idle = sc["idle"]
 pct = idle["overhead_pct"]
-assert pct < IDLE_OVERHEAD_BUDGET_PCT, (
+check(pct < IDLE_OVERHEAD_BUDGET_PCT, (
     f"idle p50 overhead {pct:.2f}% exceeds "
-    f"{IDLE_OVERHEAD_BUDGET_PCT}% budget")
-assert idle["warm_shared_writes_per_op"] < 1e-3, idle
-assert idle["warm_probes"] == 0, (
-    f"warm loop issued {idle['warm_probes']} prefix probes")
+    f"{IDLE_OVERHEAD_BUDGET_PCT}% budget"))
+check(idle["warm_shared_writes_per_op"] < 1e-3, idle)
+check(idle["warm_probes"] == 0, (
+    f"warm loop issued {idle['warm_probes']} prefix probes"))
+
+if failures:
+    sys.exit(1)
 
 print(f"shortcut OK: {reduction:.2f}x fewer slow components on churn "
       f"({on['mean_components']:.2f} vs {off['mean_components']:.2f}/walk), "
@@ -361,11 +426,12 @@ print(f"shortcut OK: {reduction:.2f}x fewer slow components on churn "
       f"idle overhead {pct:+.2f}%, warm loop probe- and shared-write-free")
 PY
 else
-  grep -q '"churn_reduction_ok": true' BENCH_shortcut.json
-  grep -q '"cold_replay_resumes_ok": true' BENCH_shortcut.json
-  grep -q '"idle_overhead_ok": true' BENCH_shortcut.json
-  grep -q '"warm_loop_pure": true' BENCH_shortcut.json
-  echo "shortcut verdict OK (grep fallback)"
+  { grep -q '"churn_reduction_ok": true' BENCH_shortcut.json &&
+    grep -q '"cold_replay_resumes_ok": true' BENCH_shortcut.json &&
+    grep -q '"idle_overhead_ok": true' BENCH_shortcut.json &&
+    grep -q '"warm_loop_pure": true' BENCH_shortcut.json &&
+    echo "shortcut verdict OK (grep fallback)"; } ||
+    fail "shortcut verdict (grep fallback)"
 fi
 
 echo "== resize schema + verdict check =="
@@ -377,47 +443,60 @@ echo "== resize schema + verdict check =="
 # storm (with the governor actually shrinking and ending under budget),
 # and the idle governor thread costing < 1% on the warm stat p50.
 if command -v python3 >/dev/null; then
-  python3 - <<'PY'
+  python3 - <<'PY' || fail "resize schema + verdict check"
 import json
+import sys
+
+failures = []
+
+
+def check(ok, msg):  # record a failed verdict and go on to the next
+    if not ok:
+        print(f"FAIL: {msg}")
+        failures.append(msg)
+
 
 P99_EXCURSION_BUDGET_PCT = 10.0
 SURVIVAL_FLOOR_PCT = 95.0
 IDLE_OVERHEAD_BUDGET_PCT = 1.0
 
 rz = json.load(open("BENCH_resize.json"))
-assert rz["benchmark"] == "eviction_storm", rz.get("benchmark")
+check(rz["benchmark"] == "eviction_storm", rz.get("benchmark"))
 
 verdict = rz["verdict"]
 for key in ("p99_flat_ok", "warm_loop_pure", "isolation_ok",
             "budget_enforced_ok", "idle_overhead_ok"):
-    assert verdict[key] is True, f"resize verdict {key} = {verdict[key]}"
+    check(verdict[key] is True, f"resize verdict {key} = {verdict[key]}")
 
 cycle = rz["resize_cycle"]
 exc = cycle["p99_excursion_pct"]
-assert exc <= P99_EXCURSION_BUDGET_PCT, (
+check(exc <= P99_EXCURSION_BUDGET_PCT, (
     f"warm-hit p99 excursion {exc:.2f}% exceeds "
-    f"{P99_EXCURSION_BUDGET_PCT}% through the resize cycle")
-assert cycle["warm_shared_writes"] == 0, (
+    f"{P99_EXCURSION_BUDGET_PCT}% through the resize cycle"))
+check(cycle["warm_shared_writes"] == 0, (
     f"hot loop took {cycle['warm_shared_writes']} shared writes "
-    f"mid-migration")
-assert cycle["resizes"] >= 2, f"only {cycle['resizes']} resizes ran"
-assert cycle["buckets_migrated"] > 0, "no buckets migrated"
+    f"mid-migration"))
+check(cycle["resizes"] >= 2, f"only {cycle['resizes']} resizes ran")
+check(cycle["buckets_migrated"] > 0, "no buckets migrated")
 
 storm = rz["eviction_storm"]
-assert storm["governor_shrinks"] > 0, "the governor never shrank"
-assert storm["usage_after"] <= storm["budget_bytes"], (
+check(storm["governor_shrinks"] > 0, "the governor never shrank")
+check(storm["usage_after"] <= storm["budget_bytes"], (
     f"usage {storm['usage_after']} still over the "
-    f"{storm['budget_bytes']}-byte budget")
+    f"{storm['budget_bytes']}-byte budget"))
 surv = storm["quiet_survival_pct"]
-assert surv >= SURVIVAL_FLOOR_PCT, (
-    f"quiet tenant survival {surv:.1f}% below {SURVIVAL_FLOOR_PCT}%")
+check(surv >= SURVIVAL_FLOOR_PCT, (
+    f"quiet tenant survival {surv:.1f}% below {SURVIVAL_FLOOR_PCT}%"))
 
 idle = rz["idle"]
 pct = idle["overhead_pct"]
-assert pct < IDLE_OVERHEAD_BUDGET_PCT, (
+check(pct < IDLE_OVERHEAD_BUDGET_PCT, (
     f"idle governor p50 overhead {pct:.2f}% exceeds "
-    f"{IDLE_OVERHEAD_BUDGET_PCT}% budget")
-assert idle["governor_ticks"] > 0, "idle phase never observed a tick"
+    f"{IDLE_OVERHEAD_BUDGET_PCT}% budget"))
+check(idle["governor_ticks"] > 0, "idle phase never observed a tick")
+
+if failures:
+    sys.exit(1)
 
 print(f"resize OK: p99 excursion {exc:+.2f}% through "
       f"{cycle['buckets_migrated']} migrated buckets with 0 hot-loop "
@@ -425,12 +504,13 @@ print(f"resize OK: p99 excursion {exc:+.2f}% through "
       f"{storm['governor_shrinks']} shrinks, idle overhead {pct:+.2f}%")
 PY
 else
-  grep -q '"p99_flat_ok": true' BENCH_resize.json
-  grep -q '"warm_loop_pure": true' BENCH_resize.json
-  grep -q '"isolation_ok": true' BENCH_resize.json
-  grep -q '"budget_enforced_ok": true' BENCH_resize.json
-  grep -q '"idle_overhead_ok": true' BENCH_resize.json
-  echo "resize verdict OK (grep fallback)"
+  { grep -q '"p99_flat_ok": true' BENCH_resize.json &&
+    grep -q '"warm_loop_pure": true' BENCH_resize.json &&
+    grep -q '"isolation_ok": true' BENCH_resize.json &&
+    grep -q '"budget_enforced_ok": true' BENCH_resize.json &&
+    grep -q '"idle_overhead_ok": true' BENCH_resize.json &&
+    echo "resize verdict OK (grep fallback)"; } ||
+    fail "resize verdict (grep fallback)"
 fi
 
 echo "== chrome trace export check =="
@@ -439,27 +519,47 @@ echo "== chrome trace export check =="
 TRACE_OUT="$(mktemp)"
 trap 'rm -f "$TRACE_OUT"' EXIT
 printf 'mkdir /a\nwrite /a/f hi\nstat /a/f\nstat /a/f\nmv /a/f /a/g\ntrace-request /a/g\ntrace-export %s\n' \
-  "$TRACE_OUT" | "$BUILD_DIR/examples/shell" >/dev/null
+  "$TRACE_OUT" | "$BUILD_DIR/examples/shell" >/dev/null ||
+  fail "shell trace-export"
 if command -v python3 >/dev/null; then
-  TRACE_OUT="$TRACE_OUT" python3 - <<'PY'
-import json, os
+  TRACE_OUT="$TRACE_OUT" python3 - <<'PY' || fail "chrome trace export check"
+import json, os, sys
+
+failures = []
+
+
+def check(ok, msg):  # record a failed verdict and go on to the next
+    if not ok:
+        print(f"FAIL: {msg}")
+        failures.append(msg)
+
 
 doc = json.load(open(os.environ["TRACE_OUT"]))
 events = doc["traceEvents"]
-assert isinstance(events, list) and events, "traceEvents missing or empty"
+check(isinstance(events, list) and events, "traceEvents missing or empty")
 for ev in events:
-    assert ev["ph"] == "X", f"unexpected phase {ev!r}"
+    check(ev["ph"] == "X", f"unexpected phase {ev!r}")
     for key in ("name", "cat", "ts", "dur", "pid", "tid"):
-        assert key in ev, f"event missing {key}: {ev!r}"
+        check(key in ev, f"event missing {key}: {ev!r}")
 cats = {ev["cat"] for ev in events}
-assert "walk" in cats, "no walk spans in trace export"
-assert "coherence" in cats, "no coherence spans (the script renamed a file)"
-assert "request" in cats, "no request spans (the script force-traced a stat)"
+check("walk" in cats, "no walk spans in trace export")
+check("coherence" in cats, "no coherence spans (the script renamed a file)")
+check("request" in cats, "no request spans (the script force-traced a stat)")
+if failures:
+    sys.exit(1)
+
 print(f"chrome trace OK: {len(events)} events, categories {sorted(cats)}")
 PY
 else
-  grep -q '"traceEvents"' "$TRACE_OUT"
-  echo "chrome trace OK (grep fallback)"
+  { grep -q '"traceEvents"' "$TRACE_OUT" &&
+    echo "chrome trace OK (grep fallback)"; } ||
+    fail "chrome trace (grep fallback)"
 fi
 
 echo "wrote BENCH_fig8.json, BENCH_fig7.json, BENCH_server.json, BENCH_micro.json, BENCH_shortcut.json, and BENCH_resize.json"
+if [[ ${#FAILED[@]} -gt 0 ]]; then
+  echo "bench smoke: ${#FAILED[@]} failed:" >&2
+  printf '  %s\n' "${FAILED[@]}" >&2
+  exit 1
+fi
+echo "bench smoke: all stages and verdicts passed"

@@ -1,23 +1,24 @@
 #!/usr/bin/env bash
 # Full local validation: Release build + tests, then (optionally) Debug and
-# AddressSanitizer passes, then the benchmark sweep.
+# sanitizer passes, then the benchmark sweep. The ASan tree also carries
+# UndefinedBehaviorSanitizer, and any UBSan report fails its stage.
 #
 #   scripts/check.sh            # release build + ctest
-#   scripts/check.sh --full     # + debug & asan test passes
+#   scripts/check.sh --full     # + debug & asan+ubsan test passes
 #   scripts/check.sh --tsan[=LABELS]
 #                               # + ThreadSanitizer ctest over the suites
 #                               #   whose labels match the ctest -L regex
 #                               #   LABELS (default obs|concurrency; the
 #                               #   server, shortcut and resize suites also
 #                               #   carry the concurrency label)
-#   scripts/check.sh --asan     # + AddressSanitizer ctest over the obs
+#   scripts/check.sh --asan     # + ASan+UBSan ctest over the obs
 #                               #   and server suites (span rings, the
 #                               #   flight recorder's by-value copies,
 #                               #   Chrome-trace rendering)
 #   scripts/check.sh --stress   # + every obs|concurrency test binary run
 #                               #   standalone (all cores, no ctest -j
 #                               #   neighbours) with --gtest_repeat=10,
-#                               #   under AddressSanitizer and then
+#                               #   under ASan+UBSan and then
 #                               #   ThreadSanitizer
 #   scripts/check.sh --bench    # + run every benchmark binary
 #   scripts/check.sh --bench fig7
@@ -54,7 +55,7 @@ while [[ $# -gt 0 ]]; do
   shift
 done
 
-# Configure and build one sanitizer tree: `address` -> build-asan,
+# Configure and build one sanitizer tree: `address,undefined` -> build-asan,
 # `thread` -> build-tsan. Every sanitizer stage below shares these trees.
 sanitizer_build() {
   local dir="build-${1:0:1}san"
@@ -69,6 +70,8 @@ sanitizer_build() {
 # reclamation) — everything else, including the invalidation engine and
 # the telemetry rings, runs under full TSan scrutiny.
 export TSAN_OPTIONS="suppressions=$PWD/scripts/tsan.supp history_size=7"
+# UBSan only prints by default; make every report fail the test that hit it.
+export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1"
 
 # Run each test binary carrying one of the given labels on its own, one
 # after another, so its threads race on every core of the host.
@@ -92,8 +95,8 @@ if [[ "$FULL" == 1 ]]; then
   cmake --build build-debug
   ctest --test-dir build-debug --output-on-failure
 
-  echo "== address sanitizer =="
-  sanitizer_build address
+  echo "== address + undefined-behavior sanitizers =="
+  sanitizer_build address,undefined
   ctest --test-dir build-asan --output-on-failure
 fi
 
@@ -107,12 +110,12 @@ if [[ -n "$TSAN_LABELS" ]]; then
 fi
 
 if [[ "$ASAN" == 1 ]]; then
-  echo "== address sanitizer (obs + server suites) =="
+  echo "== address + undefined-behavior sanitizers (obs + server suites) =="
   # The request-tracing surfaces (span rings, the flight recorder's by-value
   # RequestTrace copies, Chrome-trace rendering) are memory-layout heavy;
   # ASan catches the overflow/use-after-free class TSan doesn't. Reuses the
   # --full ASan build tree.
-  sanitizer_build address
+  sanitizer_build address,undefined
   ctest --test-dir build-asan --output-on-failure -L 'obs|server'
 fi
 
@@ -120,8 +123,8 @@ if [[ "$STRESS" == 1 ]]; then
   # Races that hide under `ctest -j` load (or on one CPU) show up when each
   # binary has the whole machine: repeated standalone runs, memory errors
   # first, then data races.
-  echo "== stress: address sanitizer, standalone x$STRESS_REPEAT =="
-  sanitizer_build address
+  echo "== stress: address + UB sanitizers, standalone x$STRESS_REPEAT =="
+  sanitizer_build address,undefined
   stress_binaries build-asan 'obs|concurrency'
   echo "== stress: thread sanitizer, standalone x$STRESS_REPEAT =="
   sanitizer_build thread

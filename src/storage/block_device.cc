@@ -20,8 +20,6 @@ inline void TraceIo(uint64_t block_no, uint64_t cost_ns, bool is_write) {
 
 }  // namespace
 
-thread_local VirtualClock* IoChargeScope::current_ = nullptr;
-
 BlockDevice::BlockDevice(uint64_t num_blocks, DiskModel model)
     : num_blocks_(num_blocks), model_(model) {
   blocks_.resize(num_blocks);

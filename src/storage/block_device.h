@@ -42,7 +42,7 @@ class IoChargeScope {
   }
 
  private:
-  static thread_local VirtualClock* current_;
+  static inline thread_local VirtualClock* current_ = nullptr;
   VirtualClock* prev_;
 };
 

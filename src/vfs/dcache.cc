@@ -23,8 +23,6 @@ size_t RoundUpPow2(size_t n) {
 
 }  // namespace
 
-thread_local RaceHook DentryCache::after_last_put = nullptr;
-
 DentryCache::DentryCache(Kernel* kernel, const CacheConfig& config)
     : kernel_(kernel),
       buckets_(RoundUpPow2(config.dcache_buckets)),

@@ -73,7 +73,7 @@ class DentryCache {
   void Dput(Dentry* d);
   // Testing hook (see RaceHook): Dput, after dropping the last reference of
   // a live dentry and before looking at it again.
-  static thread_local RaceHook after_last_put;
+  static inline thread_local RaceHook after_last_put = nullptr;
 
   // --- removal ---------------------------------------------------------------
   // Unhash + mark dead (unlink/rmdir/rename-victim). Safe with or without

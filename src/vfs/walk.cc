@@ -14,12 +14,6 @@
 
 namespace dircache {
 
-thread_local WalkPhaseProfile* g_walk_profile = nullptr;
-thread_local bool PathWalker::force_fastpath_miss = false;
-thread_local bool PathWalker::forbid_slowpath = false;
-thread_local RaceHook PathWalker::before_publish = nullptr;
-thread_local RaceHook PathWalker::before_stat_validate = nullptr;
-
 namespace {
 
 // Per-walk scratch for the observability tracer (DESIGN.md §9). Armed only
@@ -112,8 +106,8 @@ uint8_t ClampU8(T v) {
 // lock era lasted and how many components were walked under it (arg0).
 class LockedWalkSpan {
  public:
-  explicit LockedWalkSpan(Observability& obs) : obs_(obs) {
-    if (obs_.enabled()) {
+  LockedWalkSpan(Observability& obs, bool locked) : obs_(obs) {
+    if (locked && obs_.enabled()) {
       t0_ = NowNanos();
       components0_ = g_walk_trace.components;
     }
@@ -199,25 +193,6 @@ class ComponentCursor {
   }
 
   std::string_view rest_;
-};
-
-// Phase instrumentation (Figure 3). Zero-cost when no profile is armed.
-class PhaseTimer {
- public:
-  explicit PhaseTimer(uint64_t WalkPhaseProfile::* field) : field_(field) {
-    if (g_walk_profile != nullptr) {
-      t0_ = NowNanos();
-    }
-  }
-  ~PhaseTimer() {
-    if (g_walk_profile != nullptr) {
-      g_walk_profile->*field_ += NowNanos() - t0_;
-    }
-  }
-
- private:
-  uint64_t WalkPhaseProfile::* field_;
-  uint64_t t0_ = 0;
 };
 
 // Copy a dentry's canonical hash state if it is valid for `ns`.
@@ -332,9 +307,38 @@ static Result<HashState> EnsurePathState(Kernel* kernel, Dentry* d, Mount* mnt,
   return st;
 }
 
-// Publish `d` (already state-valid) into `ns`'s DLHT and memoize the prefix
-// check in `pcc`. `inval_snapshot` was read before the walk's permission
-// checks; a concurrent invalidation forces a skip (§3.2).
+// The memo gate (§3.2). Returns the credential's PCC when a walk that read
+// `inval_snapshot` before its permission checks may memoize their results,
+// and null when it may not:
+//   - a mutation overlapped the walk (the counter moved);
+//   - a deferred subtree pass is in flight (coherence gate open): a seq read
+//     now may predate a bump the pass has yet to apply, and the pass's
+//     closing counter bump has not happened yet;
+//   - the walk is relative and its base's own prefix check no longer hits
+//     (see g_untrusted_base).
+static Pcc* MemoGate(Kernel* kernel, Task& task, uint64_t inval_snapshot) {
+  DentryCache& dc = kernel->dcache();
+  if (dc.invalidation_counter() != inval_snapshot ||
+      !dc.InvalidationQuiescent()) {
+    return nullptr;
+  }
+  const CacheConfig& cfg = kernel->config();
+  Pcc* pcc = task.cred()->GetOrCreatePcc(cfg.pcc_bytes, cfg.pcc_autosize);
+  pcc->EnsureEpoch(kernel->pcc_epoch());
+  if (g_untrusted_base != nullptr) {
+    uint32_t base_seq =
+        g_untrusted_base->fast.seq.load(std::memory_order_acquire);
+    if (!pcc->Lookup(g_untrusted_base, base_seq, &kernel->stats())) {
+      return nullptr;
+    }
+  }
+  return pcc;
+}
+
+// Publish `d` (already state-valid) into `ns`'s DLHT and, through the memo
+// gate, memoize its prefix check in the PCC. `inval_snapshot` was read
+// before the walk's permission checks; a concurrent invalidation forces a
+// skip (§3.2).
 static void Populate(Kernel* kernel, Task& task, Mount* mnt, Dentry* d,
                      uint64_t inval_snapshot) {
   if (!kernel->config().fastpath) {
@@ -343,8 +347,7 @@ static void Populate(Kernel* kernel, Task& task, Mount* mnt, Dentry* d,
   if (d->sb()->needs_revalidation()) {
     return;  // §4.3: no direct lookup on stateless network file systems
   }
-  DentryCache& dc = kernel->dcache();
-  if (dc.invalidation_counter() != inval_snapshot) {
+  if (kernel->dcache().invalidation_counter() != inval_snapshot) {
     return;
   }
   auto st = EnsurePathState(kernel, d, mnt, inval_snapshot);
@@ -375,29 +378,12 @@ static void Populate(Kernel* kernel, Task& task, Mount* mnt, Dentry* d,
     seq = d->fast.seq.load(std::memory_order_acquire);
     sig = d->fast.signature;  // stable under d->lock (rewrites hold it)
   }
-  if (dc.invalidation_counter() != inval_snapshot) {
-    return;  // a mutation overlapped our walk; don't memoize its results
-  }
-  if (!dc.InvalidationQuiescent()) {
-    // A deferred subtree pass is in flight (coherence gate open): the seq we
-    // just read may predate a bump the pass has yet to apply, and the
-    // close-side counter bump has not happened yet, so the snapshot check
-    // above cannot catch it. Don't memoize.
+  Pcc* pcc = MemoGate(kernel, task, inval_snapshot);
+  if (pcc == nullptr) {
     return;
   }
-  const CacheConfig& cfg = kernel->config();
-  Pcc* pcc = task.cred()->GetOrCreatePcc(cfg.pcc_bytes, cfg.pcc_autosize);
-  pcc->EnsureEpoch(kernel->pcc_epoch());
-  if (g_untrusted_base != nullptr) {
-    // Relative walk: memoize only if the base's own prefix check is still
-    // valid (§3.2, directory references).
-    uint32_t base_seq =
-        g_untrusted_base->fast.seq.load(std::memory_order_acquire);
-    if (!pcc->Lookup(g_untrusted_base, base_seq, &kernel->stats())) {
-      return;
-    }
-  }
   pcc->Insert(d, seq);
+  const CacheConfig& cfg = kernel->config();
   if (cfg.shortcut) {
     // Shortcut fallback (DESIGN.md §14): directories additionally memoize
     // their prefix check under the *signature* key, so an ancestor probe
@@ -417,8 +403,7 @@ static void Populate(Kernel* kernel, Task& task, Mount* mnt, Dentry* d,
 // Memoize prefix checks for the intermediate directories a successful walk
 // descended through: a walk that reached directory D verified search
 // permission on every ancestor of D, which is exactly D's prefix check.
-// Gated like Populate(): skipped if a concurrent invalidation overlapped
-// the walk, or if a stale-base relative walk may not memoize (§3.2).
+// Gated by the memo gate, like Populate().
 struct PrefixDirs {
   static constexpr size_t kMax = 24;
   struct Item {
@@ -442,24 +427,12 @@ static void PopulatePrefixDirs(Kernel* kernel, Task& task,
   if (!kernel->config().fastpath || prefixes.count == 0) {
     return;
   }
-  if (kernel->dcache().invalidation_counter() != inval_snapshot) {
+  Pcc* pcc = MemoGate(kernel, task, inval_snapshot);
+  if (pcc == nullptr) {
     return;
   }
-  if (!kernel->dcache().InvalidationQuiescent()) {
-    return;  // deferred pass in flight; see Populate()
-  }
-  const CacheConfig& pcfg = kernel->config();
-  Pcc* pcc = task.cred()->GetOrCreatePcc(pcfg.pcc_bytes, pcfg.pcc_autosize);
-  pcc->EnsureEpoch(kernel->pcc_epoch());
-  if (g_untrusted_base != nullptr) {
-    uint32_t base_seq =
-        g_untrusted_base->fast.seq.load(std::memory_order_acquire);
-    if (!pcc->Lookup(g_untrusted_base, base_seq, &kernel->stats())) {
-      return;
-    }
-  }
   for (size_t i = 0; i < prefixes.count; ++i) {
-    if (pcfg.shortcut) {
+    if (kernel->config().shortcut) {
       // Shortcut fallback (DESIGN.md §14): intermediate directories get
       // full DLHT entries (plus pointer- and signature-keyed PCC memos),
       // so the next miss in this subtree finds a deeper resume point.
@@ -695,8 +668,7 @@ Result<PathHandle> PathWalker::DoResolve(Task& task, const PathHandle* base,
       {
         UntrustedBaseScope resume_scope(resume.ancestor.dentry());
         r = SlowResolve(task, resume.ancestor,
-                        effective.substr(resume.suffix_offset), wflags,
-                        nullptr);
+                        effective.substr(resume.suffix_offset), wflags);
       }
       Dentry* a = resume.ancestor.dentry();
       if (a->fast.seq.load(std::memory_order_seq_cst) == resume.ancestor_seq &&
@@ -709,7 +681,7 @@ Result<PathHandle> PathWalker::DoResolve(Task& task, const PathHandle* base,
       // probe, never a wrong result).
       stats.shortcut_restarts.Add();
       TraceOutcomeForce(obs::WalkOutcome::kFastMissShortcutPartial);
-      return SlowResolve(task, start, effective, wflags, nullptr);
+      return SlowResolve(task, start, effective, wflags);
     }
     if (resume.attempted) {
       // Probe ran on an eligible shape but no usable ancestor was cached.
@@ -721,13 +693,13 @@ Result<PathHandle> PathWalker::DoResolve(Task& task, const PathHandle* base,
     TraceOutcome(obs::WalkOutcome::kFastMissStructural);
   }
   assert(!forbid_slowpath && "slowpath forbidden by test hook");
-  return SlowResolve(task, start, effective, wflags, nullptr);
+  return SlowResolve(task, start, effective, wflags);
 }
 
 Result<PathHandle> PathWalker::SlowResolve(Task& task,
                                            const PathHandle& start,
-                                           std::string_view path, int wflags,
-                                           std::string* last_out) {
+                                           std::string_view path,
+                                           int wflags) {
   kernel_->stats().slowpath_walks.Add();
   switch (kernel_->config().locking) {
     case LockingMode::kGlobalLock: {
@@ -735,285 +707,101 @@ Result<PathHandle> PathWalker::SlowResolve(Task& task,
       kernel_->stats().locks_taken.Add();
       kernel_->stats().shared_writes.Add();
       TraceOutcome(obs::WalkOutcome::kSlowLocked);
-      return LockedWalk(task, start, path, wflags, last_out);
+      return WalkComponents(task, start, path, wflags, WalkMode::kLocked,
+                            nullptr);
     }
     case LockingMode::kFineGrained:
       TraceOutcome(obs::WalkOutcome::kSlowLocked);
-      return LockedWalk(task, start, path, wflags, last_out);
+      return WalkComponents(task, start, path, wflags, WalkMode::kLocked,
+                            nullptr);
     case LockingMode::kOptimistic: {
-      bool fell_back = false;
-      auto r = OptimisticWalk(task, start, path, wflags, last_out,
-                              &fell_back);
-      if (!fell_back) {
+      bool bailed = false;
+      auto r = WalkComponents(task, start, path, wflags,
+                              WalkMode::kOptimistic, &bailed);
+      if (!bailed) {
         TraceOutcome(obs::WalkOutcome::kSlowOptimistic);
         return r;
       }
       kernel_->stats().slowpath_retries.Add();
       TraceRetry();
       TraceOutcome(obs::WalkOutcome::kSlowRetried);
-      return LockedWalk(task, start, path, wflags, last_out);
+      return WalkComponents(task, start, path, wflags, WalkMode::kLocked,
+                            nullptr);
     }
   }
   return Errno::kEINVAL;
 }
 
 // ---------------------------------------------------------------------------
-// Optimistic walk (rcu-walk analog): traverses cached state only, takes no
-// references and no locks, validates the global rename seqcount at the end.
-// Falls back on any miss, stub, or symlink that needs resolution.
+// The component walk (Linux's link_path_walk() and walk_component()). Both
+// slow-walk modes run this one loop; `mode` decides how each step holds its
+// position:
+//   - kOptimistic (rcu-walk analog) traverses cached state only, takes no
+//     references and no locks, and validates the global rename seqcount
+//     before it returns. It bails on a dcache miss, a stub, a symlink to
+//     splice, a file system that revalidates, and a deep-negative build.
+//   - kLocked (ref-walk analog) holds the tree lock shared, takes a
+//     reference per step, consults the low-level FS on misses, resolves
+//     symlinks, and builds negative/stub/alias dentries as configured.
 
-Result<PathHandle> PathWalker::OptimisticWalk(Task& task,
+Result<PathHandle> PathWalker::WalkComponents(Task& task,
                                               const PathHandle& start,
                                               std::string_view path,
-                                              int wflags,
-                                              std::string* last_out,
-                                              bool* fell_back) {
-  *fell_back = false;
-  Kernel* k = kernel_;
-  CacheStats& stats = k->stats();
-  EpochDomain::ReadGuard guard(EpochDomain::Global());
-  uint32_t rseq = k->rename_seq().ReadBegin();
-  uint64_t inval_snapshot = k->dcache().invalidation_counter();
-
-  Mount* mnt = start.mnt();
-  Dentry* d = start.dentry();
-  const Cred& cred = *task.cred();
-  PrefixDirs prefixes;
-
-  ComponentCursor cur(path);
-  auto bail = [&]() {
-    *fell_back = true;
-    return Result<PathHandle>(Errno::kENOENT);  // value unused
-  };
-  auto validated_error = [&](Errno e) -> Result<PathHandle> {
-    if (k->rename_seq().ReadRetry(rseq)) {
-      return bail();
-    }
-    return e;
-  };
-
-  while (true) {
-    std::string_view comp;
-    {
-      PhaseTimer t(&WalkPhaseProfile::hash_ns);
-      comp = cur.Next();
-    }
-    if (comp.empty()) {
-      break;
-    }
-    TraceComponent();
-    stats.slow_components.Add();
-    if (comp.size() > kMaxNameLen) {
-      return validated_error(Errno::kENAMETOOLONG);
-    }
-    Inode* dir_inode = d->inode();
-    bool on_negative_chain = d->IsNegative();
-    if (dir_inode == nullptr && !on_negative_chain) {
-      return bail();  // stub or dying; locked walk sorts it out
-    }
-    if (!on_negative_chain) {
-      if (!dir_inode->IsDir()) {
-        if (k->config().deep_negative) {
-          return bail();  // build ENOTDIR negatives under the locked walk
-        }
-        return validated_error(Errno::kENOTDIR);
-      }
-      PhaseTimer t(&WalkPhaseProfile::permission_ns);
-      Status st = k->security().Permission(cred, *dir_inode, kMayExec, d);
-      if (!st.ok()) {
-        return validated_error(st.error());
-      }
-      prefixes.Note(d, mnt);
-    }
-    if (on_negative_chain && (comp == "." || comp == "..")) {
-      // "." or ".." under a nonexistent directory: the directory itself is
-      // missing, so the walk fails here (POSIX); ENOTDIR for file chains.
-      return validated_error(d->TestFlags(kDentEnotdir) ? Errno::kENOTDIR
-                                                        : Errno::kENOENT);
-    }
-    if (comp == ".") {
-      continue;
-    }
-    if (comp == "..") {
-      // Walk up, respecting the task root and mount boundaries.
-      while (true) {
-        if (d == task.root().dentry() && mnt == task.root().mnt()) {
-          break;  // stay at root
-        }
-        if (d == mnt->root) {
-          if (mnt->parent == nullptr) {
-            break;
-          }
-          d = mnt->mountpoint;
-          mnt = mnt->parent;
-          continue;
-        }
-        Dentry* p = d->parent();
-        if (p == nullptr) {
-          return bail();
-        }
-        d = p;
-        break;
-      }
-      continue;
-    }
-
-    Dentry* child;
-    {
-      PhaseTimer t(&WalkPhaseProfile::lookup_ns);
-      child = k->dcache().LookupRcu(d, comp);
-    }
-    if (child == nullptr) {
-      return bail();
-    }
-    if (child->sb()->needs_revalidation()) {
-      return bail();  // revalidation is an FS call: take the locked path
-    }
-    stats.dcache_hits.Add();
-    if (child->IsNegative()) {
-      stats.negative_hits.Add();
-      bool last = cur.AtEnd();
-      if (!last && k->config().deep_negative) {
-        // Descend through the cached deep-negative chain (§5.2): its
-        // children are themselves negative dentries in the primary hash.
-        // If a link of the chain is missing we fall back to build it.
-        d = child;
-        continue;
-      }
-      return validated_error(child->TestFlags(kDentEnotdir)
-                                 ? Errno::kENOTDIR
-                                 : Errno::kENOENT);
-    }
-    if (on_negative_chain) {
-      return bail();  // a positive child under a negative? resolve locked
-    }
-    if (child->IsStub()) {
-      return bail();
-    }
-    // Cross mount points.
-    while (child->TestFlags(kDentMountpoint)) {
-      Mount* covered = task.ns()->MountAt(mnt, child);
-      if (covered == nullptr) {
-        break;
-      }
-      TraceMountCrossing();
-      mnt = covered;
-      child = covered->root;
-    }
-    Inode* ci = child->inode();
-    if (ci == nullptr) {
-      return bail();
-    }
-    if (ci->IsSymlink()) {
-      if (cur.AtEnd() && (wflags & kWalkFollow) == 0) {
-        d = child;
-        break;
-      }
-      return bail();  // symlink resolution runs locked
-    }
-    d = child;
-  }
-
-  // Final classification.
-  if (d->IsNegative()) {
-    return validated_error(d->TestFlags(kDentEnotdir) ? Errno::kENOTDIR
-                                                      : Errno::kENOENT);
-  }
-  Inode* fi = d->inode();
-  if (fi == nullptr) {
-    return bail();
-  }
-  if ((wflags & kWalkDirectory) != 0 && !fi->IsDir()) {
-    return validated_error(Errno::kENOTDIR);
-  }
-  // Legitimize: take references, then re-validate the rename seqcount.
-  {
-    PhaseTimer t(&WalkPhaseProfile::finalize_ns);
-    if (!d->DgetLive()) {
-      return bail();
-    }
-    if (k->rename_seq().ReadRetry(rseq)) {
-      k->dcache().Dput(d);
-      return bail();
-    }
-    if (d->MarkReferenced()) {
-      stats.shared_writes.Add();
-    }
-  }
-  PathHandle result = PathHandle::Adopt(mnt, d);
-  {
-    PhaseTimer t(&WalkPhaseProfile::finalize_ns);
-    Populate(k, task, mnt, d, inval_snapshot);
-    PopulatePrefixDirs(k, task, prefixes, inval_snapshot);
-  }
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// Locked walk (ref-walk analog): holds the tree lock shared, takes a
-// reference per step, consults the low-level FS on misses, resolves
-// symlinks, and builds negative/stub/alias dentries as configured.
-
-namespace {
-
-struct RefPos {
-  Kernel* k;
-  Mount* mnt = nullptr;
-  Dentry* d = nullptr;
-
-  void Set(Mount* m, Dentry* dent) {
-    mnt = m;
-    d = dent;
-  }
-  void MoveTo(Mount* m, Dentry* dent) {
-    // Takes ownership of the caller's reference on `dent`.
-    if (d != nullptr) {
-      k->dcache().Dput(d);
-    }
-    mnt = m;
-    d = dent;
-  }
-  void Drop() {
-    if (d != nullptr) {
-      k->dcache().Dput(d);
-      d = nullptr;
-    }
-    mnt = nullptr;
-  }
-};
-
-}  // namespace
-
-Result<PathHandle> PathWalker::LockedWalk(Task& task, const PathHandle& start,
-                                          std::string_view path, int wflags,
-                                          std::string* last_out) {
+                                              int wflags, WalkMode mode,
+                                              bool* bailed) {
   Kernel* k = kernel_;
   const CacheConfig& cfg = k->config();
   CacheStats& stats = k->stats();
+  DentryCache& dc = k->dcache();
+  const bool locked = mode == WalkMode::kLocked;
 
-  LockedWalkSpan span(k->obs());
-  std::shared_lock<std::shared_mutex> tree(k->tree_lock());
-  // Even a shared acquisition is an RMW on the mutex word — a shared-line
-  // write the lock-free paths never pay.
-  stats.shared_writes.Add();
+  LockedWalkSpan span(k->obs(), locked);
+  std::shared_lock<std::shared_mutex> tree(k->tree_lock(), std::defer_lock);
+  if (locked) {
+    tree.lock();
+    // Even a shared acquisition is an RMW on the mutex word — a shared-line
+    // write the lock-free mode never pays.
+    stats.shared_writes.Add();
+  }
   EpochDomain::ReadGuard guard(EpochDomain::Global());
-  uint64_t inval_snapshot = k->dcache().invalidation_counter();
+  const uint32_t rseq = locked ? 0 : k->rename_seq().ReadBegin();
+  uint64_t inval_snapshot = dc.invalidation_counter();
   const Cred& cred = *task.cred();
 
-  RefPos pos{k};
-  start.dentry()->DgetHeld();
-  pos.Set(start.mnt(), start.dentry());
+  // The walk position. Only a locked walk holds a reference on `d`; `hold`
+  // and `put` take and drop references in that mode alone.
+  Mount* mnt = start.mnt();
+  Dentry* d = start.dentry();
+  auto hold = [&](Dentry* x) {
+    if (locked) {
+      x->DgetHeld();
+    }
+  };
+  auto put = [&](Dentry* x) {
+    if (locked) {
+      dc.Dput(x);
+    }
+  };
+  auto step = [&](Mount* m, Dentry* x) {  // takes over the reference on x
+    put(d);
+    mnt = m;
+    d = x;
+  };
+  hold(d);
   PrefixDirs prefixes;
 
-  // Pending path segments; symlink targets are pushed in front. A segment
-  // is "literal" if its components come from the caller's path (alias
-  // dentries are built only for literal components, §4.2).
+  // Pending path segments of a locked walk; symlink targets are pushed in
+  // front. A segment is "literal" if its components come from the caller's
+  // path (alias dentries are built only for literal components, §4.2). The
+  // optimistic mode never splices, so it walks `path` in place.
   struct Segment {
     std::string text;
     bool literal;
   };
   std::vector<Segment> pending;
-  pending.push_back(Segment{std::string(path), true});
+  if (locked) {
+    pending.push_back(Segment{std::string(path), true});
+  }
   size_t seg = 0;
   int link_depth = 0;
   // Active symlink alias chain (§4.2); holds a reference when non-null.
@@ -1026,34 +814,42 @@ Result<PathHandle> PathWalker::LockedWalk(Task& task, const PathHandle& start,
 
   auto drop_alias_parent = [&] {
     if (alias_parent != nullptr) {
-      k->dcache().Dput(alias_parent);
+      dc.Dput(alias_parent);
       alias_parent = nullptr;
     }
   };
   auto drop_trailing = [&] {
     if (trailing_symlink != nullptr) {
-      k->dcache().Dput(trailing_symlink);
+      dc.Dput(trailing_symlink);
       trailing_symlink = nullptr;
       trailing_symlink_mnt = nullptr;
     }
   };
+  auto bail = [&]() {
+    *bailed = true;
+    return Result<PathHandle>(Errno::kENOENT);  // value unused
+  };
+  // A locked failure is final. An optimistic one stands only if no rename
+  // overlapped the walk; otherwise the locked mode decides.
   auto fail = [&](Errno e) -> Result<PathHandle> {
+    if (!locked) {
+      return k->rename_seq().ReadRetry(rseq) ? bail() : Result<PathHandle>(e);
+    }
     drop_alias_parent();
     drop_trailing();
-    pos.Drop();
+    put(d);
     return e;
   };
 
-  ComponentCursor cur(pending[seg].text);
+  ComponentCursor cur(locked ? std::string_view(pending[0].text) : path);
+  // Whether the component just taken is the path's last. Asked only where
+  // it matters, since it rescans the rest of the path.
+  auto is_last = [&] { return cur.AtEnd() && seg + 1 >= pending.size(); };
   while (true) {
-    std::string_view comp;
-    {
-      PhaseTimer t(&WalkPhaseProfile::hash_ns);
+    std::string_view comp = cur.Next();
+    while (comp.empty() && seg + 1 < pending.size()) {
+      cur = ComponentCursor(pending[++seg].text);
       comp = cur.Next();
-      while (comp.empty() && seg + 1 < pending.size()) {
-        cur = ComponentCursor(pending[++seg].text);
-        comp = cur.Next();
-      }
     }
     if (comp.empty()) {
       break;
@@ -1063,94 +859,107 @@ Result<PathHandle> PathWalker::LockedWalk(Task& task, const PathHandle& start,
     if (comp.size() > kMaxNameLen) {
       return fail(Errno::kENAMETOOLONG);
     }
-    bool is_last = cur.AtEnd() && seg + 1 == pending.size();
-    bool comp_literal = pending[seg].literal;
-
-    Inode* dir_inode = pos.d->inode();
-    if (dir_inode == nullptr) {
-      return fail(Errno::kENOENT);
+    // Only the optimistic mode descends a cached deep-negative chain; the
+    // locked mode stops at the first negative dentry.
+    Inode* dir_inode = d->inode();
+    const bool on_negative_chain = !locked && d->IsNegative();
+    if (dir_inode == nullptr && !on_negative_chain) {
+      return locked ? fail(Errno::kENOENT) : bail();  // stub or dying
     }
-    if (!dir_inode->IsDir()) {
-      // Intermediate non-directory: cached ENOTDIR chain (§5.2).
-      if (cfg.deep_negative) {
-        Dentry* deep = BuildDeepNegatives(task, pos.mnt, pos.d, comp,
-                                          cur.rest(),
-                                          kDentNegative | kDentEnotdir,
-                                          inval_snapshot);
-        if (deep != nullptr) {
-          k->dcache().Dput(deep);
-        }
+    if (on_negative_chain) {
+      if (comp == "." || comp == "..") {
+        // "." or ".." under a nonexistent directory: the directory itself
+        // is missing, so the walk fails here (POSIX); ENOTDIR for file
+        // chains.
+        return fail(d->TestFlags(kDentEnotdir) ? Errno::kENOTDIR
+                                               : Errno::kENOENT);
       }
-      return fail(Errno::kENOTDIR);
-    }
-    {
-      PhaseTimer t(&WalkPhaseProfile::permission_ns);
-      Status st = k->security().Permission(cred, *dir_inode, kMayExec, pos.d);
+    } else {
+      if (!dir_inode->IsDir()) {
+        // Intermediate non-directory: cached ENOTDIR chain (§5.2), which
+        // only the locked mode builds.
+        if (cfg.deep_negative) {
+          if (!locked) {
+            return bail();
+          }
+          Dentry* deep = BuildDeepNegatives(task, mnt, d, comp, cur.rest(),
+                                            kDentNegative | kDentEnotdir,
+                                            inval_snapshot);
+          if (deep != nullptr) {
+            dc.Dput(deep);
+          }
+        }
+        return fail(Errno::kENOTDIR);
+      }
+      Status st = k->security().Permission(cred, *dir_inode, kMayExec, d);
       if (!st.ok()) {
         return fail(st.error());
       }
+      prefixes.Note(d, mnt);
     }
-    prefixes.Note(pos.d, pos.mnt);
     if (comp == ".") {
       continue;
     }
     if (comp == "..") {
       drop_alias_parent();
-      // Populate the directory we are leaving so the fastpath's per-dot-dot
-      // permission probe can hit next time (§4.2).
-      Populate(k, task, pos.mnt, pos.d, inval_snapshot);
-      while (true) {
-        if (pos.d == task.root().dentry() && pos.mnt == task.root().mnt()) {
-          break;
-        }
-        if (pos.d == pos.mnt->root) {
-          if (pos.mnt->parent == nullptr) {
+      if (locked) {
+        // Populate the directory we are leaving so the fastpath's
+        // per-dot-dot permission probe can hit next time (§4.2). Populate
+        // needs the reference only the locked mode holds.
+        Populate(k, task, mnt, d, inval_snapshot);
+      }
+      // Walk up, respecting the task root and mount boundaries.
+      while (d != task.root().dentry() || mnt != task.root().mnt()) {
+        if (d == mnt->root) {
+          if (mnt->parent == nullptr) {
             break;
           }
-          Dentry* mp = pos.mnt->mountpoint;
-          Mount* pm = pos.mnt->parent;
-          mp->DgetHeld();
-          pos.MoveTo(pm, mp);
+          Dentry* mp = mnt->mountpoint;
+          hold(mp);
+          step(mnt->parent, mp);
           continue;
         }
-        Dentry* p = pos.d->parent();
+        Dentry* p = d->parent();
         if (p == nullptr) {
-          return fail(Errno::kESTALE);
+          return locked ? fail(Errno::kESTALE) : bail();
         }
-        p->DgetHeld();
-        pos.MoveTo(pos.mnt, p);
+        hold(p);
+        step(mnt, p);
         break;
       }
       continue;
     }
 
-    Dentry* child;
-    {
-      PhaseTimer t(&WalkPhaseProfile::lookup_ns);
-      child = k->dcache().LookupRef(pos.d, comp);
-    }
-    if (child != nullptr && child->sb()->needs_revalidation() &&
-        child->IsPositive() && !child->IsStub()) {
-      // Close-to-open consistency on a stateless protocol: one round trip
-      // per cached component (§4.3).
-      Inode* ci = child->inode();
-      Status ok = ci != nullptr
-                      ? child->sb()->fs()->Revalidate(ci->ino())
-                      : Status(Errno::kESTALE);
-      if (!ok.ok()) {
-        // The server-side object is gone; drop the stale dentry and
-        // re-resolve from the server.
-        k->dcache().KillCachedChildren(child);
-        k->dcache().Kill(child);
-        k->dcache().Dput(child);
-        child = nullptr;
+    Dentry* child = locked ? dc.LookupRef(d, comp) : dc.LookupRcu(d, comp);
+    if (child != nullptr && child->sb()->needs_revalidation()) {
+      if (!locked) {
+        return bail();  // revalidation is an FS call: take the locked path
+      }
+      if (child->IsPositive() && !child->IsStub()) {
+        // Close-to-open consistency on a stateless protocol: one round trip
+        // per cached component (§4.3).
+        Inode* ci = child->inode();
+        Status ok = ci != nullptr
+                        ? child->sb()->fs()->Revalidate(ci->ino())
+                        : Status(Errno::kESTALE);
+        if (!ok.ok()) {
+          // The server-side object is gone; drop the stale dentry and
+          // re-resolve from the server.
+          dc.KillCachedChildren(child);
+          dc.Kill(child);
+          dc.Dput(child);
+          child = nullptr;
+        }
       }
     }
     if (child != nullptr) {
       stats.dcache_hits.Add();
     } else {
+      if (!locked) {
+        return bail();
+      }
       stats.dcache_misses.Add();
-      auto miss = MissLookup(task, pos.d, comp);
+      auto miss = MissLookup(task, d, comp);
       if (!miss.ok()) {
         return fail(miss.error());
       }
@@ -1159,37 +968,48 @@ Result<PathHandle> PathWalker::LockedWalk(Task& task, const PathHandle& start,
 
     if (child->IsNegative()) {
       stats.negative_hits.Add();
-      Errno e =
+      const Errno e =
           child->TestFlags(kDentEnotdir) ? Errno::kENOTDIR : Errno::kENOENT;
-      Dentry* final_neg = child;  // carries the child's reference
-      if (!is_last && cfg.deep_negative &&
-          !child->TestFlags(kDentEnotdir)) {
-        Dentry* deep = BuildDeepNegatives(task, pos.mnt, child, {},
-                                          cur.rest(), kDentNegative,
-                                          inval_snapshot);
-        if (deep != nullptr) {
-          k->dcache().Dput(final_neg);
-          final_neg = deep;
+      if (!is_last() && cfg.deep_negative) {
+        if (!locked) {
+          // Descend the cached deep-negative chain (§5.2): its children are
+          // themselves negative dentries in the primary hash. A missing
+          // link bails, and the locked mode builds it.
+          step(mnt, child);
+          continue;
         }
-      } else if (is_last) {
+        if (e == Errno::kENOENT) {
+          Dentry* deep = BuildDeepNegatives(task, mnt, child, {}, cur.rest(),
+                                            kDentNegative, inval_snapshot);
+          if (deep != nullptr) {
+            dc.Dput(child);
+            child = deep;
+          }
+        }
+      } else if (locked && is_last()) {
         // Memoize the negative result for fast ENOENT (§5.2).
-        Populate(k, task, pos.mnt, final_neg, inval_snapshot);
+        Populate(k, task, mnt, child, inval_snapshot);
       }
-      k->dcache().Dput(final_neg);
+      put(child);
       return fail(e);
+    }
+    if (on_negative_chain) {
+      return bail();  // a positive child under a negative? resolve locked
     }
 
     if (child->IsStub()) {
+      if (!locked) {
+        return bail();
+      }
       Status st = MaterializeStub(task, child);
       if (!st.ok()) {
-        k->dcache().Dput(child);
+        dc.Dput(child);
         return fail(st.error());
       }
     }
 
-    // Cross mount points: the new position's mount is built in `nmnt` and
-    // handed to pos.MoveTo together with `child`.
-    Mount* nmnt = pos.mnt;
+    // Cross mount points: the step below moves to `child` under `nmnt`.
+    Mount* nmnt = mnt;
     while (child->TestFlags(kDentMountpoint)) {
       Mount* covered = task.ns()->MountAt(nmnt, child);
       if (covered == nullptr) {
@@ -1198,30 +1018,33 @@ Result<PathHandle> PathWalker::LockedWalk(Task& task, const PathHandle& start,
       TraceMountCrossing();
       nmnt = covered;
       Dentry* root = covered->root;
-      root->DgetHeld();
-      k->dcache().Dput(child);
+      hold(root);
+      put(child);
       child = root;
     }
 
     Inode* ci = child->inode();
     if (ci == nullptr) {
-      k->dcache().Dput(child);
-      return fail(Errno::kENOENT);
+      put(child);
+      return locked ? fail(Errno::kENOENT) : bail();
     }
 
     if (ci->IsSymlink()) {
-      if (is_last && (wflags & kWalkFollow) == 0) {
-        pos.MoveTo(nmnt, child);
+      if (is_last() && (wflags & kWalkFollow) == 0) {
+        step(nmnt, child);
         break;
+      }
+      if (!locked) {
+        return bail();  // symlink resolution runs locked
       }
       TraceSymlink();
       if (++link_depth > kMaxSymlinkDepth) {
-        k->dcache().Dput(child);
+        dc.Dput(child);
         return fail(Errno::kELOOP);
       }
       auto target = ReadLinkTarget(task, child);
       if (!target.ok()) {
-        k->dcache().Dput(child);
+        dc.Dput(child);
         return fail(target.error());
       }
       // Target-signature and alias memoization are sound only for
@@ -1232,17 +1055,17 @@ Result<PathHandle> PathWalker::LockedWalk(Task& task, const PathHandle& start,
         drop_trailing();
         drop_alias_parent();
       } else {
-        if (is_last) {
+        if (is_last()) {
           drop_trailing();
           child->DgetHeld();
           trailing_symlink = child;
-          trailing_symlink_mnt = pos.mnt;
+          trailing_symlink_mnt = mnt;
         }
         if (cfg.fastpath && cfg.symlink_aliases) {
           drop_alias_parent();
           child->DgetHeld();
           alias_parent = child;
-          alias_mnt = pos.mnt;
+          alias_mnt = mnt;
         }
       }
       const std::string& t = **target;
@@ -1262,18 +1085,17 @@ Result<PathHandle> PathWalker::LockedWalk(Task& task, const PathHandle& start,
       cur = ComponentCursor(pending[0].text);
       if (!t.empty() && t.front() == '/') {
         Dentry* rd = task.root().dentry();
-        Mount* rm = task.root().mnt();
-        rd->DgetHeld();
-        pos.MoveTo(rm, rd);
+        hold(rd);
+        step(task.root().mnt(), rd);
       }
-      k->dcache().Dput(child);
+      dc.Dput(child);
       continue;
     }
 
     // Build/extend the symlink alias chain (§4.2) — only for components
     // that come from the caller's literal path, never for spliced
     // symlink-target components.
-    if (alias_parent != nullptr && comp_literal && cfg.fastpath &&
+    if (alias_parent != nullptr && pending[seg].literal && cfg.fastpath &&
         cfg.symlink_aliases) {
       Dentry* alias = MakeAlias(task, alias_mnt, alias_parent, comp, child,
                                 inval_snapshot);
@@ -1281,34 +1103,47 @@ Result<PathHandle> PathWalker::LockedWalk(Task& task, const PathHandle& start,
       alias_parent = alias;  // may be null on failure; chain just stops
     }
 
-    pos.MoveTo(nmnt, child);
+    step(nmnt, child);
   }
 
   drop_alias_parent();
-
-  Inode* fi = pos.d->inode();
+  if (!locked && d->IsNegative()) {
+    return fail(d->TestFlags(kDentEnotdir) ? Errno::kENOTDIR
+                                           : Errno::kENOENT);
+  }
+  Inode* fi = d->inode();
   if (fi == nullptr) {
-    return fail(Errno::kENOENT);
+    return locked ? fail(Errno::kENOENT) : bail();
   }
   if ((wflags & kWalkDirectory) != 0 && !fi->IsDir()) {
     return fail(Errno::kENOTDIR);
   }
-
-  {
-    PhaseTimer t(&WalkPhaseProfile::finalize_ns);
-    Populate(k, task, pos.mnt, pos.d, inval_snapshot);
-    PopulatePrefixDirs(k, task, prefixes, inval_snapshot);
-    if (trailing_symlink != nullptr) {
-      RecordSymlinkTarget(task, trailing_symlink_mnt, trailing_symlink,
-                          pos.mnt, pos.d, inval_snapshot);
-      drop_trailing();
+  if (!locked) {
+    // Legitimize (Linux's unlazy_walk()): take the reference, then
+    // re-validate the rename seqcount.
+    if (!d->DgetLive()) {
+      return bail();
+    }
+    if (k->rename_seq().ReadRetry(rseq)) {
+      dc.Dput(d);
+      return bail();
+    }
+    if (d->MarkReferenced()) {
+      stats.shared_writes.Add();
     }
   }
-  return PathHandle::Adopt(pos.mnt, pos.d);
+  Populate(k, task, mnt, d, inval_snapshot);
+  PopulatePrefixDirs(k, task, prefixes, inval_snapshot);
+  if (trailing_symlink != nullptr) {
+    RecordSymlinkTarget(task, trailing_symlink_mnt, trailing_symlink, mnt, d,
+                        inval_snapshot);
+    drop_trailing();
+  }
+  return PathHandle::Adopt(mnt, d);
 }
 
 // ---------------------------------------------------------------------------
-// Locked-walk helpers
+// Locked-mode helpers
 
 namespace {
 
@@ -1469,7 +1304,6 @@ Dentry* BuildDeepNegatives(Task& task, Mount* mnt, Dentry* from,
   bool complete = true;
   ComponentCursor cursor(rest);
   std::string_view comp = first.empty() ? cursor.Next() : first;
-  bool first_done = first.empty();
   while (!comp.empty()) {
     if (comp == "." || comp == ".." || comp.size() > kMaxNameLen) {
       complete = false;
@@ -1491,12 +1325,7 @@ Dentry* BuildDeepNegatives(Task& task, Mount* mnt, Dentry* from,
     cur = *child;
     cur_owned = true;
     ++created;
-    if (!first_done) {
-      first_done = true;
-      comp = cursor.Next();
-    } else {
-      comp = cursor.Next();
-    }
+    comp = cursor.Next();
   }
   if (!cur_owned) {
     return nullptr;
@@ -1535,7 +1364,6 @@ bool PathWalker::TryFastResolve(Task& task, const PathHandle& start,
   const PathSigner& signer = k->signer();
 
   EpochDomain::ReadGuard guard(EpochDomain::Global());
-  PhaseTimer init_timer(&WalkPhaseProfile::init_ns);
 
   // Coherence gate (§3.2 deferred invalidation): while a mutation's subtree
   // pass is in flight, DLHT/PCC contents may be arbitrarily stale — the
@@ -1567,74 +1395,67 @@ bool PathWalker::TryFastResolve(Task& task, const PathHandle& start,
   bool trailing_dot = false;  // path ends in "." or "..": final must be a
                               // directory, and a preceding symlink is
                               // followed (POSIX trailing-dot semantics)
-  {
-    PhaseTimer t(&WalkPhaseProfile::hash_ns);
-    std::string_view comp;
-    while (!(comp = cur.Next()).empty()) {
-      trailing_dot = comp == "." || comp == "..";
-      if (comp == ".") {
-        continue;
-      }
-      if (comp == "..") {
-        if (cfg.dotdot == DotDotMode::kLexical) {
-          // Plan 9 semantics: textual truncation (§4.2).
-          if (lexical_depth == 0) {
-            return false;  // ".." above the walk base: give up
-          }
-          st = lexical_stack[--lexical_depth];
-          continue;
-        }
-        // POSIX semantics: one extra fastpath permission probe on the
-        // directory being exited (§4.2).
-        Signature psig = signer.Finalize(st);
-        FastDentry* pfd;
-        {
-          PhaseTimer lt(&WalkPhaseProfile::lookup_ns);
-          pfd = ns->dlht().Lookup(psig, &stats);
-        }
-        if (pfd == nullptr) {
-          stats.dlht_misses.Add();
-          TraceOutcome(obs::WalkOutcome::kFastMissDlht);
-          return false;
-        }
-        Dentry* pd = DentryFromFast(pfd);
-        uint32_t pseq = pfd->seq.load(std::memory_order_acquire);
-        PccMiss pmiss = PccMiss::kNone;
-        if (!pcc->Lookup(pd, pseq, &stats, &pmiss)) {
-          stats.pcc_misses.Add();
-          TraceOutcome(PccMissOutcome(pmiss, epoch_flushed));
-          return false;
-        }
-        Mount* pm = pfd->mount.load(std::memory_order_acquire);
-        if (pm == nullptr || pd == pm->root || pd->IsNegative()) {
-          return false;  // mount boundary / nonsense: slowpath handles it
-        }
-        // The PCC hit covers the prefix *to* this directory; leaving it via
-        // ".." additionally requires search permission *on* it, checked
-        // directly (it is never part of any memoized prefix).
-        Inode* pi = pd->inode();
-        if (pi == nullptr || !pi->IsDir() ||
-            !k->security().Permission(*task.cred(), *pi, kMayExec, pd).ok()) {
-          return false;
-        }
-        Dentry* parent = pd->parent();
-        if (parent == nullptr || !CopyStateIfValid(parent, ns, &st)) {
-          return false;
-        }
-        continue;
-      }
-      if (comp.size() > kMaxNameLen) {
-        return false;
-      }
+  std::string_view comp;
+  while (!(comp = cur.Next()).empty()) {
+    trailing_dot = comp == "." || comp == "..";
+    if (comp == ".") {
+      continue;
+    }
+    if (comp == "..") {
       if (cfg.dotdot == DotDotMode::kLexical) {
-        if (lexical_depth == kMaxLexicalDepth) {
-          return false;
+        // Plan 9 semantics: textual truncation (§4.2).
+        if (lexical_depth == 0) {
+          return false;  // ".." above the walk base: give up
         }
-        lexical_stack[lexical_depth++] = st;
+        st = lexical_stack[--lexical_depth];
+        continue;
       }
-      if (!signer.AppendComponent(st, comp)) {
+      // POSIX semantics: one extra fastpath permission probe on the
+      // directory being exited (§4.2).
+      Signature psig = signer.Finalize(st);
+      FastDentry* pfd = ns->dlht().Lookup(psig, &stats);
+      if (pfd == nullptr) {
+        stats.dlht_misses.Add();
+        TraceOutcome(obs::WalkOutcome::kFastMissDlht);
         return false;
       }
+      Dentry* pd = DentryFromFast(pfd);
+      uint32_t pseq = pfd->seq.load(std::memory_order_acquire);
+      PccMiss pmiss = PccMiss::kNone;
+      if (!pcc->Lookup(pd, pseq, &stats, &pmiss)) {
+        stats.pcc_misses.Add();
+        TraceOutcome(PccMissOutcome(pmiss, epoch_flushed));
+        return false;
+      }
+      Mount* pm = pfd->mount.load(std::memory_order_acquire);
+      if (pm == nullptr || pd == pm->root || pd->IsNegative()) {
+        return false;  // mount boundary / nonsense: slowpath handles it
+      }
+      // The PCC hit covers the prefix *to* this directory; leaving it via
+      // ".." additionally requires search permission *on* it, checked
+      // directly (it is never part of any memoized prefix).
+      Inode* pi = pd->inode();
+      if (pi == nullptr || !pi->IsDir() ||
+          !k->security().Permission(*task.cred(), *pi, kMayExec, pd).ok()) {
+        return false;
+      }
+      Dentry* parent = pd->parent();
+      if (parent == nullptr || !CopyStateIfValid(parent, ns, &st)) {
+        return false;
+      }
+      continue;
+    }
+    if (comp.size() > kMaxNameLen) {
+      return false;
+    }
+    if (cfg.dotdot == DotDotMode::kLexical) {
+      if (lexical_depth == kMaxLexicalDepth) {
+        return false;
+      }
+      lexical_stack[lexical_depth++] = st;
+    }
+    if (!signer.AppendComponent(st, comp)) {
+      return false;
     }
   }
 
@@ -1642,17 +1463,8 @@ bool PathWalker::TryFastResolve(Task& task, const PathHandle& start,
     wflags |= kWalkDirectory | kWalkFollow;
   }
 
-  Signature sig;
-  {
-    PhaseTimer t(&WalkPhaseProfile::hash_ns);
-    sig = signer.Finalize(st);
-  }
-
-  FastDentry* fd;
-  {
-    PhaseTimer t(&WalkPhaseProfile::lookup_ns);
-    fd = ns->dlht().Lookup(sig, &stats);
-  }
+  Signature sig = signer.Finalize(st);
+  FastDentry* fd = ns->dlht().Lookup(sig, &stats);
   if (fd == nullptr) {
     stats.dlht_misses.Add();
     if (resume != nullptr && cfg.shortcut) {
@@ -1670,40 +1482,36 @@ bool PathWalker::TryFastResolve(Task& task, const PathHandle& start,
   }
   Dentry* d = DentryFromFast(fd);
   uint32_t seq = fd->seq.load(std::memory_order_acquire);
-  {
-    PhaseTimer t(&WalkPhaseProfile::permission_ns);
-    PccMiss pcc_miss = PccMiss::kNone;
-    if (!pcc->Lookup(d, seq, &stats, &pcc_miss)) {
-      // Last-hop fallback: the PCC holds one entry per dentry, so trees
-      // much larger than the PCC evict file entries first (§6.3 discusses
-      // exactly this updatedb sensitivity). A DLHT hit is still usable if
-      // the *parent directory's* prefix check is memoized and its search
-      // permission passes a direct check: DLHT membership plus a stable
-      // version counter proves the path is current, and parent-prefix +
-      // parent-exec covers the full prefix chain.
-      Dentry* parent = d->parent();
-      bool ok = false;
-      if (parent != nullptr && !d->TestFlags(kDentAlias) &&
-          parent != d) {
-        uint32_t pseq = parent->fast.seq.load(std::memory_order_acquire);
-        if (pcc->Lookup(parent, pseq, &stats)) {
-          Inode* pi = parent->inode();
-          ok = pi != nullptr && pi->IsDir() &&
-               k->security()
-                   .Permission(*task.cred(), *pi, kMayExec, parent)
-                   .ok() &&
-               fd->seq.load(std::memory_order_acquire) == seq;
-        }
+  PccMiss pcc_miss = PccMiss::kNone;
+  if (!pcc->Lookup(d, seq, &stats, &pcc_miss)) {
+    // Last-hop fallback: the PCC holds one entry per dentry, so trees
+    // much larger than the PCC evict file entries first (§6.3 discusses
+    // exactly this updatedb sensitivity). A DLHT hit is still usable if
+    // the *parent directory's* prefix check is memoized and its search
+    // permission passes a direct check: DLHT membership plus a stable
+    // version counter proves the path is current, and parent-prefix +
+    // parent-exec covers the full prefix chain.
+    Dentry* parent = d->parent();
+    bool ok = false;
+    if (parent != nullptr && !d->TestFlags(kDentAlias) &&
+        parent != d) {
+      uint32_t pseq = parent->fast.seq.load(std::memory_order_acquire);
+      if (pcc->Lookup(parent, pseq, &stats)) {
+        Inode* pi = parent->inode();
+        ok = pi != nullptr && pi->IsDir() &&
+             k->security()
+                 .Permission(*task.cred(), *pi, kMayExec, parent)
+                 .ok() &&
+             fd->seq.load(std::memory_order_acquire) == seq;
       }
-      if (!ok) {
-        stats.pcc_misses.Add();
-        TraceOutcome(PccMissOutcome(pcc_miss, epoch_flushed));
-        return false;
-      }
+    }
+    if (!ok) {
+      stats.pcc_misses.Add();
+      TraceOutcome(PccMissOutcome(pcc_miss, epoch_flushed));
+      return false;
     }
   }
 
-  PhaseTimer fin_timer(&WalkPhaseProfile::finalize_ns);
   uint32_t dflags = d->flags();
   Inode* inode = d->inode();
 

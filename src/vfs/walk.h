@@ -6,9 +6,10 @@
 //      (resuming from the cwd's stored state for relative paths), probe the
 //      namespace DLHT, and validate the per-cred PCC (§3.1). A hit returns
 //      in O(1) hash-table operations; any irregularity falls through.
-//   2. Otherwise walk component-at-a-time: optimistically (no locks,
-//      validated by the global rename seqcount, memory-safe under epochs)
-//      with a locked fallback — mirroring Linux rcu-walk/ref-walk.
+//   2. Otherwise walk component-at-a-time. One component walk runs in two
+//      modes, as Linux's walk_component() runs rcu-walk and ref-walk: an
+//      optimistic mode (no locks, validated by the global rename seqcount,
+//      memory-safe under epochs) that bails to a restart in the locked mode.
 //   3. After a successful slowpath, populate the DLHT and PCC, guarded by
 //      the global invalidation counter (§3.2), and build symlink alias
 //      dentries / deep negative dentries as configured (§4.2, §5.2).
@@ -47,17 +48,6 @@ inline constexpr int kWalkDirectory = 2;  // final must be a directory
 // is returned through `last_out` (used by create/unlink/rename/mkdir).
 inline constexpr int kWalkParent = 4;
 
-// Optional instrumentation of walk phases (Figure 3). When set (not null),
-// the walker accumulates per-phase nanoseconds into this thread's profile.
-struct WalkPhaseProfile {
-  uint64_t init_ns = 0;
-  uint64_t permission_ns = 0;
-  uint64_t hash_ns = 0;     // path scanning & hashing
-  uint64_t lookup_ns = 0;   // hash table lookups
-  uint64_t finalize_ns = 0;
-};
-extern thread_local WalkPhaseProfile* g_walk_profile;
-
 class PathWalker {
  public:
   explicit PathWalker(Kernel* kernel) : kernel_(kernel) {}
@@ -82,18 +72,21 @@ class PathWalker {
 
   // Testing/experiment hook: force the fastpath to be skipped (models the
   // "fastpath miss + slowpath" worst case of Figure 6).
-  static thread_local bool force_fastpath_miss;
+  static inline thread_local bool force_fastpath_miss = false;
   // Testing hook: forbid slowpath (asserts fastpath coverage in tests).
-  static thread_local bool forbid_slowpath;
+  static inline thread_local bool forbid_slowpath = false;
   // Testing hooks (see RaceHook). Populate: after EnsurePathState, before
   // the DLHT publish.
-  static thread_local RaceHook before_publish;
+  static inline thread_local RaceHook before_publish = nullptr;
   // Reference-free fastpath stat: after the attribute copy, before its
   // validation.
-  static thread_local RaceHook before_stat_validate;
+  static inline thread_local RaceHook before_stat_validate = nullptr;
 
  private:
-  struct Ctx;
+  // How the component walk holds its position, as Linux's LOOKUP_RCU flag
+  // does: kOptimistic takes no locks or references and may bail; kLocked
+  // holds the tree lock shared and a reference per step.
+  enum class WalkMode { kOptimistic, kLocked };
 
   // Resolve() body; the public wrapper only adds walk tracing (obs).
   Result<PathHandle> DoResolve(Task& task, const PathHandle* base,
@@ -109,16 +102,14 @@ class PathWalker {
                       std::string_view path, int wflags, Stat* stat_out,
                       Result<PathHandle>* result, ShortcutResume* resume);
 
-  // Slowpath drivers.
+  // Slowpath driver: picks the walk mode(s) for the configured locking.
   Result<PathHandle> SlowResolve(Task& task, const PathHandle& start,
-                                 std::string_view path, int wflags,
-                                 std::string* last_out);
-  Result<PathHandle> OptimisticWalk(Task& task, const PathHandle& start,
+                                 std::string_view path, int wflags);
+  // The component walk. In kOptimistic mode, sets *bailed (and returns a
+  // meaningless result) when the walk must restart locked.
+  Result<PathHandle> WalkComponents(Task& task, const PathHandle& start,
                                     std::string_view path, int wflags,
-                                    std::string* last_out, bool* fell_back);
-  Result<PathHandle> LockedWalk(Task& task, const PathHandle& start,
-                                std::string_view path, int wflags,
-                                std::string* last_out);
+                                    WalkMode mode, bool* bailed);
 
   Kernel* const kernel_;
 };

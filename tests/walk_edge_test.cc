@@ -1,6 +1,11 @@
 // Path-walk edge cases on both kernels: name/path length limits, slash
-// runs, dot chains, symlink depth, *at() semantics, and the forced
-// fastpath-miss worst case.
+// runs, dot chains, symlink depth, *at() semantics, the forced
+// fastpath-miss worst case, and the slow walk's fallback causes.
+#include <ostream>
+#include <utility>
+#include <vector>
+
+#include "src/storage/remotefs.h"
 #include "tests/test_util.h"
 
 namespace dircache {
@@ -181,6 +186,137 @@ INSTANTIATE_TEST_SUITE_P(BothKernels, WalkEdgeTest, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "Optimized" : "Baseline";
                          });
+
+// Slow-walk fallback causes. Each row resolves one path shape once with the
+// fastpath skipped and pins the exact counter deltas and the outcome. Under
+// kOptimistic a walk the optimistic mode cannot finish is counted once more
+// as a retry, and its components and hits before the bail are counted on top
+// of the locked walk's; under kFineGrained every walk is locked.
+struct WalkCounts {
+  uint64_t walks = 0;       // slowpath_walks
+  uint64_t retries = 0;     // slowpath_retries
+  uint64_t components = 0;  // slow_components
+  uint64_t hits = 0;        // dcache_hits
+  uint64_t misses = 0;      // dcache_misses
+  bool operator==(const WalkCounts&) const = default;
+};
+
+void PrintTo(const WalkCounts& c, std::ostream* os) {
+  *os << "{walks " << c.walks << ", retries " << c.retries << ", components "
+      << c.components << ", hits " << c.hits << ", misses " << c.misses
+      << "}";
+}
+
+WalkCounts ReadCounts(const CacheStats& s) {
+  return {s.slowpath_walks.value(), s.slowpath_retries.value(),
+          s.slow_components.value(), s.dcache_hits.value(),
+          s.dcache_misses.value()};
+}
+
+WalkCounts Delta(const WalkCounts& after, const WalkCounts& before) {
+  return {after.walks - before.walks, after.retries - before.retries,
+          after.components - before.components, after.hits - before.hits,
+          after.misses - before.misses};
+}
+
+struct FallbackRow {
+  const char* name;
+  std::vector<std::pair<std::string, int>> warm;  // resolved first
+  std::string path;
+  int wflags;
+  Errno outcome;
+  WalkCounts optimistic;  // under LockingMode::kOptimistic
+  WalkCounts locked;      // under LockingMode::kFineGrained
+};
+
+class WalkFallbackTest : public ::testing::TestWithParam<LockingMode> {};
+
+TEST_P(WalkFallbackTest, EachPathShapeFallsBackExactlyAsPinned) {
+  const std::string long_name = "/a/" + std::string(256, 'n');
+  const std::vector<FallbackRow> rows = {
+      {"all cached", {{"/a/b/f", kWalkFollow}}, "/a/b/f", kWalkFollow,
+       Errno::kOk, {1, 0, 3, 3, 0}, {1, 0, 3, 3, 0}},
+      {"cold last component", {{"/a/b/f", kWalkFollow}}, "/a/b/cold",
+       kWalkFollow, Errno::kOk, {1, 1, 6, 4, 1}, {1, 0, 3, 2, 1}},
+      {"mid-path symlink", {{"/a/b/f", kWalkFollow}, {"/a/mid", 0}},
+       "/a/mid/f", kWalkFollow, Errno::kOk, {1, 1, 6, 6, 0}, {1, 0, 4, 4, 0}},
+      {"trailing symlink, no follow", {{"/a/b/ln", 0}}, "/a/b/ln", 0,
+       Errno::kOk, {1, 0, 3, 3, 0}, {1, 0, 3, 3, 0}},
+      {"trailing symlink, follow", {{"/a/b/ln", kWalkFollow}}, "/a/b/ln",
+       kWalkFollow, Errno::kOk, {1, 1, 9, 9, 0}, {1, 0, 6, 6, 0}},
+      {"readdir stub", {}, "/s/x", kWalkFollow, Errno::kOk, {1, 1, 4, 4, 0},
+       {1, 0, 2, 2, 0}},
+      {"intermediate regular file", {{"/a/b/f", kWalkFollow}}, "/a/b/f/x",
+       kWalkFollow, Errno::kENOTDIR, {1, 1, 8, 6, 0}, {1, 0, 4, 3, 0}},
+      {"cached deep-negative chain", {{"/a/nx/y/z", kWalkFollow}},
+       "/a/nx/y/z", kWalkFollow, Errno::kENOENT, {1, 0, 4, 4, 0},
+       {1, 0, 2, 2, 0}},
+      {"stateless RemoteFs", {{"/net/dir/file", kWalkFollow}},
+       "/net/dir/file", kWalkFollow, Errno::kOk, {1, 1, 5, 4, 0},
+       {1, 0, 3, 3, 0}},
+      {".. across a mount root", {{"/a/b/f", kWalkFollow}, {"/m", 0}},
+       "/m/../a/b/f", kWalkFollow, Errno::kOk, {1, 0, 5, 4, 0},
+       {1, 0, 5, 4, 0}},
+      {"name over 255 bytes", {{"/a/b/f", kWalkFollow}}, long_name,
+       kWalkFollow, Errno::kENAMETOOLONG, {1, 0, 2, 1, 0}, {1, 0, 2, 1, 0}},
+  };
+  for (const FallbackRow& row : rows) {
+    SCOPED_TRACE(row.name);
+    CacheConfig cfg = CacheConfig::Optimized();
+    cfg.locking = GetParam();
+    TestWorld world(cfg);
+    Task& t = *world.root;
+    auto touch = [&](const char* path) {
+      auto fd = t.Open(path, kOCreat | kOWrite);
+      ASSERT_OK(fd);
+      ASSERT_OK(t.Close(*fd));
+    };
+    ASSERT_OK(t.Mkdir("/a"));
+    ASSERT_OK(t.Mkdir("/a/b"));
+    touch("/a/b/f");
+    touch("/a/b/cold");
+    ASSERT_OK(t.Symlink("b", "/a/mid"));
+    ASSERT_OK(t.Symlink("/a/b/f", "/a/b/ln"));
+    ASSERT_OK(t.Mkdir("/s"));
+    touch("/s/x");
+    ASSERT_OK(t.Mkdir("/m"));
+    ASSERT_OK(t.Mount("/m", std::make_shared<MemFs>()));
+    RemoteFs::Options remote;
+    remote.protocol = RemoteProtocol::kStateless;
+    ASSERT_OK(t.Mkdir("/net"));
+    ASSERT_OK(t.Mount("/net", std::make_shared<RemoteFs>(remote)));
+    ASSERT_OK(t.Mkdir("/net/dir"));
+    touch("/net/dir/file");
+    world.kernel->DropCaches();
+    // Listing /s to EOF leaves /s/x a readdir stub (§5.1).
+    auto dfd = t.Open("/s", kORead | kODirectory);
+    ASSERT_OK(dfd);
+    ASSERT_OK(t.ReadDirFd(*dfd));
+    ASSERT_OK(t.Close(*dfd));
+
+    PathWalker walker(world.kernel.get());
+    PathWalker::force_fastpath_miss = true;
+    for (const auto& [path, wflags] : row.warm) {
+      (void)walker.Resolve(t, nullptr, path, wflags);
+    }
+    const WalkCounts before = ReadCounts(world.kernel->stats());
+    auto r = walker.Resolve(t, nullptr, row.path, row.wflags);
+    const WalkCounts got =
+        Delta(ReadCounts(world.kernel->stats()), before);
+    PathWalker::force_fastpath_miss = false;
+    EXPECT_EQ(r.error(), row.outcome) << "got " << r.error_name();
+    EXPECT_EQ(got, GetParam() == LockingMode::kOptimistic ? row.optimistic
+                                                          : row.locked);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SlowModes, WalkFallbackTest,
+    ::testing::Values(LockingMode::kOptimistic, LockingMode::kFineGrained),
+    [](const ::testing::TestParamInfo<LockingMode>& info) {
+      return info.param == LockingMode::kOptimistic ? "Optimistic"
+                                                    : "FineGrained";
+    });
 
 }  // namespace
 }  // namespace dircache
