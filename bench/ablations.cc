@@ -1,9 +1,8 @@
 // Ablations: attribute the gains to individual mechanisms, reproduce the
 // paper's PCC-size sensitivity note (§6.3: updatedb's gain drops from 29%
-// to 16.5% when the tree is twice the PCC), and evaluate the §6.5
-// future-work extension (dynamic PCC resizing) implemented in this repo.
+// to 16.5% when the tree is twice the PCC), and compare the dot-dot
+// semantics.
 #include "bench/common.h"
-#include "src/core/pcc.h"
 #include "src/workload/apps.h"
 #include "src/workload/maildir.h"
 
@@ -103,12 +102,9 @@ Scores Measure(const CacheConfig& cfg) {
 
 // --- PCC sizing -------------------------------------------------------------
 
-double UpdatedbWithPcc(size_t pcc_bytes, bool autosize, size_t files,
-                       size_t* final_pcc_bytes) {
+double UpdatedbWithPcc(size_t pcc_bytes, size_t files) {
   CacheConfig cfg = CacheConfig::Optimized();
   cfg.pcc_bytes = pcc_bytes;
-  cfg.pcc_autosize = autosize;
-  cfg.pcc_max_bytes = 1 << 20;
   Env env = MakeEnv(cfg, 1 << 18, 1 << 17);
   Task& t = env.T();
   TreeSpec spec;
@@ -129,10 +125,6 @@ double UpdatedbWithPcc(size_t pcc_bytes, bool autosize, size_t files,
     times.push_back(sw.ElapsedSeconds());
   }
   std::sort(times.begin(), times.end());
-  if (final_pcc_bytes != nullptr) {
-    Pcc* pcc = env.task->cred()->pcc();
-    *final_pcc_bytes = pcc != nullptr ? pcc->bytes() : 0;
-  }
   return times[2] * 1e3;
 }
 
@@ -153,34 +145,25 @@ int main() {
                 s.neg_stat_ns, s.updatedb_ms, s.maildir_ops);
   }
 
-  Banner("Ablation 2",
-         "PCC size sensitivity + dynamic resizing (§6.3 note, §6.5 future "
-         "work)");
-  std::printf("%-22s %14s %16s\n", "PCC", "scan (ms)", "final PCC size");
+  Banner("Ablation 2", "PCC size sensitivity (§6.3 note)");
+  std::printf("%-10s %14s\n", "PCC", "scan (ms)");
   constexpr size_t kFiles = 6000;  // ~2x the entries of a 64 KB PCC
   double base = 0;
   for (size_t bytes : {size_t{8} << 10, size_t{16} << 10, size_t{64} << 10,
                        size_t{256} << 10}) {
-    size_t final_bytes = 0;
-    double ms = UpdatedbWithPcc(bytes, false, kFiles, &final_bytes);
+    double ms = UpdatedbWithPcc(bytes, kFiles);
     if (bytes == (size_t{64} << 10)) {
       base = ms;
     }
-    std::printf("%6zu KB (static)    %14.3f %13zu KB\n", bytes >> 10, ms,
-                final_bytes >> 10);
+    std::printf("%6zu KB  %14.3f\n", bytes >> 10, ms);
   }
-  size_t final_bytes = 0;
-  double auto_ms = UpdatedbWithPcc(8 << 10, true, kFiles, &final_bytes);
-  std::printf("%6d KB (autosize)  %14.3f %13zu KB\n", 8, auto_ms,
-              final_bytes >> 10);
   std::printf(
       "\nFinding: this implementation adds a last-hop fallback (DESIGN.md)\n"
       "that validates a DLHT hit through the parent directory's memoized\n"
       "prefix check, so the PCC-size sensitivity the paper reports for\n"
       "updatedb (29%% -> 16.5%% when the tree outgrows the PCC) largely\n"
-      "disappears — the static sweep is flat (reference 64 KB: %.3f ms)\n"
-      "and autosizing buys little. Without the fallback, small PCCs thrash\n"
-      "exactly as §6.3 describes.\n",
+      "disappears — the sweep is flat (reference 64 KB: %.3f ms). Without\n"
+      "the fallback, small PCCs thrash exactly as §6.3 describes.\n",
       base);
 
   Banner("Ablation 3", "dot-dot semantics: POSIX vs Plan 9 lexical (§4.2)");

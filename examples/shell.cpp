@@ -13,7 +13,7 @@
 //
 // Commands: mkdir ls stat lstat cat write rm rmdir mv ln ln -s cd pwd
 // chmod chown mount-mem umount su batch serve stats observe observe-json
-// trace trace-request flight-recorder trace-export audit drop help
+// trace-request flight-recorder trace-export audit drop help
 //
 // `batch <stat|lstat|mkdir|rm|rmdir> <path>...` submits every path as one
 // SQE batch through `Task::SubmitBatch` (DESIGN.md §12) and prints one
@@ -24,14 +24,13 @@
 //
 // `observe` prints the kernel's versioned observability snapshot (latency
 // histograms + walk outcomes + timeline/heat/journal, DESIGN.md §9–§10);
-// `trace` dumps the most recent traced walks; `trace-request <path>`
-// force-traces one statx end to end (DESIGN.md §13) and prints its span
-// tree from the flight recorder; `flight-recorder` prints the last traced
-// requests without submitting anything; `observe-json` emits the stable
-// JSON form; `trace-export [file]` writes the coherence journal, traced
-// walks, and request span trees as Chrome trace-event JSON (load in
-// chrome://tracing or ui.perfetto.dev); `audit` runs the online invariant
-// auditor.
+// `trace-request <path>` force-traces one statx end to end (DESIGN.md §13)
+// and prints its span tree from the flight recorder; `flight-recorder`
+// prints the last traced requests without submitting anything;
+// `observe-json` emits the stable JSON form; `trace-export [file]` writes
+// the coherence journal and the request span trees, walks included, as
+// Chrome trace-event JSON (load in chrome://tracing or ui.perfetto.dev);
+// `audit` runs the online invariant auditor.
 //
 // Observability (including the background sampler) is on by default; set
 // DIRCACHE_SHELL_OBS=0 to run with it disabled (the obs commands then fail
@@ -68,8 +67,8 @@ int Run(std::istream& in) {
   KernelConfig config;
   config.cache = CacheConfig::Optimized();
   // The shell is a debugging tool: run with full observability — sampler
-  // and request tracing included — so `observe`, `trace`, `trace-request`,
-  // and `trace-export` have something to show. DIRCACHE_SHELL_OBS=0 opts
+  // and request tracing included — so `observe`, `trace-request`, and
+  // `trace-export` have something to show. DIRCACHE_SHELL_OBS=0 opts
   // out.
   const char* obs_env = std::getenv("DIRCACHE_SHELL_OBS");
   if (obs_env == nullptr || std::string_view(obs_env) != "0") {
@@ -97,7 +96,7 @@ int Run(std::istream& in) {
     if (cmd == "help") {
       std::printf(
           "mkdir ls stat lstat cat write rm rmdir mv ln [-s] cd pwd chmod "
-          "chown mount-mem umount su stats observe observe-json trace "
+          "chown mount-mem umount su stats observe observe-json "
           "trace-export [file] audit drop\n"
           "batch <stat|lstat|mkdir|rm|rmdir> <path>...   one SQE per path, "
           "one SubmitBatch\n"
@@ -415,20 +414,6 @@ int Run(std::istream& in) {
       std::printf("%s", report.ToText().c_str());
       if (!report.clean()) {
         status = 1;
-      }
-    } else if (cmd == "trace") {
-      obs::ObsSnapshot snap = kernel.Observe();
-      if (snap.trace.empty()) {
-        std::printf("no traced walks yet\n");
-      }
-      for (const obs::WalkTraceEvent& ev : snap.trace) {
-        std::string_view err = ErrnoName(ev.err);
-        std::printf("%-20s err=%-12.*s comps=%-3u sym=%u mnt=%u retry=%u "
-                    "%llu ns\n",
-                    obs::WalkOutcomeName(ev.outcome),
-                    static_cast<int>(err.size()), err.data(), ev.components,
-                    ev.symlink_crossings, ev.mount_crossings, ev.retries,
-                    static_cast<unsigned long long>(ev.latency_ns));
       }
     } else if (cmd == "trace-request") {
       // trace-request <path> — force-trace one statx end to end and print

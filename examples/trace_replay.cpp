@@ -21,8 +21,9 @@
 //   $ ./examples/trace_replay                # built-in demo trace
 //   $ ./examples/trace_replay mytrace.txt    # your own
 //   $ ./examples/trace_replay --trace-export replay.trace.json mytrace.txt
-//       # also dump the optimized replay's coherence journal + walk traces
-//       # as Chrome trace-event JSON (chrome://tracing, ui.perfetto.dev)
+//       # also trace every op of the optimized replay and dump its coherence
+//       # journal + request spans (walks included) as Chrome trace-event
+//       # JSON (chrome://tracing, ui.perfetto.dev)
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -194,9 +195,9 @@ int DoOp(Task& t, const TraceOp& op) {
   std::exit(1);
 }
 
-// `trace_export` (optional): enable observability and, after the replay,
-// write the Chrome trace-event JSON there. Recording perturbs the timing a
-// little, so it is off unless asked for.
+// `trace_export` (optional): enable observability with every request
+// traced and, after the replay, write the Chrome trace-event JSON there.
+// Recording perturbs the timing a little, so it is off unless asked for.
 ReplayResult Replay(const CacheConfig& cfg,
                     const std::vector<TraceOp>& ops, int repeat,
                     const char* trace_export = nullptr) {
@@ -204,6 +205,7 @@ ReplayResult Replay(const CacheConfig& cfg,
   config.cache = cfg;
   if (trace_export != nullptr) {
     config.obs = ObsConfig::Enabled();
+    config.obs.trace_sample_every = 1;
   }
   Kernel kernel(config);
   DiskFsOptions opt;

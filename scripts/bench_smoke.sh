@@ -30,6 +30,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR="${BUILD_DIR:-build}"
+# The obs snapshot schema version every artifact must carry (DESIGN.md §9).
+export OBS_SCHEMA=5
 if [[ ! -f "$BUILD_DIR/CMakeCache.txt" ]]; then
   cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 fi
@@ -88,6 +90,7 @@ echo "== obs schema + sampler budget check =="
 if command -v python3 >/dev/null; then
   python3 - <<'PY' || fail "obs schema + sampler budget check"
 import json
+import os
 import sys
 
 failures = []
@@ -99,7 +102,7 @@ def check(ok, msg):  # record a failed verdict and go on to the next
         failures.append(msg)
 
 
-OBS_SCHEMA = 4
+OBS_SCHEMA = int(os.environ["OBS_SCHEMA"])
 # Enabled-sampler budget on the warm stat loop. The ISSUE budget is <3%;
 # this single-CPU host time-slices the sampler thread with the benchmark
 # loop, so allow generous scheduler noise on top before calling it a
@@ -207,9 +210,9 @@ print(f"obs schema v{OBS_SCHEMA} OK; sampler overhead {pct:.2f}% "
       f"{overhead_ns:.1f} ns/op within budget")
 PY
 else
-  { grep -q '"schema_version":4' BENCH_fig8.json &&
-    grep -Eq '"obs_schema_version": 4(\.0+)?' BENCH_micro.json &&
-    echo "obs schema v4 OK (grep fallback)"; } ||
+  { grep -q "\"schema_version\":$OBS_SCHEMA" BENCH_fig8.json &&
+    grep -Eq "\"obs_schema_version\": $OBS_SCHEMA(\\.0+)?" BENCH_micro.json &&
+    echo "obs schema v$OBS_SCHEMA OK (grep fallback)"; } ||
     fail "obs schema (grep fallback)"
 fi
 
@@ -303,6 +306,7 @@ echo "== server batch schema + verdict check =="
 if command -v python3 >/dev/null; then
   python3 - <<'PY' || fail "server batch schema + verdict check"
 import json
+import os
 import sys
 
 failures = []
@@ -314,7 +318,7 @@ def check(ok, msg):  # record a failed verdict and go on to the next
         failures.append(msg)
 
 
-OBS_SCHEMA = 4
+OBS_SCHEMA = int(os.environ["OBS_SCHEMA"])
 
 srv = json.load(open("BENCH_server.json"))
 check(srv["benchmark"] == "server_throughput", srv.get("benchmark"))

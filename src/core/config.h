@@ -47,10 +47,6 @@ struct CacheConfig {
   bool fastpath = false;         // DLHT + PCC direct lookup
   size_t dlht_buckets = 1 << 16; // per-namespace direct lookup hash table
   size_t pcc_bytes = 64 * 1024;  // per-credential prefix check cache
-  // §6.5 future-work extension: grow a thrashing PCC (×2 per step, up to
-  // pcc_max_bytes) instead of the paper's statically-sized table.
-  bool pcc_autosize = false;
-  size_t pcc_max_bytes = 1024 * 1024;
   DotDotMode dotdot = DotDotMode::kPosix;
   // Cache symlink resolutions as alias dentries (§4.2).
   bool symlink_aliases = true;

@@ -24,31 +24,11 @@ uint64_t MixPointer(uint64_t key) {
 
 }  // namespace
 
-Pcc::Pcc(size_t bytes, bool track_occupancy)
-    : track_occupancy_(track_occupancy) {
+Pcc::Pcc(size_t bytes) {
   size_t entries = std::max<size_t>(bytes / sizeof(Entry), kWays);
   sets_ = RoundDownPow2(entries / kWays);
   set_mask_ = sets_ - 1;
   entries_ = std::vector<Entry>(sets_ * kWays);
-}
-
-void Pcc::NoteLookup(bool hit) {
-  if (!track_occupancy_) {
-    return;
-  }
-  if (!hit) {
-    window_misses_.fetch_add(1, std::memory_order_relaxed);
-  }
-  uint32_t n = window_lookups_.fetch_add(1, std::memory_order_relaxed) + 1;
-  constexpr uint32_t kWindow = 4096;
-  if (n >= kWindow) {
-    uint32_t misses = window_misses_.load(std::memory_order_relaxed);
-    window_lookups_.store(0, std::memory_order_relaxed);
-    window_misses_.store(0, std::memory_order_relaxed);
-    if (misses * 2 > n) {
-      grow_hint_.store(true, std::memory_order_relaxed);
-    }
-  }
 }
 
 size_t Pcc::SetFor(uint64_t key) const { return MixPointer(key) & set_mask_; }
@@ -89,7 +69,6 @@ bool Pcc::LookupKey(uint64_t key, uint32_t seq, CacheStats* stats,
       continue;
     }
     if (static_cast<uint32_t>(meta >> 32) != seq) {
-      NoteLookup(false);
       if (stats != nullptr) {
         stats->pcc_stale.Add();
       }
@@ -109,7 +88,6 @@ bool Pcc::LookupKey(uint64_t key, uint32_t seq, CacheStats* stats,
         stats != nullptr) {
       stats->shared_writes.Add();
     }
-    NoteLookup(true);
     if (stats != nullptr) {
       stats->pcc_hits.Add();
     }
@@ -118,7 +96,6 @@ bool Pcc::LookupKey(uint64_t key, uint32_t seq, CacheStats* stats,
     }
     return true;
   }
-  NoteLookup(false);
   if (miss != nullptr) {
     *miss = PccMiss::kCred;
   }

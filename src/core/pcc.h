@@ -38,13 +38,11 @@ class Pcc {
  public:
   static constexpr size_t kWays = 4;
 
-  // `bytes` is the total table size; entries are 16 bytes each. When
-  // `track_occupancy` is set, lookups maintain a miss-rate window that
-  // feeds two consumers: Cred::GrowPcc's per-walk autosize step and the
-  // CacheGovernor's PCC-pressure attribution (src/vfs/governor.cc), which
-  // journals when the PCC — not the DLHT — is the bottleneck under a
-  // memory budget.
-  explicit Pcc(size_t bytes, bool track_occupancy = false);
+  // `bytes` is the total table size; entries are 16 bytes each. The size
+  // is fixed for the table's life (the paper's static PCC); the
+  // CacheGovernor reports a thrashing PCC from the CacheStats hit and miss
+  // counters (src/vfs/governor.cc) rather than resizing it.
+  explicit Pcc(size_t bytes);
 
   // True if (dentry, seq) is present — i.e. the memoized prefix check for
   // this credential is still current. A hit arms the entry's reference bit
@@ -57,15 +55,6 @@ class Pcc {
   // pcc_hits/pcc_stale bumps.
   bool Lookup(const void* dentry, uint32_t seq, CacheStats* stats = nullptr,
               PccMiss* miss = nullptr);
-
-  // Thrash detector: true when, over the last sampling window, more than
-  // half of the lookups missed — the updatedb-beyond-PCC pattern (§6.3).
-  bool ShouldGrow() const {
-    return grow_hint_.load(std::memory_order_relaxed);
-  }
-  void ClearGrowHint() {
-    grow_hint_.store(false, std::memory_order_relaxed);
-  }
 
   // Record a passed prefix check.
   void Insert(const void* dentry, uint32_t seq);
@@ -108,7 +97,7 @@ class Pcc {
   size_t bytes() const { return capacity_entries() * sizeof(Entry); }
 
   // Occupied (non-empty) entries, for the snapshot memory block and the
-  // governor's PCC-pressure signal. O(capacity) racy scan; policy-grade.
+  // governor's PCC-pressure event. O(capacity) racy scan; policy-grade.
   size_t OccupiedEntries() const {
     size_t n = 0;
     for (const Entry& e : entries_) {
@@ -156,18 +145,10 @@ class Pcc {
   bool LookupKey(uint64_t key, uint32_t seq, CacheStats* stats, PccMiss* miss);
   void InsertKey(uint64_t key, uint32_t seq);
 
-  void NoteLookup(bool hit);
-
   size_t sets_;
   size_t set_mask_;
   std::vector<Entry> entries_;
   std::atomic<uint64_t> epoch_{0};
-
-  // Occupancy tracking (enabled only under the auto-resize policy).
-  bool track_occupancy_ = false;
-  std::atomic<uint32_t> window_lookups_{0};
-  std::atomic<uint32_t> window_misses_{0};
-  std::atomic<bool> grow_hint_{false};
 };
 
 using PccPtr = std::shared_ptr<Pcc>;

@@ -20,8 +20,6 @@ const char* JournalArgName(JournalEvent e, int arg) {
       return arg == 0 ? "worker" : "visited";
     case JournalEvent::kRename:
       return arg == 0 ? "lock_hold_ns" : "arg1";
-    case JournalEvent::kLockedWalk:
-      return arg == 0 ? "components" : "arg1";
     case JournalEvent::kUnlink:
       return arg == 0 ? "rmdir" : "arg1";
     case JournalEvent::kEpochAdvance:

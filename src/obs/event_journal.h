@@ -6,10 +6,10 @@
 // rename/chmod/chown/unlink emits a span, every subtree invalidation pass
 // reports how many version counters it bumped and how many DLHT entries it
 // evicted, rename records its rename_lock (rename_seq write section) hold
-// time, locked slow walks record their spans, and PCC epoch advances land
-// as instants. Events land in the recording shard's SeqRing (seq_ring.h),
-// drain into snapshots (schema v2 `journal` section) and export as Chrome
-// trace-event JSON (ObsSnapshot::ToChromeTrace) for chrome://tracing.
+// time, and PCC epoch advances land as instants. Events land in the
+// recording shard's SeqRing (seq_ring.h), drain into snapshots (schema v2
+// `journal` section) and export as Chrome trace-event JSON
+// (ObsSnapshot::ToChromeTrace) for chrome://tracing.
 #ifndef DIRCACHE_OBS_EVENT_JOURNAL_H_
 #define DIRCACHE_OBS_EVENT_JOURNAL_H_
 
@@ -29,7 +29,6 @@ enum class JournalEvent : uint8_t {
   kUnlink,            // unlink/rmdir victim invalidation+kill section
   kInvalidateSubtree, // one §3.2 subtree pass (arg0=bumped, arg1=evicted,
                       //   arg2=workers, arg3=dlht_batches)
-  kLockedWalk,        // locked slow walk span (arg0=components)
   kEpochAdvance,      // global PCC epoch bump (instant, §3.1)
   kInvalWorker,       // one worker's share of a parallel invalidation pass
                       //   (arg0=worker index, arg1=dentries visited); nested
@@ -64,8 +63,6 @@ inline const char* JournalEventName(JournalEvent e) {
       return "unlink";
     case JournalEvent::kInvalidateSubtree:
       return "invalidate_subtree";
-    case JournalEvent::kLockedWalk:
-      return "locked_walk";
     case JournalEvent::kEpochAdvance:
       return "epoch_advance";
     case JournalEvent::kInvalWorker:

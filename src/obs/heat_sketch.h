@@ -1,19 +1,15 @@
-// Top-K path heat sketches (DESIGN.md §10): a Space-Saving + Count-Min
-// pair, sharded like every other recording structure.
+// Top-K path heat sketches (DESIGN.md §10): a Space-Saving summary,
+// sharded like every other recording structure.
 //
 // The attribution question PR 2's snapshot could not answer is *which*
 // paths carry the fastpath hits and *which* directories breed the misses —
 // the per-directory frequency signal Stage-style shortcut placement and
 // capacity planning need. Exact per-path counting is out (unbounded paths,
-// and the hot path must not allocate), so each shard keeps:
-//
-//  - a Space-Saving summary: `slots` (key, count, err) candidates; a new
-//    key evicts the current minimum, inheriting its count as the error
-//    bound. Classic guarantee: any key with true count > N/slots is
-//    present, and a reported count overstates truth by at most `err`.
-//  - a Count-Min sketch: kCmRows x kCmCols counters, giving an independent
-//    (over-)estimate for any key — the cross-check reported as `cm_est`
-//    next to each Space-Saving count.
+// and the hot path must not allocate), so each shard keeps a Space-Saving
+// summary: `slots` (key, count, err) candidates; a new key evicts the
+// current minimum, inheriting its count as the error bound. Classic
+// guarantee: any key with true count > N/slots is present, and a reported
+// count overstates truth by at most `err`.
 //
 // Keys are produced by the caller from the §3.3 keyed multilinear hash of
 // the observed path text (see Observability::RecordWalk). The hot-path
@@ -21,11 +17,9 @@
 // a key first takes over a slot (rare once the workload's heavy hitters are
 // seated). Writers lock their shard's spinlock, but the shard is private to
 // the calling thread's stats slot, so there is no cross-thread contention —
-// same sharing discipline as the histograms and trace rings.
+// same sharing discipline as the histograms and record rings.
 //
-// Drained on snapshot: shards merge by key (counts and error bounds sum;
-// per-shard Count-Min estimates sum, each shard having seen only its own
-// substream, so the merged estimate stays an upper bound).
+// Drained on snapshot: shards merge by key (counts and error bounds sum).
 #ifndef DIRCACHE_OBS_HEAT_SKETCH_H_
 #define DIRCACHE_OBS_HEAT_SKETCH_H_
 
@@ -39,7 +33,6 @@
 #include <vector>
 
 #include "src/util/align.h"
-#include "src/util/hash.h"
 #include "src/util/spinlock.h"
 #include "src/util/stats.h"
 
@@ -51,7 +44,6 @@ struct HeatEntry {
   std::string path;     // bounded label captured at slot takeover
   uint64_t count = 0;   // Space-Saving count (overstates by at most `err`)
   uint64_t err = 0;     // summed takeover error bounds
-  uint64_t cm_est = 0;  // independent Count-Min estimate (upper bound)
 };
 
 // The three sketches a snapshot carries (schema v2 `heat` section).
@@ -63,8 +55,6 @@ struct HeatSnapshot {
 
 class PathHeatSketch {
  public:
-  static constexpr size_t kCmRows = 2;
-  static constexpr size_t kCmCols = 256;  // power of two
   static constexpr size_t kLabelBytes = 96;
 
   explicit PathHeatSketch(size_t slots)
@@ -81,9 +71,6 @@ class PathHeatSketch {
   void Record(uint64_t key, std::string_view label) {
     Shard& s = shards_[internal::StatsShardId()];
     SpinGuard guard(s.lock);
-    for (size_t r = 0; r < kCmRows; ++r) {
-      ++s.cm[r][CmCol(key, r)];
-    }
     Slot* min_slot = &s.slots[0];
     for (Slot& slot : s.slots) {
       if (slot.count != 0 && slot.key == key) {
@@ -119,12 +106,6 @@ class PathHeatSketch {
         }
         e.count += slot.count;
         e.err += slot.err;
-        uint64_t est = ~0ull;
-        for (size_t r = 0; r < kCmRows; ++r) {
-          est = std::min(est,
-                         static_cast<uint64_t>(s.cm[r][CmCol(slot.key, r)]));
-        }
-        e.cm_est += est;
       }
     }
     std::vector<HeatEntry> out;
@@ -150,9 +131,6 @@ class PathHeatSketch {
       for (Slot& slot : s.slots) {
         slot = Slot{};
       }
-      for (auto& row : s.cm) {
-        row.fill(0);
-      }
     }
   }
 
@@ -168,16 +146,7 @@ class PathHeatSketch {
   struct alignas(kCacheLineSize) Shard {
     mutable SpinLock lock;
     std::vector<Slot> slots;
-    std::array<std::array<uint32_t, kCmCols>, kCmRows> cm{};
   };
-
-  static size_t CmCol(uint64_t key, size_t row) {
-    // Independent row hashes from the (already §3.3-hashed) key: Fmix64 is
-    // a bijection, so distinct per-row constants give distinct functions.
-    return static_cast<size_t>(
-               Fmix64(key ^ (0x9e3779b97f4a7c15ull * (row + 1)))) &
-           (kCmCols - 1);
-  }
 
   const size_t slots_per_shard_;
   std::array<Shard, kStatsShardCount> shards_;

@@ -1,12 +1,12 @@
 // Observability configuration: the run-time switch for the latency-histogram
-// / walk-trace subsystem (DESIGN.md §9) and the fixed sizes of its
+// / walk-outcome subsystem (DESIGN.md §9) and the fixed sizes of its
 // recording structures.
 //
 // The paper's argument is quantitative (hit ratios, per-component walk
 // costs, scalability knees), so the repro needs tails and outcome
 // breakdowns — but the measurement layer must never perturb the property it
 // measures. ObsConfig::enabled (default OFF) gates recording behind a single
-// plain-bool branch. Disabled kernels allocate no histogram or trace memory
+// plain-bool branch. Disabled kernels allocate no histogram or ring memory
 // at all, and the warm-hit read path stays exactly as shared-write-free as
 // with no observability in the tree.
 #ifndef DIRCACHE_OBS_OBS_CONFIG_H_
@@ -69,8 +69,6 @@ namespace obs {
 
 // Per-shard ring capacities (records; powers of two) and the number of
 // newest records of each stream a snapshot reports.
-inline constexpr size_t kTraceRingEvents = 128;
-inline constexpr size_t kTraceSnapshotLimit = 32;
 inline constexpr size_t kJournalRingEvents = 256;
 inline constexpr size_t kJournalSnapshotLimit = 64;
 inline constexpr size_t kSpanRingEvents = 256;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
 #include <mutex>
 #include <string_view>
@@ -11,21 +10,7 @@ namespace dircache {
 
 namespace {
 
-void Appendf(std::string* out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void Appendf(std::string* out, const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  int n = vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  if (n > 0) {
-    out->append(buf, static_cast<size_t>(n) < sizeof(buf)
-                         ? static_cast<size_t>(n)
-                         : sizeof(buf) - 1);
-  }
-}
+using obs::Appendf;
 
 // Obs-local seed for the heat-sketch hash family (see State::heat_key).
 constexpr uint64_t kHeatHashSeed = 0x0b5e7ull;
@@ -64,6 +49,66 @@ std::vector<Record> NewestRecords(
   return out;
 }
 
+// A request starts at its SQE submit, or at execute-begin on the direct
+// path.
+uint64_t TraceStart(const obs::RequestTrace& t) {
+  return t.submit_ns != 0 ? t.submit_ns : t.begin_ns;
+}
+
+// Where one traced request's time went, for the attributor and the flight
+// recorder: the ring wait and batch-position cost from the SQE timestamps
+// (both 0 on the direct path), each layer's share from the child spans, and
+// as "other" the execute-side remainder no layer claimed. io_ns is
+// *simulated* device time, so the clamp matters — a cold walk can attribute
+// more virtual time than real time elapsed.
+obs::OpAttribution AttributeTrace(const obs::RequestTrace& t) {
+  obs::OpAttribution a;
+  a.traced = 1;
+  const uint64_t start = TraceStart(t);
+  a.total_ns = t.complete_ns >= start ? t.complete_ns - start : 0;
+  if (t.submit_ns != 0 && t.dequeue_ns > t.submit_ns) {
+    a.queue_ns = t.dequeue_ns - t.submit_ns;
+  }
+  if (t.dequeue_ns != 0 && t.begin_ns > t.dequeue_ns) {
+    a.dispatch_ns = t.begin_ns - t.dequeue_ns;
+  }
+  for (uint32_t i = 0; i < t.span_count; ++i) {
+    const obs::TraceSpan& sp = t.spans[i];
+    switch (sp.kind) {
+      case obs::SpanKind::kWalkFast:
+        a.walk_fast_ns += sp.duration_ns;
+        break;
+      case obs::SpanKind::kWalkSlow:
+        a.walk_slow_ns += sp.duration_ns;
+        break;
+      case obs::SpanKind::kIo:
+        a.io_ns += sp.duration_ns;
+        break;
+      case obs::SpanKind::kInval:
+        a.inval_ns += sp.duration_ns;
+        break;
+      case obs::SpanKind::kGate:
+        ++a.gate_waits;
+        break;
+      case obs::SpanKind::kEpochRetry:
+        ++a.epoch_retries;
+        break;
+      case obs::SpanKind::kWalkShortcut:
+        ++a.shortcut_resumes;
+        break;
+      default:
+        break;
+    }
+  }
+  const uint64_t exec_ns =
+      t.complete_ns >= t.begin_ns ? t.complete_ns - t.begin_ns : 0;
+  const uint64_t attributed =
+      a.walk_fast_ns + a.walk_slow_ns + a.io_ns + a.inval_ns;
+  a.other_ns = exec_ns > attributed ? exec_ns - attributed : 0;
+  a.spans_dropped = t.spans_dropped;
+  return a;
+}
+
 }  // namespace
 
 Observability::State::State(const ObsConfig& c)
@@ -74,8 +119,6 @@ Observability::State::State(const ObsConfig& c)
       slow_paths(obs::kHeatSlots),
       miss_dirs(obs::kHeatSlots) {
   for (size_t i = 0; i < kStatsShardCount; ++i) {
-    rings.push_back(std::make_unique<obs::SeqRing<obs::WalkTraceEvent>>(
-        obs::kTraceRingEvents));
     journals.push_back(
         std::make_unique<obs::SeqRing<obs::JournalEventRecord>>(
             obs::kJournalRingEvents));
@@ -119,84 +162,39 @@ void Observability::CompleteTrace(const obs::RequestTrace& t) {
 
   // The framing spans are synthesized from the SQE timestamps: the whole
   // request, then the ring wait and the batch-position cost when the entry
-  // travelled through a server shard (both 0-width on the direct path).
-  const uint64_t start = t.submit_ns != 0 ? t.submit_ns : t.begin_ns;
-  const uint64_t total = t.complete_ns >= start ? t.complete_ns - start : 0;
-  record(obs::SpanKind::kRequest, start, total,
+  // travelled through a server shard.
+  const obs::OpAttribution a = AttributeTrace(t);
+  record(obs::SpanKind::kRequest, TraceStart(t), a.total_ns,
          static_cast<uint64_t>(static_cast<int64_t>(t.res)), t.span_count);
-  uint64_t queue_ns = 0;
-  uint64_t dispatch_ns = 0;
-  if (t.submit_ns != 0 && t.dequeue_ns > t.submit_ns) {
-    queue_ns = t.dequeue_ns - t.submit_ns;
-    record(obs::SpanKind::kQueue, t.submit_ns, queue_ns, 0, 0);
+  if (a.queue_ns != 0) {
+    record(obs::SpanKind::kQueue, t.submit_ns, a.queue_ns, 0, 0);
   }
-  if (t.dequeue_ns != 0 && t.begin_ns > t.dequeue_ns) {
-    dispatch_ns = t.begin_ns - t.dequeue_ns;
-    record(obs::SpanKind::kDispatch, t.dequeue_ns, dispatch_ns, 0, 0);
+  if (a.dispatch_ns != 0) {
+    record(obs::SpanKind::kDispatch, t.dequeue_ns, a.dispatch_ns, 0, 0);
   }
-
-  uint64_t walk_fast_ns = 0;
-  uint64_t walk_slow_ns = 0;
-  uint64_t io_ns = 0;
-  uint64_t inval_ns = 0;
-  uint64_t gate_waits = 0;
-  uint64_t epoch_retries = 0;
-  uint64_t shortcut_resumes = 0;
   for (uint32_t i = 0; i < t.span_count; ++i) {
     const obs::TraceSpan& sp = t.spans[i];
     record(sp.kind, sp.begin_ns, sp.duration_ns, sp.arg0, sp.arg1);
-    switch (sp.kind) {
-      case obs::SpanKind::kWalkFast:
-        walk_fast_ns += sp.duration_ns;
-        break;
-      case obs::SpanKind::kWalkSlow:
-        walk_slow_ns += sp.duration_ns;
-        break;
-      case obs::SpanKind::kIo:
-        io_ns += sp.duration_ns;
-        break;
-      case obs::SpanKind::kInval:
-        inval_ns += sp.duration_ns;
-        break;
-      case obs::SpanKind::kGate:
-        ++gate_waits;
-        break;
-      case obs::SpanKind::kEpochRetry:
-        ++epoch_retries;
-        break;
-      case obs::SpanKind::kWalkShortcut:
-        ++shortcut_resumes;
-        break;
-      default:
-        break;
-    }
   }
-  // Where did the time go: the execute-side remainder no layer claimed is
-  // "other". io_ns is *simulated* device time, so the clamp matters — a
-  // cold walk can attribute more virtual time than real time elapsed.
-  const uint64_t exec_ns =
-      t.complete_ns >= t.begin_ns ? t.complete_ns - t.begin_ns : 0;
-  const uint64_t attributed = walk_fast_ns + walk_slow_ns + io_ns + inval_ns;
-  const uint64_t other_ns = exec_ns > attributed ? exec_ns - attributed : 0;
 
   State::AttributionCell& cell =
       s.attribution[static_cast<size_t>(t.op) < obs::kTraceOpCount
                         ? static_cast<size_t>(t.op)
                         : static_cast<size_t>(obs::TraceOp::kOther)];
-  cell.traced.fetch_add(1, std::memory_order_relaxed);
-  cell.total_ns.fetch_add(total, std::memory_order_relaxed);
-  cell.queue_ns.fetch_add(queue_ns, std::memory_order_relaxed);
-  cell.dispatch_ns.fetch_add(dispatch_ns, std::memory_order_relaxed);
-  cell.walk_fast_ns.fetch_add(walk_fast_ns, std::memory_order_relaxed);
-  cell.walk_slow_ns.fetch_add(walk_slow_ns, std::memory_order_relaxed);
-  cell.io_ns.fetch_add(io_ns, std::memory_order_relaxed);
-  cell.inval_ns.fetch_add(inval_ns, std::memory_order_relaxed);
-  cell.other_ns.fetch_add(other_ns, std::memory_order_relaxed);
-  cell.gate_waits.fetch_add(gate_waits, std::memory_order_relaxed);
-  cell.epoch_retries.fetch_add(epoch_retries, std::memory_order_relaxed);
-  cell.shortcut_resumes.fetch_add(shortcut_resumes,
+  cell.traced.fetch_add(a.traced, std::memory_order_relaxed);
+  cell.total_ns.fetch_add(a.total_ns, std::memory_order_relaxed);
+  cell.queue_ns.fetch_add(a.queue_ns, std::memory_order_relaxed);
+  cell.dispatch_ns.fetch_add(a.dispatch_ns, std::memory_order_relaxed);
+  cell.walk_fast_ns.fetch_add(a.walk_fast_ns, std::memory_order_relaxed);
+  cell.walk_slow_ns.fetch_add(a.walk_slow_ns, std::memory_order_relaxed);
+  cell.io_ns.fetch_add(a.io_ns, std::memory_order_relaxed);
+  cell.inval_ns.fetch_add(a.inval_ns, std::memory_order_relaxed);
+  cell.other_ns.fetch_add(a.other_ns, std::memory_order_relaxed);
+  cell.gate_waits.fetch_add(a.gate_waits, std::memory_order_relaxed);
+  cell.epoch_retries.fetch_add(a.epoch_retries, std::memory_order_relaxed);
+  cell.shortcut_resumes.fetch_add(a.shortcut_resumes,
                                   std::memory_order_relaxed);
-  cell.spans_dropped.fetch_add(t.spans_dropped, std::memory_order_relaxed);
+  cell.spans_dropped.fetch_add(a.spans_dropped, std::memory_order_relaxed);
 
   State::FlightRecorder& fr = *s.flight[shard];
   std::lock_guard<std::mutex> lock(fr.mu);
@@ -204,12 +202,12 @@ void Observability::CompleteTrace(const obs::RequestTrace& t) {
   ++fr.seq;
 }
 
-void Observability::RecordWalkSlow(const obs::WalkTraceEvent& ev,
+void Observability::RecordWalkSlow(obs::WalkOutcome outcome,
+                                   uint64_t latency_ns,
                                    std::string_view path) {
   State& s = *state_;
-  s.outcomes[static_cast<size_t>(ev.outcome)].Add();
-  s.ops[static_cast<size_t>(obs::ObsOp::kLookup)].Record(ev.latency_ns);
-  s.rings[internal::StatsShardId()]->Push(ev);
+  s.outcomes[static_cast<size_t>(outcome)].Add();
+  s.ops[static_cast<size_t>(obs::ObsOp::kLookup)].Record(latency_ns);
   if (path.empty()) {
     return;
   }
@@ -219,7 +217,7 @@ void Observability::RecordWalkSlow(const obs::WalkTraceEvent& ev,
   HashState h = s.heat_hasher.Init();
   s.heat_hasher.Update(h, path);
   uint64_t key = s.heat_hasher.Finalize(h).words[0];
-  switch (ev.outcome) {
+  switch (outcome) {
     case obs::WalkOutcome::kFastHit:
     case obs::WalkOutcome::kFastNegative:
       s.hot_paths.Record(key, path);
@@ -272,8 +270,6 @@ obs::ObsSnapshot Observability::Snapshot(const CacheStats* stats) const {
   obs::ObsSnapshot core = CoreSample(s);
   snap.ops = core.ops;
   snap.outcomes = core.outcomes;
-  snap.trace = NewestRecords(s.rings, &obs::WalkTraceEvent::timestamp_ns,
-                             obs::kTraceSnapshotLimit);
   snap.heat.hot_paths = s.hot_paths.Drain(obs::kHeatSnapshotTopK);
   snap.heat.slow_paths = s.slow_paths.Drain(obs::kHeatSnapshotTopK);
   snap.heat.miss_dirs = s.miss_dirs.Drain(obs::kHeatSnapshotTopK);
@@ -329,50 +325,21 @@ std::string Observability::FlightRecorderReport() const {
                 " dump(s) so far\n",
           entries.size(), s.flight_dumps.load(std::memory_order_relaxed));
   for (const obs::RequestTrace& t : entries) {
-    const uint64_t start = t.submit_ns != 0 ? t.submit_ns : t.begin_ns;
-    const uint64_t total = t.complete_ns >= start ? t.complete_ns - start : 0;
+    const uint64_t start = TraceStart(t);
+    const obs::OpAttribution a = AttributeTrace(t);
     Appendf(&out,
             "  request id=%016" PRIx64 " op=%s res=%d shard=%u%s total=%" PRIu64
             "ns spans=%u dropped=%u\n",
             t.trace_id, obs::TraceOpName(t.op), t.res, t.shard,
-            t.forced ? " forced" : "", total, t.span_count, t.spans_dropped);
+            t.forced ? " forced" : "", a.total_ns, t.span_count,
+            t.spans_dropped);
     // Per-request attribution: the breakdown the dump exists to ship.
-    uint64_t walk_fast = 0, walk_slow = 0, io = 0, inval = 0;
-    for (uint32_t i = 0; i < t.span_count; ++i) {
-      switch (t.spans[i].kind) {
-        case obs::SpanKind::kWalkFast:
-          walk_fast += t.spans[i].duration_ns;
-          break;
-        case obs::SpanKind::kWalkSlow:
-          walk_slow += t.spans[i].duration_ns;
-          break;
-        case obs::SpanKind::kIo:
-          io += t.spans[i].duration_ns;
-          break;
-        case obs::SpanKind::kInval:
-          inval += t.spans[i].duration_ns;
-          break;
-        default:
-          break;
-      }
-    }
-    const uint64_t queue =
-        t.submit_ns != 0 && t.dequeue_ns > t.submit_ns
-            ? t.dequeue_ns - t.submit_ns
-            : 0;
-    const uint64_t dispatch =
-        t.dequeue_ns != 0 && t.begin_ns > t.dequeue_ns
-            ? t.begin_ns - t.dequeue_ns
-            : 0;
-    const uint64_t exec =
-        t.complete_ns >= t.begin_ns ? t.complete_ns - t.begin_ns : 0;
-    const uint64_t attributed = walk_fast + walk_slow + io + inval;
     Appendf(&out,
             "    attribution: queue=%" PRIu64 " dispatch=%" PRIu64
             " walk_fast=%" PRIu64 " walk_slow=%" PRIu64 " io=%" PRIu64
             " inval=%" PRIu64 " other=%" PRIu64 "\n",
-            queue, dispatch, walk_fast, walk_slow, io, inval,
-            exec > attributed ? exec - attributed : 0);
+            a.queue_ns, a.dispatch_ns, a.walk_fast_ns, a.walk_slow_ns,
+            a.io_ns, a.inval_ns, a.other_ns);
     for (uint32_t i = 0; i < t.span_count; ++i) {
       const obs::TraceSpan& sp = t.spans[i];
       Appendf(&out,
@@ -438,7 +405,7 @@ void Observability::Reset() {
     cell.shortcut_resumes.store(0, std::memory_order_relaxed);
     cell.spans_dropped.store(0, std::memory_order_relaxed);
   }
-  // Trace, journal, span, and flight-recorder rings are not cleared: the
+  // Journal, span, and flight-recorder rings are not cleared: the
   // "most recent events" windows are already self-evicting, and zeroing
   // slots under concurrent writers buys nothing. The sampler's clamped
   // deltas (see HistogramSummary::Since) absorb the counter reset.

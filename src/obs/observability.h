@@ -1,4 +1,4 @@
-// Observability: per-kernel latency histograms, walk-outcome tracing, and
+// Observability: per-kernel latency histograms, walk-outcome counters, and
 // (since schema v2) continuous telemetry — background sampler, path heat
 // sketches, coherence event journal (DESIGN.md §9–§10).
 //
@@ -7,7 +7,7 @@
 // branch — the warm-hit read path stays exactly as shared-write-free as the
 // scalability work left it. When enabled, recording goes to sharded
 // structures (histograms, outcome counters, heat sketches, and one SeqRing
-// per shard for each of walk traces, journal events and request spans) that
+// per shard for each of journal events and request spans) that
 // follow the same thread->shard mapping as ShardedCounter, so concurrent
 // recorders do not contend. The optional sampler thread only *reads* that
 // sharded state.
@@ -65,15 +65,15 @@ class Observability {
     state_->ops[static_cast<size_t>(op)].Record(ns);
   }
 
-  // Records one finished walk: outcome counter, lookup-latency histogram, a
-  // slot in the calling thread's trace ring, and the path heat sketches
-  // (`path` is the observed request text; it is hashed, never copied, on
-  // this path).
-  void RecordWalk(const obs::WalkTraceEvent& ev, std::string_view path) {
+  // Records one finished walk: outcome counter, lookup-latency histogram,
+  // and the path heat sketches (`path` is the observed request text; it is
+  // hashed, never copied, on this path).
+  void RecordWalk(obs::WalkOutcome outcome, uint64_t latency_ns,
+                  std::string_view path) {
     if (!enabled()) {
       return;
     }
-    RecordWalkSlow(ev, path);
+    RecordWalkSlow(outcome, latency_ns, path);
   }
 
   // Records one coherence journal span (instants pass duration 0) into the
@@ -156,7 +156,6 @@ class Observability {
     std::array<ShardedCounter, obs::kWalkOutcomeCount> outcomes;
     // One ring per stats shard (same mapping as ShardedCounter) for each
     // record stream.
-    std::vector<std::unique_ptr<obs::SeqRing<obs::WalkTraceEvent>>> rings;
     std::vector<std::unique_ptr<obs::SeqRing<obs::JournalEventRecord>>>
         journals;
     std::vector<std::unique_ptr<obs::SeqRing<obs::SpanEvent>>> span_rings;
@@ -209,7 +208,8 @@ class Observability {
     std::unique_ptr<obs::Sampler> sampler;
   };
 
-  void RecordWalkSlow(const obs::WalkTraceEvent& ev, std::string_view path);
+  void RecordWalkSlow(obs::WalkOutcome outcome, uint64_t latency_ns,
+                      std::string_view path);
 
   // ops + outcomes only — the cheap periodic sample the sampler diffs.
   static obs::ObsSnapshot CoreSample(const State& s);

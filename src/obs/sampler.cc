@@ -69,20 +69,15 @@ TimelineSample Sampler::Reduce(const ObsSnapshot& prev, const ObsSnapshot& cur,
   for (size_t o = 0; o < kWalkOutcomeCount; ++o) {
     uint64_t d = DeltaClamped(cur.outcomes[o], prev.outcomes[o]);
     s.walks += d;
-    switch (static_cast<WalkOutcome>(o)) {
-      case WalkOutcome::kFastHit:
-      case WalkOutcome::kFastNegative:
-        s.fast_hits += d;
-        break;
-      case WalkOutcome::kSlowOptimistic:
-      case WalkOutcome::kSlowRetried:
-      case WalkOutcome::kSlowLocked:
-        s.slow_walks += d;
-        break;
-      default:
-        break;
+    if (o == static_cast<size_t>(WalkOutcome::kFastHit) ||
+        o == static_cast<size_t>(WalkOutcome::kFastNegative)) {
+      s.fast_hits += d;
     }
   }
+  // A fastpath miss is classified by its miss reason, never by a kSlow*
+  // outcome, yet it ran the slowpath too: every walk that did not end on
+  // the fastpath counts.
+  s.slow_walks = s.walks - s.fast_hits;
   s.invalidations = DeltaClamped(cur.Op(ObsOp::kInvalidate).count,
                                  prev.Op(ObsOp::kInvalidate).count);
   HistogramSummary lookups =

@@ -5,17 +5,11 @@
 #include <cstdarg>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
-
-#include "src/util/result.h"
 
 namespace dircache {
 namespace obs {
-
-namespace {
-
-void Appendf(std::string* out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
 
 void Appendf(std::string* out, const char* fmt, ...) {
   char buf[256];
@@ -30,23 +24,14 @@ void Appendf(std::string* out, const char* fmt, ...) {
   }
 }
 
+namespace {
+
 void AppendOpJson(std::string* out, const HistogramSummary& h) {
   Appendf(out,
           "{\"count\":%" PRIu64 ",\"sum_ns\":%" PRIu64
           ",\"mean_ns\":%.1f,\"p50_ns\":%" PRIu64 ",\"p95_ns\":%" PRIu64
           ",\"p99_ns\":%" PRIu64 ",\"max_ns\":%" PRIu64 "}",
           h.count, h.sum_ns, h.MeanNs(), h.P50(), h.P95(), h.P99(), h.max_ns);
-}
-
-void AppendEventJson(std::string* out, const WalkTraceEvent& ev) {
-  std::string_view err = ErrnoName(ev.err);
-  Appendf(out,
-          "{\"outcome\":\"%s\",\"err\":\"%.*s\",\"components\":%u,"
-          "\"symlinks\":%u,\"mounts\":%u,\"retries\":%u,\"resumed_depth\":%u,"
-          "\"latency_ns\":%" PRIu64 ",\"timestamp_ns\":%" PRIu64 "}",
-          WalkOutcomeName(ev.outcome), static_cast<int>(err.size()),
-          err.data(), ev.components, ev.symlink_crossings, ev.mount_crossings,
-          ev.retries, ev.resumed_depth, ev.latency_ns, ev.timestamp_ns);
 }
 
 void AppendJsonEscaped(std::string* out, std::string_view s) {
@@ -75,10 +60,8 @@ void AppendHeatListJson(std::string* out, const char* key,
     const HeatEntry& e = entries[i];
     Appendf(out, "%s{\"path\":\"", i == 0 ? "" : ",");
     AppendJsonEscaped(out, e.path);
-    Appendf(out,
-            "\",\"count\":%" PRIu64 ",\"err\":%" PRIu64 ",\"cm_est\":%" PRIu64
-            "}",
-            e.count, e.err, e.cm_est);
+    Appendf(out, "\",\"count\":%" PRIu64 ",\"err\":%" PRIu64 "}", e.count,
+            e.err);
   }
   *out += "]";
 }
@@ -133,8 +116,8 @@ void AppendHeatListText(std::string* out, const char* title,
   }
   Appendf(out, "  %s:\n", title);
   for (const HeatEntry& e : entries) {
-    Appendf(out, "    %8" PRIu64 " (+-%" PRIu64 ", cm<=%" PRIu64 ")  %s\n",
-            e.count, e.err, e.cm_est, e.path.c_str());
+    Appendf(out, "    %8" PRIu64 " (+-%" PRIu64 ")  %s\n", e.count, e.err,
+            e.path.c_str());
   }
 }
 
@@ -163,19 +146,6 @@ std::string ObsSnapshot::ToText() const {
     }
     Appendf(&out, "    %-20s %" PRIu64 "\n",
             WalkOutcomeName(static_cast<WalkOutcome>(i)), outcomes[i]);
-  }
-  if (!trace.empty()) {
-    Appendf(&out, "  recent walks (oldest first):\n");
-    for (const WalkTraceEvent& ev : trace) {
-      std::string_view err = ErrnoName(ev.err);
-      Appendf(&out,
-              "    %-20s err=%-12.*s comps=%-3u sym=%u mnt=%u retry=%u "
-              "resume=%u %" PRIu64 "ns\n",
-              WalkOutcomeName(ev.outcome), static_cast<int>(err.size()),
-              err.data(), ev.components, ev.symlink_crossings,
-              ev.mount_crossings, ev.retries, ev.resumed_depth,
-              ev.latency_ns);
-    }
   }
   AppendHeatListText(&out, "hottest paths (fastpath hits)", heat.hot_paths);
   AppendHeatListText(&out, "slowpath paths", heat.slow_paths);
@@ -303,14 +273,7 @@ std::string ObsSnapshot::ToJson() const {
     Appendf(&out, "%s\"%s\":%" PRIu64, i == 0 ? "" : ",",
             WalkOutcomeName(static_cast<WalkOutcome>(i)), outcomes[i]);
   }
-  out += "},\"trace\":[";
-  for (size_t i = 0; i < trace.size(); ++i) {
-    if (i != 0) {
-      out += ",";
-    }
-    AppendEventJson(&out, trace[i]);
-  }
-  out += "],\"counters\":{";
+  out += "},\"counters\":{";
   for (size_t i = 0; i < counters.size(); ++i) {
     Appendf(&out, "%s\"%s\":%" PRIu64, i == 0 ? "" : ",",
             counters[i].first.c_str(), counters[i].second);
@@ -397,7 +360,7 @@ std::string ObsSnapshot::ToJson() const {
 
 std::string ObsSnapshot::ToChromeTrace() const {
   // The Trace Event "JSON Array Format": every span renders as one complete
-  // ("X") event with microsecond ts/dur. The journal and the walk trace
+  // ("X") event with microsecond ts/dur. The journal and the request spans
   // share the timeline; tid carries the recording shard so concurrent
   // writers land on separate tracks.
   struct Row {
@@ -405,7 +368,7 @@ std::string ObsSnapshot::ToChromeTrace() const {
     std::string json;
   };
   std::vector<Row> rows;
-  rows.reserve(journal.size() + trace.size() + spans.size());
+  rows.reserve(journal.size() + spans.size());
   for (const JournalEventRecord& ev : journal) {
     std::string j;
     Appendf(&j,
@@ -425,25 +388,11 @@ std::string ObsSnapshot::ToChromeTrace() const {
     j += "}}";
     rows.push_back({ev.begin_ns, std::move(j)});
   }
-  for (const WalkTraceEvent& ev : trace) {
-    std::string_view err = ErrnoName(ev.err);
-    uint64_t begin =
-        ev.timestamp_ns >= ev.latency_ns ? ev.timestamp_ns - ev.latency_ns
-                                         : 0;
-    std::string j;
-    Appendf(&j,
-            "{\"name\":\"walk:%s\",\"cat\":\"walk\",\"ph\":\"X\","
-            "\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":0,"
-            "\"args\":{\"err\":\"%.*s\",\"components\":%u,\"retries\":%u}}",
-            WalkOutcomeName(ev.outcome), static_cast<double>(begin) / 1e3,
-            static_cast<double>(ev.latency_ns) / 1e3,
-            static_cast<int>(err.size()), err.data(), ev.components,
-            ev.retries);
-    rows.push_back({begin, std::move(j)});
-  }
   // Request-trace spans (schema v3): one track per recording shard, offset
   // past the journal tids. All spans of a trace land on the same tid, so
   // ts-containment renders the children nested inside their kRequest span.
+  // A walk span (arg0 = components, arg1 = the WalkOutcome code) takes
+  // category `walk`, so walks filter apart from the request framing.
   for (const SpanEvent& ev : spans) {
     std::string j;
     if (ev.kind == SpanKind::kRequest) {
@@ -451,11 +400,13 @@ std::string ObsSnapshot::ToChromeTrace() const {
     } else {
       Appendf(&j, "{\"name\":\"%s\",", SpanKindName(ev.kind));
     }
+    const bool walk =
+        ev.kind == SpanKind::kWalkFast || ev.kind == SpanKind::kWalkSlow;
     Appendf(&j,
-            "\"cat\":\"request\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,"
+            "\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,"
             "\"pid\":1,\"tid\":%u,\"args\":{\"trace_id\":%" PRIu64
             ",\"arg0\":%" PRIu64 ",\"arg1\":%" PRIu64 "}}",
-            static_cast<double>(ev.begin_ns) / 1e3,
+            walk ? "walk" : "request", static_cast<double>(ev.begin_ns) / 1e3,
             static_cast<double>(ev.duration_ns) / 1e3, 100 + ev.shard,
             ev.trace_id, ev.arg0, ev.arg1);
     rows.push_back({ev.begin_ns, std::move(j)});

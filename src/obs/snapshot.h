@@ -2,12 +2,12 @@
 //
 // Kernel::Observe() returns one of these — a self-contained, immutable copy
 // of everything the observability subsystem knows: per-operation latency
-// histograms, the walk-outcome breakdown, the most recent traced walks, and
-// the flat cache counters that CacheStats::ToString() used to be the only
-// window onto. It renders to human-readable text (ToText) and to a stable,
-// versioned JSON object (ToJson) that the bench harness embeds verbatim in
-// its BENCH_*.json artifacts; scripts/bench_smoke.sh validates the schema
-// version on every run.
+// histograms, the walk-outcome breakdown, and the flat cache counters that
+// CacheStats::ToString() used to be the only window onto. It renders to
+// human-readable text (ToText) and to a stable, versioned JSON object
+// (ToJson) that the bench harness embeds verbatim in its BENCH_*.json
+// artifacts; scripts/bench_smoke.sh validates the schema version on every
+// run.
 //
 // Schema evolution contract: kObsSchemaVersion bumps whenever a field is
 // renamed, removed, or changes meaning. Adding fields is backward
@@ -51,7 +51,24 @@ namespace obs {
 // re-meant. The bump distinguishes "no memory section because the producer
 // predates the governor" from a zeroed section. Readers of v3 documents
 // parse v4 documents unmodified.
-inline constexpr int kObsSchemaVersion = 4;
+//
+// v4 -> v5: fields were REMOVED, and one changed meaning, so v4 readers
+// must not assume v5 documents parse unmodified:
+//  - the `trace` array (the per-walk trace ring's newest records) is gone;
+//    walks stay visible as outcome counters, the lookup histogram, heat,
+//    and, for traced requests, as walk_fast/walk_slow spans;
+//  - `cm_est` (the Count-Min estimate) is gone from every heat entry;
+//  - the `locked_walk` journal event is gone;
+//  - a timeline sample's `slow_walks` now counts every walk that ran the
+//    slowpath (walks - fast_hits), fastpath misses included; under v4 it
+//    counted only the kSlow* outcomes, which a fastpath kernel's misses
+//    never reach, so it read 0 there.
+inline constexpr int kObsSchemaVersion = 5;
+
+// printf-style append to `out` (one bounded stack buffer per call: split
+// wide rows across calls). Shared by the snapshot and report renderers.
+void Appendf(std::string* out, const char* fmt, ...)
+    __attribute__((format(printf, 2, 3)));
 
 // Operations with a dedicated latency histogram. Keep in sync with
 // ObsOpName(). kInvalidate is the write-side cost the paper's Figure 7
@@ -112,7 +129,7 @@ struct TimelineSample {
   uint64_t window_ns = 0;   // covered window length
   uint64_t walks = 0;       // walks finished in the window
   uint64_t fast_hits = 0;   // fast_hit + fast_negative outcomes
-  uint64_t slow_walks = 0;  // kSlow* outcomes
+  uint64_t slow_walks = 0;  // walks that ran the slowpath: walks - fast_hits
   uint64_t invalidations = 0;  // subtree invalidation passes
   uint64_t p50_ns = 0;      // lookup latency within the window
   uint64_t p95_ns = 0;
@@ -199,9 +216,6 @@ struct ObsSnapshot {
   // Walk-outcome breakdown, indexed by WalkOutcome.
   std::array<uint64_t, kWalkOutcomeCount> outcomes{};
 
-  // Most recent traced walks, oldest first (at most kTraceSnapshotLimit).
-  std::vector<WalkTraceEvent> trace;
-
   // Flat cache counters (label, value), in CacheStats declaration order.
   std::vector<std::pair<std::string, uint64_t>> counters;
 
@@ -254,10 +268,10 @@ struct ObsSnapshot {
 
   // Chrome trace-event JSON (the chrome://tracing / Perfetto "JSON Array
   // Format"): an object whose `traceEvents` array holds one complete ("X")
-  // event per journal span, per traced walk, and per request-trace span
-  // (request trees nest by ts containment on tid 100+shard), ts/dur in
-  // microseconds, tid = recording shard. Load via chrome://tracing or
-  // ui.perfetto.dev.
+  // event per journal span and per request-trace span (request trees nest
+  // by ts containment on tid 100+shard; their walk_fast/walk_slow spans
+  // carry category `walk`), ts/dur in microseconds, tid = recording shard.
+  // Load via chrome://tracing or ui.perfetto.dev.
   std::string ToChromeTrace() const;
 };
 

@@ -1,19 +1,16 @@
-// Walk tracing: the outcome taxonomy and the traced-walk record
-// (DESIGN.md §9).
+// Walk tracing: the outcome taxonomy (DESIGN.md §9).
 //
 // Every path resolution is classified by *where* it was decided — the
 // question Figure 3 / §6.3 of the paper keep asking ("why did this lookup
-// fall off the fastpath?"). The classification plus the walk's shape
-// (component count, symlink/mount crossings, retries) and its latency are
-// recorded as one fixed-size WalkTraceEvent in the recording shard's
-// SeqRing (seq_ring.h).
+// fall off the fastpath?"). The classification feeds the per-outcome
+// counters, the lookup-latency histogram and the path heat sketches; a
+// traced request additionally carries the walk as a walk_fast/walk_slow
+// span (request_trace.h).
 #ifndef DIRCACHE_OBS_WALK_TRACE_H_
 #define DIRCACHE_OBS_WALK_TRACE_H_
 
 #include <cstddef>
 #include <cstdint>
-
-#include "src/util/result.h"
 
 namespace dircache {
 namespace obs {
@@ -75,20 +72,6 @@ inline const char* WalkOutcomeName(WalkOutcome o) {
 
 inline constexpr size_t kWalkOutcomeCount =
     static_cast<size_t>(WalkOutcome::kCount);
-
-// One traced walk.
-struct WalkTraceEvent {
-  WalkOutcome outcome = WalkOutcome::kSlowLocked;
-  Errno err = Errno::kOk;          // final result of the resolution
-  uint16_t components = 0;         // slowpath components actually walked
-  uint8_t symlink_crossings = 0;
-  uint8_t mount_crossings = 0;
-  uint8_t retries = 0;             // optimistic->locked fallbacks
-  uint8_t wflags = 0;              // kWalk* flags of the request
-  uint16_t resumed_depth = 0;      // components skipped by a shortcut resume
-  uint64_t latency_ns = 0;
-  uint64_t timestamp_ns = 0;       // completion time (snapshot ordering key)
-};
 
 }  // namespace obs
 }  // namespace dircache

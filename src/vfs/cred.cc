@@ -1,41 +1,16 @@
 #include "src/vfs/cred.h"
 
-#include <algorithm>
-#include <atomic>
-
 #include "src/core/pcc.h"
-#include "src/util/epoch.h"
 
 namespace dircache {
 
-Pcc* Cred::CreatePccSlow(size_t bytes, bool track_occupancy) const {
+Pcc* Cred::CreatePccSlow(size_t bytes) const {
   SpinGuard guard(pcc_lock_);
   if (pcc_ == nullptr) {
-    pcc_ = std::make_shared<Pcc>(bytes, track_occupancy);
+    pcc_ = std::make_shared<Pcc>(bytes);
     pcc_cache_.store(pcc_.get(), std::memory_order_release);
   }
   return pcc_.get();
-}
-
-size_t Cred::GrowPcc(size_t max_bytes) const {
-  SpinGuard guard(pcc_lock_);
-  if (pcc_ == nullptr) {
-    return 0;
-  }
-  size_t current = pcc_->bytes();
-  if (current >= max_bytes) {
-    pcc_->ClearGrowHint();
-    return current;
-  }
-  size_t next = std::min(current * 2, max_bytes);
-  auto fresh = std::make_shared<Pcc>(next, /*track_occupancy=*/true);
-  // Keep the old table alive through the grace period: lock-free walkers
-  // may still hold the raw pointer from pcc_cache_.
-  auto* holder = new std::shared_ptr<Pcc>(pcc_);
-  EpochDomain::Global().RetireObject(holder);
-  pcc_ = std::move(fresh);
-  pcc_cache_.store(pcc_.get(), std::memory_order_release);
-  return next;
 }
 
 }  // namespace dircache

@@ -54,10 +54,9 @@ class Cred {
 
   // The PCC attached to this cred, creating it on first use (`bytes` sizes
   // a new table). Thread-safe; the common case is one relaxed load.
-  Pcc* GetOrCreatePcc(size_t bytes, bool track_occupancy = false) const {
+  Pcc* GetOrCreatePcc(size_t bytes) const {
     Pcc* cached = pcc_cache_.load(std::memory_order_acquire);
-    return cached != nullptr ? cached : CreatePccSlow(bytes,
-                                                      track_occupancy);
+    return cached != nullptr ? cached : CreatePccSlow(bytes);
   }
   // The PCC if one exists (may be null).
   Pcc* pcc() const { return pcc_cache_.load(std::memory_order_acquire); }
@@ -68,14 +67,8 @@ class Cred {
     return pcc_;
   }
 
-  // Dynamic PCC resizing (§6.5 future work): replace the table with a
-  // larger one, up to `max_bytes`. The old table drains through the epoch
-  // domain so concurrent lock-free users stay safe; its memoized checks
-  // are rebuilt by subsequent slowpath walks. Returns the active size.
-  size_t GrowPcc(size_t max_bytes) const;
-
  private:
-  Pcc* CreatePccSlow(size_t bytes, bool track_occupancy) const;
+  Pcc* CreatePccSlow(size_t bytes) const;
 
   const Uid uid_;
   const Gid gid_;

@@ -15,6 +15,13 @@
 
 namespace dircache {
 
+namespace {
+
+// PCC lookups per thrash verdict.
+constexpr uint64_t kPccWindow = 4096;
+
+}  // namespace
+
 void CacheGovernor::Start() {
   std::lock_guard<std::mutex> lock(mu_);
   if (running_ || kernel_->config().governor_interval_us == 0) {
@@ -197,30 +204,42 @@ bool CacheGovernor::SteerDlht(const Usage& usage) {
       }
     }
   }
-  // PCC-pressure attribution (edge-triggered): some credential's memo is
+  // PCC-pressure attribution (edge-triggered): the credentials' memos are
   // thrashing while the shared table's chains are healthy — growing the
-  // DLHT would not help; the PCC is the bottleneck.
-  bool pcc_pressure = false;
-  uint64_t occupied = 0;
-  uint64_t capacity = 0;
-  for (const std::shared_ptr<Pcc>& pcc : kernel_->LivePccs()) {
-    if (pcc->ShouldGrow()) {
-      pcc_pressure = true;
+  // DLHT would not help; the PCC is the bottleneck. The occupancy scan runs
+  // only on the rising edge, and only when the journal records it.
+  const bool pcc_pressure = PccThrashing() && !dlht_wants_grow;
+  if (pcc_pressure && !pcc_pressure_latched_ && kernel_->obs().enabled()) {
+    uint64_t occupied = 0;
+    uint64_t capacity = 0;
+    for (const std::shared_ptr<Pcc>& pcc : kernel_->LivePccs()) {
       occupied += pcc->OccupiedEntries();
       capacity += pcc->capacity_entries();
     }
+    kernel_->obs().RecordJournal(obs::JournalEvent::kPccPressure, NowNanos(),
+                                 /*duration_ns=*/0, occupied, capacity);
   }
-  if (pcc_pressure && !dlht_wants_grow) {
-    if (!pcc_pressure_latched_) {
-      pcc_pressure_latched_ = true;
-      kernel_->obs().RecordJournal(obs::JournalEvent::kPccPressure,
-                                   NowNanos(), /*duration_ns=*/0, occupied,
-                                   capacity);
-    }
-  } else {
-    pcc_pressure_latched_ = false;
-  }
+  pcc_pressure_latched_ = pcc_pressure;
   return acted;
+}
+
+bool CacheGovernor::PccThrashing() {
+  const CacheStats& stats = kernel_->stats();
+  const uint64_t hits = stats.pcc_hits.value();
+  const uint64_t misses = stats.pcc_misses.value();
+  if (hits < pcc_window_hits_ || misses < pcc_window_misses_) {
+    // ResetAll() zeroed the counters under the window: restart it.
+    pcc_window_hits_ = hits;
+    pcc_window_misses_ = misses;
+  }
+  const uint64_t lookups =
+      (hits - pcc_window_hits_) + (misses - pcc_window_misses_);
+  if (lookups >= kPccWindow) {
+    pcc_thrashing_ = (misses - pcc_window_misses_) * 2 > lookups;
+    pcc_window_hits_ = hits;
+    pcc_window_misses_ = misses;
+  }
+  return pcc_thrashing_;
 }
 
 }  // namespace dircache

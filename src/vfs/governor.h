@@ -14,9 +14,11 @@
 //     otherwise begin a 2x grow when the sampled chain-length p99 degrades
 //     past dlht_grow_chain_p99 (and the budget has headroom for the new
 //     table), or a 2x shrink when occupancy falls below dlht_shrink_load.
-//  4. Attribution: when a PCC reports thrash (ShouldGrow) while the DLHT's
-//     chains are healthy, journal kPccPressure — the operator's cue that
-//     the per-cred memo, not the shared table, is the bottleneck.
+//  4. Attribution: when more than half of a window of PCC lookups missed
+//     (CacheStats pcc_hits/pcc_misses, the definition behind perfbench's
+//     core.pcc_hit_ratio) while the DLHT's chains are healthy, journal
+//     kPccPressure — the operator's cue that the per-cred memo, not the
+//     shared table, is the bottleneck.
 //
 // The loop thread is optional (Config::governor + governor_interval_us);
 // Tick() is public so tests and benches drive the same policy
@@ -73,6 +75,8 @@ class CacheGovernor {
   // DLHT steering (steps 3-4). Returns true when a resize was begun or
   // advanced on any namespace.
   bool SteerDlht(const Usage& usage);
+  // The PCC thrash verdict of the last full window of lookups (step 4).
+  bool PccThrashing();
 
   Kernel* const kernel_;
 
@@ -85,6 +89,11 @@ class CacheGovernor {
   // Edge-trigger for kPccPressure so a persistently thrashing PCC journals
   // once per episode, not once per tick.
   bool pcc_pressure_latched_ = false;
+  // The PCC window: the pcc_hits/pcc_misses readings at its start, and
+  // the verdict of the last window that reached kPccWindow lookups.
+  uint64_t pcc_window_hits_ = 0;
+  uint64_t pcc_window_misses_ = 0;
+  bool pcc_thrashing_ = false;
 
   std::atomic<uint64_t> ticks_{0};
 };

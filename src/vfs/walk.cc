@@ -25,10 +25,7 @@ struct WalkTraceScratch {
   bool classified = false;  // an outcome site already fired
   obs::WalkOutcome outcome = obs::WalkOutcome::kSlowLocked;
   uint16_t components = 0;  // slowpath components actually walked
-  uint16_t symlinks = 0;    // symlink resolutions spliced in
-  uint16_t mounts = 0;      // mount boundaries crossed
   uint16_t retries = 0;     // optimistic -> locked fallbacks
-  uint16_t resumed_depth = 0;  // components a shortcut resume skipped
 };
 thread_local WalkTraceScratch g_walk_trace;
 
@@ -52,30 +49,12 @@ inline void TraceOutcomeForce(obs::WalkOutcome o) {
   }
 }
 
-inline void TraceResumedDepth(uint16_t depth) {
-  if (g_walk_trace.armed) {
-    g_walk_trace.resumed_depth = depth;
-  }
-}
-
 inline void TraceComponent() {
   if (g_walk_trace.armed) {
     ++g_walk_trace.components;
     // Per-component child span for traced requests (instant; arg0 = the
     // component's ordinal within this walk).
     obs::TraceInstant(obs::SpanKind::kComponent, g_walk_trace.components);
-  }
-}
-
-inline void TraceSymlink() {
-  if (g_walk_trace.armed) {
-    ++g_walk_trace.symlinks;
-  }
-}
-
-inline void TraceMountCrossing() {
-  if (g_walk_trace.armed) {
-    ++g_walk_trace.mounts;
   }
 }
 
@@ -96,35 +75,6 @@ inline obs::WalkOutcome PccMissOutcome(PccMiss miss, bool epoch_flushed) {
   return miss == PccMiss::kStale ? obs::WalkOutcome::kFastMissPccStale
                                  : obs::WalkOutcome::kFastMissPccCred;
 }
-
-template <typename T>
-uint8_t ClampU8(T v) {
-  return v > 0xff ? 0xff : static_cast<uint8_t>(v);
-}
-
-// Coherence-journal span for one locked walk: records how long the tree
-// lock era lasted and how many components were walked under it (arg0).
-class LockedWalkSpan {
- public:
-  LockedWalkSpan(Observability& obs, bool locked) : obs_(obs) {
-    if (locked && obs_.enabled()) {
-      t0_ = NowNanos();
-      components0_ = g_walk_trace.components;
-    }
-  }
-  ~LockedWalkSpan() {
-    if (t0_ != 0) {
-      obs_.RecordJournal(obs::JournalEvent::kLockedWalk, t0_,
-                         NowNanos() - t0_,
-                         g_walk_trace.components - components0_);
-    }
-  }
-
- private:
-  Observability& obs_;
-  uint64_t t0_ = 0;
-  uint16_t components0_ = 0;
-};
 
 }  // namespace
 
@@ -323,7 +273,7 @@ static Pcc* MemoGate(Kernel* kernel, Task& task, uint64_t inval_snapshot) {
     return nullptr;
   }
   const CacheConfig& cfg = kernel->config();
-  Pcc* pcc = task.cred()->GetOrCreatePcc(cfg.pcc_bytes, cfg.pcc_autosize);
+  Pcc* pcc = task.cred()->GetOrCreatePcc(cfg.pcc_bytes);
   pcc->EnsureEpoch(kernel->pcc_epoch());
   if (g_untrusted_base != nullptr) {
     uint32_t base_seq =
@@ -392,11 +342,6 @@ static void Populate(Kernel* kernel, Task& task, Mount* mnt, Dentry* d,
     if (di != nullptr && di->IsDir()) {
       pcc->InsertPrefix(sig, seq);
     }
-  }
-  if (cfg.pcc_autosize && pcc->ShouldGrow()) {
-    // §6.5 future work: the PCC is thrashing (working set exceeds it);
-    // grow it rather than keep taking slowpaths.
-    task.cred()->GrowPcc(cfg.pcc_max_bytes);
   }
 }
 
@@ -553,35 +498,25 @@ Result<PathHandle> PathWalker::Resolve(Task& task, const PathHandle* base,
   }
   // Trace this walk. Scratch is saved/restored so a walk nested inside
   // another (task-level operations resolve several paths) records its own
-  // event without corrupting the outer one.
+  // outcome without corrupting the outer one.
   WalkTraceScratch saved = g_walk_trace;
   g_walk_trace = WalkTraceScratch{};
   g_walk_trace.armed = true;
   uint64_t t0 = NowNanos();
   Result<PathHandle> r =
       DoResolve(task, base, path, wflags, last_out, stat_out);
-  uint64_t t1 = NowNanos();
-  obs::WalkTraceEvent ev;
-  ev.outcome = g_walk_trace.outcome;
-  ev.err = r.ok() ? Errno::kOk : r.error();
-  ev.components = g_walk_trace.components;
-  ev.symlink_crossings = ClampU8(g_walk_trace.symlinks);
-  ev.mount_crossings = ClampU8(g_walk_trace.mounts);
-  ev.retries = ClampU8(g_walk_trace.retries);
-  ev.wflags = static_cast<uint8_t>(wflags & 0xf);
-  ev.resumed_depth = g_walk_trace.resumed_depth;
-  ev.latency_ns = t1 - t0;
-  ev.timestamp_ns = t1;
+  const uint64_t latency_ns = NowNanos() - t0;
+  const WalkTraceScratch done = g_walk_trace;
   g_walk_trace = saved;
-  obs.RecordWalk(ev, path);
+  obs.RecordWalk(done.outcome, latency_ns, path);
   // Child span for traced requests: one walk = one span, classified fast
   // vs slow by its outcome (arg0 = components, arg1 = the outcome code).
   if (obs::g_active_trace != nullptr) {
-    const bool fast = ev.outcome == obs::WalkOutcome::kFastHit ||
-                      ev.outcome == obs::WalkOutcome::kFastNegative;
+    const bool fast = done.outcome == obs::WalkOutcome::kFastHit ||
+                      done.outcome == obs::WalkOutcome::kFastNegative;
     obs::TraceAddSpan(fast ? obs::SpanKind::kWalkFast : obs::SpanKind::kWalkSlow,
-                      t0, ev.latency_ns, ev.components,
-                      static_cast<uint64_t>(ev.outcome));
+                      t0, latency_ns, done.components,
+                      static_cast<uint64_t>(done.outcome));
   }
   return r;
 }
@@ -660,7 +595,6 @@ Result<PathHandle> PathWalker::DoResolve(Task& task, const PathHandle* base,
       stats.shortcut_resumes.Add();
       stats.shortcut_skipped.Add(resume.ancestor_depth);
       TraceOutcome(obs::WalkOutcome::kFastMissShortcutHit);
-      TraceResumedDepth(resume.ancestor_depth);
       obs::TraceInstant(
           obs::SpanKind::kWalkShortcut, resume.ancestor_depth,
           static_cast<uint64_t>(resume.total_depth - resume.ancestor_depth));
@@ -755,7 +689,6 @@ Result<PathHandle> PathWalker::WalkComponents(Task& task,
   DentryCache& dc = k->dcache();
   const bool locked = mode == WalkMode::kLocked;
 
-  LockedWalkSpan span(k->obs(), locked);
   std::shared_lock<std::shared_mutex> tree(k->tree_lock(), std::defer_lock);
   if (locked) {
     tree.lock();
@@ -1015,7 +948,6 @@ Result<PathHandle> PathWalker::WalkComponents(Task& task,
       if (covered == nullptr) {
         break;
       }
-      TraceMountCrossing();
       nmnt = covered;
       Dentry* root = covered->root;
       hold(root);
@@ -1037,7 +969,6 @@ Result<PathHandle> PathWalker::WalkComponents(Task& task,
       if (!locked) {
         return bail();  // symlink resolution runs locked
       }
-      TraceSymlink();
       if (++link_depth > kMaxSymlinkDepth) {
         dc.Dput(child);
         return fail(Errno::kELOOP);
@@ -1377,7 +1308,7 @@ bool PathWalker::TryFastResolve(Task& task, const PathHandle& start,
     return false;
   }
 
-  Pcc* pcc = task.cred()->GetOrCreatePcc(cfg.pcc_bytes, cfg.pcc_autosize);
+  Pcc* pcc = task.cred()->GetOrCreatePcc(cfg.pcc_bytes);
   const bool epoch_flushed = pcc->EnsureEpoch(k->pcc_epoch());
 
   Dentry* base = start.dentry();

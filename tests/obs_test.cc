@@ -1,5 +1,5 @@
 // Observability subsystem tests (DESIGN.md §9–§10): histogram bucketing,
-// the lock-free SeqRing behind the walk-trace, journal and span streams
+// the lock-free SeqRing behind the journal and span streams
 // (including multi-writer wraparound and torn-read skipping), the path heat
 // sketches, the background sampler's timeline and watchdogs, the versioned
 // snapshot and its Chrome-trace export, the invariant auditor, and — most
@@ -24,6 +24,7 @@
 #include "src/obs/snapshot.h"
 #include "src/obs/walk_trace.h"
 #include "src/server/batch.h"
+#include "src/util/clock.h"
 #include "tests/test_util.h"
 
 namespace dircache {
@@ -41,7 +42,6 @@ using obs::PathHeatSketch;
 using obs::SeqRing;
 using obs::SpanEvent;
 using obs::WalkOutcome;
-using obs::WalkTraceEvent;
 
 // --- histogram ------------------------------------------------------------
 
@@ -129,40 +129,36 @@ TEST(Histogram, SinceClampsUnderflowFromAReset) {
 // --- SeqRing --------------------------------------------------------------
 
 TEST(SeqRing, CapacityRoundsToPowerOfTwo) {
-  EXPECT_EQ(SeqRing<WalkTraceEvent>(1).capacity(), 1u);
-  EXPECT_EQ(SeqRing<WalkTraceEvent>(5).capacity(), 8u);
-  EXPECT_EQ(SeqRing<WalkTraceEvent>(128).capacity(), 128u);
+  EXPECT_EQ(SeqRing<SpanEvent>(1).capacity(), 1u);
+  EXPECT_EQ(SeqRing<SpanEvent>(5).capacity(), 8u);
+  EXPECT_EQ(SeqRing<SpanEvent>(128).capacity(), 128u);
 }
 
 // Every field survives the ring unchanged, including the timestamp's low
 // bit.
 TEST(SeqRing, RoundTripKeepsEveryFieldAndAnOddTimestamp) {
-  SeqRing<WalkTraceEvent> ring(4);
-  WalkTraceEvent ev;
-  ev.outcome = WalkOutcome::kSlowRetried;
-  ev.err = Errno::kENOENT;
-  ev.components = 300;  // needs the full 16 bits
-  ev.symlink_crossings = 3;
-  ev.mount_crossings = 2;
-  ev.retries = 1;
-  ev.wflags = 0x5;
-  ev.resumed_depth = 7;
-  ev.latency_ns = 12345;
-  ev.timestamp_ns = 43;
+  SeqRing<SpanEvent> ring(4);
+  SpanEvent ev;
+  ev.kind = obs::SpanKind::kWalkSlow;
+  ev.op = obs::TraceOp::kRename;
+  ev.shard = 3;
+  ev.trace_id = 0x123456789abcdefull;
+  ev.begin_ns = 43;
+  ev.duration_ns = 12345;
+  ev.arg0 = 300;
+  ev.arg1 = 7;
   ring.Push(ev);
-  std::vector<WalkTraceEvent> out;
+  std::vector<SpanEvent> out;
   ring.Drain(&out);
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].outcome, WalkOutcome::kSlowRetried);
-  EXPECT_EQ(out[0].err, Errno::kENOENT);
-  EXPECT_EQ(out[0].components, 300u);
-  EXPECT_EQ(out[0].symlink_crossings, 3u);
-  EXPECT_EQ(out[0].mount_crossings, 2u);
-  EXPECT_EQ(out[0].retries, 1u);
-  EXPECT_EQ(out[0].wflags, 0x5u);
-  EXPECT_EQ(out[0].resumed_depth, 7u);
-  EXPECT_EQ(out[0].latency_ns, 12345u);
-  EXPECT_EQ(out[0].timestamp_ns, 43u);
+  EXPECT_EQ(out[0].kind, obs::SpanKind::kWalkSlow);
+  EXPECT_EQ(out[0].op, obs::TraceOp::kRename);
+  EXPECT_EQ(out[0].shard, 3u);
+  EXPECT_EQ(out[0].trace_id, 0x123456789abcdefull);
+  EXPECT_EQ(out[0].begin_ns, 43u);
+  EXPECT_EQ(out[0].duration_ns, 12345u);
+  EXPECT_EQ(out[0].arg0, 300u);
+  EXPECT_EQ(out[0].arg1, 7u);
 }
 
 // Self-checking records for the typed ring tests: every field derives from
@@ -170,30 +166,6 @@ TEST(SeqRing, RoundTripKeepsEveryFieldAndAnOddTimestamp) {
 // Intact().
 template <typename Record>
 struct RecordCodec;
-
-template <>
-struct RecordCodec<WalkTraceEvent> {
-  static WalkTraceEvent Make(uint64_t id) {
-    WalkTraceEvent ev;
-    ev.outcome = static_cast<WalkOutcome>(id % obs::kWalkOutcomeCount);
-    ev.err = id % 2 == 0 ? Errno::kOk : Errno::kENOENT;
-    ev.components = static_cast<uint16_t>(id);
-    ev.symlink_crossings = static_cast<uint8_t>(id >> 2);
-    ev.mount_crossings = static_cast<uint8_t>(id >> 4);
-    ev.retries = static_cast<uint8_t>(id >> 6);
-    ev.wflags = static_cast<uint8_t>(id & 0xf);
-    ev.resumed_depth = static_cast<uint16_t>(id * 3);
-    ev.latency_ns = id * 7;
-    ev.timestamp_ns = id;
-    return ev;
-  }
-  static uint64_t Id(const WalkTraceEvent& ev) { return ev.timestamp_ns; }
-  static auto Fields(const WalkTraceEvent& ev) {
-    return std::tie(ev.outcome, ev.err, ev.components, ev.symlink_crossings,
-                    ev.mount_crossings, ev.retries, ev.wflags,
-                    ev.resumed_depth, ev.latency_ns, ev.timestamp_ns);
-  }
-};
 
 template <>
 struct RecordCodec<JournalEventRecord> {
@@ -277,16 +249,14 @@ void ExpectFullAndIntact(const SeqRing<Record>& ring) {
   }
 }
 
-// The walk-trace, journal and span streams all run the same ring tests.
+// The journal and span streams run the same ring tests.
 template <typename Record>
 class SeqRingTest : public ::testing::Test {};
 
 struct RecordName {
   template <typename Record>
   static std::string GetName(int) {
-    if constexpr (std::is_same_v<Record, WalkTraceEvent>) {
-      return "Walk";
-    } else if constexpr (std::is_same_v<Record, JournalEventRecord>) {
+    if constexpr (std::is_same_v<Record, JournalEventRecord>) {
       return "Journal";
     } else {
       return "Span";
@@ -294,8 +264,7 @@ struct RecordName {
   }
 };
 
-using RecordTypes =
-    ::testing::Types<WalkTraceEvent, JournalEventRecord, SpanEvent>;
+using RecordTypes = ::testing::Types<JournalEventRecord, SpanEvent>;
 TYPED_TEST_SUITE(SeqRingTest, RecordTypes, RecordName);
 
 TYPED_TEST(SeqRingTest, WraparoundKeepsTheNewestRecords) {
@@ -347,7 +316,6 @@ TEST(HeatSketch, CountsAndLabelsHeavyHitters) {
   EXPECT_EQ(top[0].path, "/hot/a");
   EXPECT_EQ(top[0].count, 100u);
   EXPECT_EQ(top[0].err, 0u);  // seated in an empty slot: exact
-  EXPECT_GE(top[0].cm_est, 100u);  // Count-Min never underestimates
   EXPECT_EQ(top[1].path, "/hot/b");
   EXPECT_EQ(top[1].count, 50u);
 }
@@ -390,7 +358,6 @@ TEST(Observe, DisabledKernelRecordsNothing) {
   EXPECT_FALSE(snap.enabled);
   EXPECT_EQ(snap.TotalWalks(), 0u);
   EXPECT_EQ(snap.Op(ObsOp::kStat).count, 0u);
-  EXPECT_TRUE(snap.trace.empty());
   // The flat counters are still there — Observe() supersedes
   // stats().ToString() even with recording off.
   EXPECT_FALSE(snap.counters.empty());
@@ -441,10 +408,6 @@ TEST(Observe, EnabledKernelClassifiesWalks) {
   EXPECT_EQ(after.Op(ObsOp::kStat).count - before.Op(ObsOp::kStat).count,
             11u);
   EXPECT_GT(after.Op(ObsOp::kStat).sum_ns, before.Op(ObsOp::kStat).sum_ns);
-  // The failed walk shows up in the trace with its errno.
-  ASSERT_FALSE(after.trace.empty());
-  const obs::WalkTraceEvent& last = after.trace.back();
-  EXPECT_EQ(last.err, Errno::kENOENT);
 }
 
 TEST(Observe, SnapshotJsonShape) {
@@ -456,10 +419,10 @@ TEST(Observe, SnapshotJsonShape) {
   std::string json = snap.ToJson();
   // Versioned, fixed-field-order contract (scripts/bench_smoke.sh greps
   // for the schema_version; renames here are schema bumps).
-  EXPECT_NE(json.find("\"schema_version\":4"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"schema_version\":5"), std::string::npos) << json;
   EXPECT_NE(json.find("\"enabled\":true"), std::string::npos);
   for (const char* key :
-       {"\"ops\"", "\"walk_outcomes\"", "\"trace\"", "\"counters\"",
+       {"\"ops\"", "\"walk_outcomes\"", "\"counters\"",
         "\"lookup\"", "\"p50_ns\"", "\"p95_ns\"", "\"p99_ns\"",
         "\"fast_hit\"", "\"timeline\"", "\"heat\"", "\"journal\"",
         "\"hot_paths\"", "\"slow_paths\"", "\"miss_dirs\"", "\"spans\"",
@@ -467,14 +430,18 @@ TEST(Observe, SnapshotJsonShape) {
         "\"dlht_resize_in_flight\"", "\"tenants\"", "\"flight_dumps\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
   }
-  // Field order is part of the contract: version first, ops before trace,
+  // v5 removed the walk-trace array and the heat entries' Count-Min
+  // estimate.
+  EXPECT_EQ(json.find("\"trace\""), std::string::npos) << json;
+  EXPECT_EQ(json.find("\"cm_est\""), std::string::npos) << json;
+  // Field order is part of the contract: version first, ops before counters,
   // every v2 section strictly after the last v1 field, every v3 section
   // strictly after the last v2 field, and the v4 memory section between
   // attribution and flight_dumps (older readers parse a prefix-compatible
   // document).
   EXPECT_LT(json.find("\"schema_version\""), json.find("\"ops\""));
   EXPECT_LT(json.find("\"ops\""), json.find("\"walk_outcomes\""));
-  EXPECT_LT(json.find("\"walk_outcomes\""), json.find("\"trace\""));
+  EXPECT_LT(json.find("\"walk_outcomes\""), json.find("\"counters\""));
   EXPECT_LT(json.find("\"counters\""), json.find("\"timeline\""));
   EXPECT_LT(json.find("\"timeline\""), json.find("\"heat\""));
   EXPECT_LT(json.find("\"heat\""), json.find("\"journal\""));
@@ -484,7 +451,7 @@ TEST(Observe, SnapshotJsonShape) {
   EXPECT_LT(json.find("\"memory\""), json.find("\"flight_dumps\""));
 
   std::string text = snap.ToText();
-  EXPECT_NE(text.find("schema v4"), std::string::npos) << text;
+  EXPECT_NE(text.find("schema v5"), std::string::npos) << text;
   EXPECT_NE(text.find("fast_hit"), std::string::npos);
 }
 
@@ -544,8 +511,6 @@ TEST(Observe, HeatSectionAttributesHitsAndMisses) {
   ASSERT_FALSE(snap.heat.hot_paths.empty());
   EXPECT_EQ(snap.heat.hot_paths[0].path, "/h/hot");
   EXPECT_GE(snap.heat.hot_paths[0].count, 50u);
-  EXPECT_GE(snap.heat.hot_paths[0].cm_est, snap.heat.hot_paths[0].count -
-                                               snap.heat.hot_paths[0].err);
   ASSERT_FALSE(snap.heat.miss_dirs.empty());
   EXPECT_EQ(snap.heat.miss_dirs[0].path, "/h");
   EXPECT_GE(snap.heat.miss_dirs[0].count, 20u);
@@ -674,7 +639,13 @@ TEST(Observe, ChromeTraceExportsJournalAndWalks) {
   auto fd = w.root->Open("/t/f", kOCreat | kOWrite);
   ASSERT_OK(fd);
   ASSERT_OK(w.root->Close(*fd));
-  EXPECT_OK(w.root->Statx(kAtFdCwd, "/t/f", 0));
+  // A force-traced stat: its walk span exports under category `walk`.
+  Stat st;
+  server::Sqe s = server::Sqe::Statx(kAtFdCwd, "/t/f", 0, &st);
+  s.trace_force = 1;
+  server::Cqe c;
+  w.root->SubmitBatch(&s, 1, &c);
+  ASSERT_TRUE(c.ok()) << c.error_name();
   ASSERT_OK(w.root->Rename("/t/f", "/t/g"));
   std::string trace = w.kernel->Observe().ToChromeTrace();
   // Shape: an object with a traceEvents array of complete events carrying
@@ -730,6 +701,53 @@ TEST(Observe, SamplerBuildsATimeline) {
   obs::ObsSnapshot snap = w.kernel->Observe();
   EXPECT_TRUE(snap.timeline.active);
   EXPECT_GT(snap.timeline.samples_taken, 0u);
+}
+
+// Cold stats on a fastpath kernel miss the fastpath and run the slowpath.
+// Their walks are classified by the miss reason, never by a kSlow*
+// outcome, and the timeline must still count them as slow walks.
+TEST(Observe, SamplerCountsFastpathMissesAsSlowWalks) {
+  ObsConfig cfg = ObsConfig::EnabledWithSampler();
+  cfg.sample_interval_ms = 10;  // the ring then spans 1.28 s of windows
+  TestWorld w(CacheConfig::Optimized(), nullptr, cfg);
+  ASSERT_OK(w.root->Mkdir("/cold"));
+  // Start once the sampler has closed a window, so its baseline reading
+  // predates every stat.
+  for (int i = 0; i < 2000 && w.kernel->Timeline().samples_taken == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GT(w.kernel->Timeline().samples_taken, 0u);
+  constexpr uint64_t kStats = 2000;
+  for (uint64_t i = 0; i < kStats; ++i) {
+    EXPECT_ERR(w.root->Statx(kAtFdCwd, "/cold/f" + std::to_string(i), 0),
+               Errno::kENOENT);
+  }
+  // Wait for a window that closes after the last stat.
+  const uint64_t done_ns = NowNanos();
+  obs::ObsTimeline tl;
+  for (int i = 0; i < 2000; ++i) {
+    tl = w.kernel->Timeline();
+    if (!tl.samples.empty() && tl.samples.back().t_ns > done_ns) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_FALSE(tl.samples.empty());
+  ASSERT_GT(tl.samples.back().t_ns, done_ns);
+  ASSERT_EQ(tl.samples_taken, tl.samples.size());  // no window dropped
+  uint64_t walks = 0;
+  uint64_t slow = 0;
+  for (const obs::TimelineSample& s : tl.samples) {
+    EXPECT_EQ(s.slow_walks, s.walks - s.fast_hits);
+    walks += s.walks;
+    slow += s.slow_walks;
+  }
+  // Every cold stat ran the slowpath, and the timeline agrees with the
+  // kernel's own count (which also saw setup walks from before the
+  // sampler's baseline reading).
+  EXPECT_GE(walks, kStats);
+  EXPECT_GE(slow, kStats);
+  EXPECT_LE(slow, w.kernel->stats().slowpath_walks.value());
 }
 
 TEST(Observe, SamplerWatchdogFlagsInvalidationSpike) {
@@ -956,11 +974,9 @@ TEST(Trace, ChromeTraceStaysWellFormedUnderWraparound) {
   // Trace everything and drive more records than any ring holds: every
   // stream wraps and the exported document must stay loadable and
   // time-ordered. One thread records, so everything lands in one shard's
-  // rings. Per round: 20 stats are at least 20 walks and 40 spans (request
-  // + walk each), and 2 renames journal at least 4 events (rename +
-  // rename_lock each).
+  // rings. Per round: 20 stats are at least 40 spans (request + walk each),
+  // and 2 renames journal at least 4 events (rename + rename_lock each).
   constexpr size_t kRounds = 70;
-  static_assert(20 * kRounds > obs::kTraceRingEvents);
   static_assert(40 * kRounds > obs::kSpanRingEvents);
   static_assert(4 * kRounds > obs::kJournalRingEvents);
   ObsConfig cfg = ObsConfig::Enabled();

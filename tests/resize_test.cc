@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "src/core/dlht.h"
-#include "src/core/pcc.h"
 #include "src/vfs/governor.h"
 #include "tests/test_util.h"
 
@@ -375,22 +374,34 @@ TEST_F(GovernorTest, GrowsDlhtWhenChainsDegradeAndMergesWhenSparse) {
 }
 
 TEST(GovernorJournal, ReportsPccPressureWhenDlhtIsHealthy) {
-  CacheConfig cfg = GovernorWorldConfig::Make();
-  cfg.cache_memory_budget = 0;  // isolate the attribution signal
+  CacheConfig cfg = CacheConfig::Optimized();  // a roomy, healthy DLHT
+  cfg.governor = true;
+  cfg.governor_interval_us = 0;  // no thread; the test calls Tick()
+  cfg.pcc_bytes = 512;           // 32 entries
   TestWorld world(cfg, nullptr, ObsConfig::Enabled());
   CacheGovernor* gov = world.kernel->governor();
   ASSERT_NE(gov, nullptr);
-  // Create the init cred's PCC with occupancy tracking (no walk has run
-  // yet, so this instance wins), then thrash it: an all-miss window pushes
-  // the miss rate past the ShouldGrow threshold while the near-empty DLHT
-  // stays healthy — the governor must attribute the pressure to the PCC.
-  Pcc* pcc = world.root->cred()->GetOrCreatePcc(512, /*track_occupancy=*/
-                                                true);
-  ASSERT_NE(pcc, nullptr);
-  for (uintptr_t i = 0; i < 4096; ++i) {
-    (void)pcc->Lookup(reinterpret_cast<const void*>(0x1000 + 8 * i), 1);
+  // Full-path stats over 200 one-file directories cycle far more memos
+  // through the PCC than its 32 entries hold, so nearly every lookup
+  // misses while the DLHT stays healthy: the governor must attribute the
+  // pressure to the PCC.
+  std::vector<std::string> files;
+  for (int i = 0; i < 200; ++i) {
+    const std::string dir = "/pp" + std::to_string(i);
+    ASSERT_OK(world.root->Mkdir(dir));
+    auto fd = world.root->Open(dir + "/f", kOCreat | kOWrite);
+    ASSERT_OK(fd);
+    ASSERT_OK(world.root->Close(*fd));
+    files.push_back(dir + "/f");
   }
-  ASSERT_TRUE(pcc->ShouldGrow());
+  const CacheStats& stats = world.kernel->stats();
+  const uint64_t misses0 = stats.pcc_misses.value();
+  for (int round = 0; round < 30; ++round) {
+    for (const std::string& f : files) {
+      ASSERT_OK(world.root->Statx(kAtFdCwd, f, 0));
+    }
+  }
+  ASSERT_GT(stats.pcc_misses.value() - misses0, 4096u);
   gov->Tick();
   gov->Tick();  // edge-triggered: a persistent episode journals once
   size_t pressure_events = 0;

@@ -19,8 +19,7 @@ TEST(SoakTest, EverythingAtOnce) {
   opt.max_inodes = 1 << 14;
   auto fs = std::make_shared<DiskFs>(opt);
   CacheConfig cfg = CacheConfig::Optimized();
-  cfg.pcc_bytes = 4096;  // small: force thrash + last-hop + autosize
-  cfg.pcc_autosize = true;
+  cfg.pcc_bytes = 4096;  // small: force thrash + last-hop
   TestWorld w(cfg, fs);
   Task& root = *w.root;
   ASSERT_OK(root.Mkdir("/work"));

@@ -1,6 +1,6 @@
 // Workload library tests: tree generation determinism, application
-// emulators' invariants, maildir semantics, web server output, the latency
-// harness, and the PCC autosize extension.
+// emulators' invariants, maildir semantics, web server output, and the
+// latency harness.
 #include <set>
 
 #include "src/workload/apps.h"
@@ -8,7 +8,6 @@
 #include "src/workload/maildir.h"
 #include "src/workload/tree_gen.h"
 #include "src/workload/webserver.h"
-#include "src/core/pcc.h"
 #include "tests/test_util.h"
 
 namespace dircache {
@@ -188,32 +187,6 @@ TEST(LatencyHarnessTest, MeasuresMonotonicWork) {
   EXPECT_GT(r.iterations, 0u);
   EXPECT_GT(counter, 0);
   EXPECT_GE(r.p99_ns, r.p50_ns);
-}
-
-TEST(PccAutosizeTest, GrowsUnderThrash) {
-  CacheConfig cfg = CacheConfig::Optimized();
-  cfg.pcc_bytes = 1024;  // 64 entries: guaranteed to thrash
-  cfg.pcc_autosize = true;
-  cfg.pcc_max_bytes = 64 * 1024;
-  TestWorld w(cfg);
-  TreeSpec spec;
-  spec.approx_files = 1200;
-  auto tree = GenerateSourceTree(*w.root, "/src", spec);
-  ASSERT_OK(tree);
-  // Full-path stats of every file churn per-file PCC entries.
-  for (int round = 0; round < 12; ++round) {
-    for (const auto& f : tree->files) {
-      ASSERT_OK(w.root->Statx(kAtFdCwd, f, 0));
-    }
-  }
-  Pcc* pcc = w.root->cred()->pcc();
-  ASSERT_NE(pcc, nullptr);
-  EXPECT_GT(pcc->bytes(), 1024u);  // the table grew
-  EXPECT_LE(pcc->bytes(), 64u * 1024u);
-  // Behaviour stays correct throughout.
-  for (const auto& f : tree->files) {
-    EXPECT_OK(w.root->Statx(kAtFdCwd, f, 0));
-  }
 }
 
 TEST(PathStatsTest, CountsBytesAndComponents) {
