@@ -106,11 +106,9 @@ SliceResult TimedSlices(Env& env, Between&& between, Done&& done,
     ++fresh;
   }
   r.batches = r.samples.size();
-  std::vector<uint64_t> sorted = r.samples;
-  std::sort(sorted.begin(), sorted.end());
-  if (!sorted.empty()) {
-    r.p50_ns = static_cast<double>(sorted[sorted.size() / 2]);
-    r.p99_ns = static_cast<double>(sorted[sorted.size() * 99 / 100]);
+  if (!r.samples.empty()) {
+    r.p50_ns = static_cast<double>(Quantile(r.samples, 1, 2));
+    r.p99_ns = static_cast<double>(Quantile(r.samples, 99, 100));
   }
   return r;
 }

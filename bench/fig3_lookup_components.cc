@@ -11,7 +11,6 @@
 //   - optimized: signing the path (scan + hash), one DLHT probe and one PCC
 //     probe (the permission phase).
 // init+finalize is the whole statx minus those phases.
-#include <algorithm>
 #include <string_view>
 #include <vector>
 
@@ -105,11 +104,6 @@ void TimeRep(std::vector<double>* samples, Fn&& body) {
   samples->push_back(static_cast<double>(t1 - t0) / kIters);
 }
 
-double MedianOf(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
-
 Phases Probe(Env& env, const PathCase& pc, bool optimized) {
   Kernel& k = *env.kernel;
   Task& t = env.T();
@@ -187,8 +181,8 @@ Phases Probe(Env& env, const PathCase& pc, bool optimized) {
       return static_cast<uint64_t>(t.Statx(kAtFdCwd, path, 0).ok());
     });
   }
-  return {MedianOf(perm), MedianOf(scan_hash), MedianOf(lookup),
-          MedianOf(statx)};
+  return {Quantile(perm, 1, 2), Quantile(scan_hash, 1, 2),
+          Quantile(lookup, 1, 2), Quantile(statx, 1, 2)};
 }
 
 void Decompose(const char* config_label, const CacheConfig& cfg) {

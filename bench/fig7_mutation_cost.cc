@@ -212,12 +212,6 @@ uint64_t MonoNanos() {
          static_cast<uint64_t>(ts.tv_nsec);
 }
 
-void Percentiles(std::vector<uint64_t>* lat, uint64_t* p50, uint64_t* p99) {
-  std::sort(lat->begin(), lat->end());
-  *p50 = (*lat)[lat->size() / 2];
-  *p99 = (*lat)[lat->size() * 99 / 100];
-}
-
 ReaderResult MeasureReader(int ops) {
   Env env = MakeEnv(ParallelCfg());
   Task& t = env.T();
@@ -237,7 +231,8 @@ ReaderResult MeasureReader(int ops) {
   ReaderResult r;
   std::vector<uint64_t> quiet;
   loop(&quiet);
-  Percentiles(&quiet, &r.quiet_p50_ns, &r.quiet_p99_ns);
+  r.quiet_p50_ns = Quantile(quiet, 1, 2);
+  r.quiet_p99_ns = Quantile(quiet, 99, 100);
   {
     // Hold the coherence gate open: InvalidationQuiescent() is false, so
     // every lookup must complete via the locked slowpath — the worst case a
@@ -245,7 +240,8 @@ ReaderResult MeasureReader(int ops) {
     CoherenceSection section(&env.kernel->dcache());
     std::vector<uint64_t> open;
     loop(&open);
-    Percentiles(&open, &r.gate_open_p50_ns, &r.gate_open_p99_ns);
+    r.gate_open_p50_ns = Quantile(open, 1, 2);
+    r.gate_open_p99_ns = Quantile(open, 99, 100);
   }
   // Settle the caches past the post-gate repopulation writes, then assert
   // the steady state: warm hits perform no shared-cacheline writes.

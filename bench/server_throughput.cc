@@ -224,28 +224,27 @@ MixedResult MixedPhase(Kernel* kernel, const TaskPtr& base, Workload& w,
   // task (io_uring fixed-file discipline).
   std::vector<int32_t> dir_fds(w.dirs.size(), -1);
   {
-    std::vector<server::Sqe> sqes;
+    std::vector<server::Cqe> cqes(64);
+    size_t got = 0;
+    auto on_reap = [&](size_t n) {
+      for (size_t i = 0; i < n; ++i) {
+        if (cqes[i].ok()) {
+          dir_fds[cqes[i].user_data] = cqes[i].res;
+        }
+      }
+      got += n;
+    };
     for (size_t i = 0; i < w.dirs.size(); ++i) {
       server::Sqe s = server::Sqe::Open(kAtFdCwd, w.dirs[i],
                                         kORead | kODirectory);
       s.user_data = i;
-      sqes.push_back(s);
+      srv.SubmitOrReap(0, s, cqes.data(), cqes.size(), on_reap);
     }
-    for (const server::Sqe& s : sqes) {
-      srv.SubmitWait(0, s);
-    }
-    size_t got = 0;
-    std::vector<server::Cqe> cqes(sqes.size());
     server::ReapBackoff backoff;
-    while (got < sqes.size()) {
-      size_t n = srv.Reap(0, cqes.data() + got, cqes.size() - got);
-      got += n;
+    while (got < w.dirs.size()) {
+      size_t n = srv.Reap(0, cqes.data(), cqes.size());
+      on_reap(n);
       backoff.Update(n);
-    }
-    for (size_t i = 0; i < got; ++i) {
-      if (cqes[i].ok()) {
-        dir_fds[cqes[i].user_data] = cqes[i].res;
-      }
     }
   }
   // Per-op readdir sink: one shared buffer is fine — the client reaps the
@@ -274,6 +273,13 @@ MixedResult MixedPhase(Kernel* kernel, const TaskPtr& base, Workload& w,
   uint64_t reaped = 0;
   uint64_t mutations = 0;
   std::vector<server::Cqe> cqes(256);
+  auto on_reap = [&](size_t got) {
+    const uint64_t now = NowNanos();
+    for (size_t k = 0; k < got; ++k) {
+      done_ns[cqes[k].user_data] = now;
+    }
+    reaped += got;
+  };
   server::ReapBackoff backoff;
   while (reaped < ops) {
     uint64_t now = NowNanos();
@@ -304,15 +310,13 @@ MixedResult MixedPhase(Kernel* kernel, const TaskPtr& base, Workload& w,
                                nullptr);
       }
       s.user_data = i;
-      srv.SubmitWait(0, s);
+      // A backlog larger than both rings would deadlock SubmitWait here:
+      // the shard waits for CQ space that only this loop frees.
+      srv.SubmitOrReap(0, s, cqes.data(), cqes.size(), on_reap);
       ++submitted;
     }
     size_t got = srv.Reap(0, cqes.data(), cqes.size());
-    now = NowNanos();
-    for (size_t k = 0; k < got; ++k) {
-      done_ns[cqes[k].user_data] = now;
-    }
-    reaped += got;
+    on_reap(got);
     backoff.Update(got);
   }
   uint64_t el = NowNanos() - start;
@@ -326,14 +330,9 @@ MixedResult MixedPhase(Kernel* kernel, const TaskPtr& base, Workload& w,
   for (uint64_t i = 0; i < ops; ++i) {
     lat[i] = done_ns[i] > arrive_ns[i] ? done_ns[i] - arrive_ns[i] : 0;
   }
-  std::sort(lat.begin(), lat.end());
-  auto q = [&](double f) {
-    size_t idx = static_cast<size_t>(f * static_cast<double>(ops));
-    return lat[std::min(idx, static_cast<size_t>(ops - 1))];
-  };
-  r.p50_ns = q(0.50);
-  r.p99_ns = q(0.99);
-  r.p999_ns = q(0.999);
+  r.p50_ns = Quantile(lat, 1, 2);
+  r.p99_ns = Quantile(lat, 99, 100);
+  r.p999_ns = Quantile(std::move(lat), 999, 1000);
   return r;
 }
 

@@ -6,7 +6,6 @@
 // Times are wall seconds of the emulated application run (cache warm, no
 // simulated I/O on the hit paths). Mutating apps (tar, rm, make) get a
 // fresh workspace per run with the measured phase isolated.
-#include <algorithm>
 #include <functional>
 
 #include "bench/common.h"
@@ -54,9 +53,8 @@ MeasureResult RunApp(const CacheConfig& cfg, const AppCase& app,
     r = app.run(env);
     times.push_back(sw.ElapsedSeconds());
   }
-  std::sort(times.begin(), times.end());
   MeasureResult m;
-  m.seconds = times[times.size() / 2];
+  m.seconds = Quantile(std::move(times), 1, 2);
   m.app = r;
   uint64_t hits = stats.dcache_hits.value() + stats.fastpath_hits.value();
   uint64_t misses = stats.dcache_misses.value();

@@ -1,6 +1,5 @@
 // Table 3: Apache-autoindex throughput — dynamically generated directory
 // listing pages, requests/sec over directories of increasing size (§6.3).
-#include <algorithm>
 #include <vector>
 
 #include "bench/common.h"
@@ -31,8 +30,7 @@ double MeasureReqPerSec(const CacheConfig& cfg, size_t files) {
     }
     rates.push_back(requests / sw.ElapsedSeconds());
   }
-  std::sort(rates.begin(), rates.end());
-  return rates[rates.size() / 2];
+  return Quantile(std::move(rates), 1, 2);
 }
 
 }  // namespace

@@ -38,26 +38,17 @@ enum class DotDotMode {
 struct CacheConfig {
   // --- Baseline knobs --------------------------------------------------
   LockingMode locking = LockingMode::kOptimistic;
-  // Primary dentry hash table buckets (Linux default: 262144).
-  size_t dcache_buckets = 1 << 18;
-  // Whether the baseline caches negative dentries at all (Linux does).
-  bool negative_dentries = true;
 
   // --- §3: fastpath ----------------------------------------------------
   bool fastpath = false;         // DLHT + PCC direct lookup
   size_t dlht_buckets = 1 << 16; // per-namespace direct lookup hash table
   size_t pcc_bytes = 64 * 1024;  // per-credential prefix check cache
   DotDotMode dotdot = DotDotMode::kPosix;
-  // Cache symlink resolutions as alias dentries (§4.2).
-  bool symlink_aliases = true;
   // Miss fallback: on a DLHT miss, probe signatures of successively shorter
   // path prefixes and resume the slowpath from the deepest cached ancestor
   // instead of the walk base (DESIGN.md §14). Costs nothing until a final
   // probe actually misses.
   bool shortcut = false;
-  // Deepest path (in components) the shortcut fallback will probe; longer
-  // paths fall back to the ordinary full walk.
-  size_t shortcut_max_depth = 32;
   // §3.3 hardening (described but not implemented in the paper's
   // prototype): root-credential lookups skip signature-based acceleration,
   // so a brute-forced signature collision can never steer a privileged
@@ -94,15 +85,12 @@ struct CacheConfig {
   // hand instead.
   bool governor = false;
   uint64_t governor_interval_us = 10 * 1000;
-  // Geometry fence for online resize (both powers of two).
+  // Smallest table an online shrink may leave (a power of two).
   size_t dlht_min_buckets = 1 << 6;
-  size_t dlht_max_buckets = 1 << 22;
   // Old buckets migrated per governor tick while a resize is in flight.
   size_t dlht_resize_step = 512;
-  // Grow when the sampled chain-length p99 of the target table exceeds
-  // this (and the byte budget has headroom); shrink the table when the
-  // load factor falls below dlht_shrink_load (entries per bucket).
-  size_t dlht_grow_chain_p99 = 4;
+  // Shrink the table when the load factor falls below this (entries per
+  // bucket).
   double dlht_shrink_load = 0.125;
 
   // A fully optimized configuration (every paper feature on).

@@ -62,6 +62,22 @@ class Server {
   bool Submit(uint32_t shard, const Sqe& sqe);
   // Backpressure-friendly submit: yields until ring space frees up.
   void SubmitWait(uint32_t shard, const Sqe& sqe);
+  // Submit from a thread that also reaps this shard: while the SQ is full,
+  // reap up to `max` completions into `out` and pass their count to
+  // `on_reap`. SubmitWait alone waits forever once the shard is itself
+  // waiting for CQ space that only this thread frees.
+  template <typename OnReap>
+  void SubmitOrReap(uint32_t shard, const Sqe& sqe, Cqe* out, size_t max,
+                    OnReap&& on_reap) {
+    ReapBackoff backoff;
+    while (!Submit(shard, sqe)) {
+      const size_t got = Reap(shard, out, max);
+      if (got != 0) {
+        on_reap(got);
+      }
+      backoff.Update(got);
+    }
+  }
 
   // Reap up to `max` completions from a shard's CQ ring; returns the count.
   size_t Reap(uint32_t shard, Cqe* out, size_t max);

@@ -11,21 +11,9 @@
 
 namespace dircache {
 
-namespace {
-
-size_t RoundUpPow2(size_t n) {
-  size_t p = 1;
-  while (p < n) {
-    p *= 2;
-  }
-  return p;
-}
-
-}  // namespace
-
 DentryCache::DentryCache(Kernel* kernel, const CacheConfig& config)
     : kernel_(kernel),
-      buckets_(RoundUpPow2(config.dcache_buckets)),
+      buckets_(kDcacheBuckets),
       bucket_mask_(buckets_.size() - 1),
       hash_seed_(0x6ca32015d15cULL),
       engine_(std::make_unique<InvalidationEngine>(kernel, config)) {}

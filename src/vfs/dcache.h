@@ -25,6 +25,9 @@
 
 namespace dircache {
 
+// Primary dentry hash table buckets (Linux's default, a power of two).
+inline constexpr size_t kDcacheBuckets = 1 << 18;
+
 class CoherenceSection;
 class Kernel;
 class Pcc;

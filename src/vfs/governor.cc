@@ -19,6 +19,10 @@ namespace {
 
 // PCC lookups per thrash verdict.
 constexpr uint64_t kPccWindow = 4096;
+// Grow the DLHT when the sampled chain-length p99 exceeds this (and the
+// byte budget has headroom), up to kDlhtMaxBuckets (a power of two).
+constexpr size_t kDlhtGrowChainP99 = 4;
+constexpr size_t kDlhtMaxBuckets = 1 << 22;
 
 }  // namespace
 
@@ -171,11 +175,11 @@ bool CacheGovernor::SteerDlht(const Usage& usage) {
     if (entries >= buckets) {
       Dlht::ChainSample sample = table.SampleChains(256);
       wants_grow =
-          sample.sampled > 0 && sample.p99_len > cfg.dlht_grow_chain_p99;
+          sample.sampled > 0 && sample.p99_len > kDlhtGrowChainP99;
     }
     dlht_wants_grow |= wants_grow;
     size_t target = 0;
-    if (wants_grow && buckets * 2 <= cfg.dlht_max_buckets &&
+    if (wants_grow && buckets * 2 <= kDlhtMaxBuckets &&
         (cfg.cache_memory_budget == 0 ||
          usage.total() + ns->dlht().memory_bytes() <=
              cfg.cache_memory_budget)) {

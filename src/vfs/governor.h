@@ -12,7 +12,7 @@
 //     tenant pays for its own storm; quiet tenants' hot sets survive.
 //  3. DLHT steering: drive an in-flight migration forward one bounded step;
 //     otherwise begin a 2x grow when the sampled chain-length p99 degrades
-//     past dlht_grow_chain_p99 (and the budget has headroom for the new
+//     past kDlhtGrowChainP99 (and the budget has headroom for the new
 //     table), or a 2x shrink when occupancy falls below dlht_shrink_load.
 //  4. Attribution: when more than half of a window of PCC lookups missed
 //     (CacheStats pcc_hits/pcc_misses, the definition behind perfbench's

@@ -1,6 +1,7 @@
 #include "src/vfs/task.h"
 
 #include <cassert>
+#include <optional>
 
 #include "src/server/batch.h"
 #include "src/storage/block_device.h"
@@ -11,8 +12,6 @@
 namespace dircache {
 
 namespace {
-
-SyscallKind KindForAttr() { return SyscallKind::kChmodChown; }
 
 // Syscall kinds with a dedicated obs latency histogram (DESIGN.md §9).
 bool ObsOpForSyscall(SyscallKind kind, obs::ObsOp* op) {
@@ -144,30 +143,23 @@ Status Task::UnshareMountNs() {
 // ---------------------------------------------------------------------------
 // Internal helpers
 
-Result<PathHandle> Task::ResolveArg(FdNum dirfd, std::string_view path,
-                                    int wflags, std::string* last_out) {
-  PathWalker walker(kernel_);
-  if (dirfd == kAtFdCwd || dirfd < 0 || path.empty() ||
-      path.front() == '/') {
-    return walker.Resolve(*this, nullptr, path, wflags, last_out);
-  }
-  auto file = GetFile(dirfd);
-  if (!file.ok()) {
-    return file.error();
-  }
-  Inode* base_inode = (*file)->path().inode();
-  if (base_inode == nullptr || !base_inode->IsDir()) {
-    return Errno::kENOTDIR;
-  }
-  return walker.Resolve(*this, &(*file)->path(), path, wflags, last_out);
-}
-
 Result<File*> Task::GetFile(FdNum fd) {
   if (fd < 0 || static_cast<size_t>(fd) >= fds_.size() ||
       fds_[static_cast<size_t>(fd)] == nullptr) {
     return Errno::kEBADF;
   }
   return fds_[static_cast<size_t>(fd)].get();
+}
+
+Result<const PathHandle*> Task::WalkBase(FdNum dirfd, std::string_view path) {
+  if (dirfd == kAtFdCwd || path.empty() || path.front() == '/') {
+    return static_cast<const PathHandle*>(nullptr);
+  }
+  auto file = GetFile(dirfd);
+  if (!file.ok()) {
+    return file.error();
+  }
+  return &(*file)->path();
 }
 
 Result<FdNum> Task::InstallFile(std::unique_ptr<File> f) {
@@ -192,6 +184,155 @@ size_t Task::open_files() const {
     }
   }
   return n;
+}
+
+// ---------------------------------------------------------------------------
+// Steps the mutation syscalls share (shaped like Linux's fs/namei.c)
+
+namespace {
+
+// Kill a cached dentry together with the deep children cached under it.
+void KillTree(DentryCache& dcache, Dentry* d) {
+  dcache.KillCachedChildren(d);
+  dcache.Kill(d);
+}
+
+// Kill whatever is cached at `name` in `dir` (a negative, once the FS holds
+// a new entry there), except `keep`.
+void KillCachedName(DentryCache& dcache, Dentry* dir, std::string_view name,
+                    const Dentry* keep = nullptr) {
+  if (Dentry* neg = dcache.LookupRef(dir, name)) {
+    if (neg != keep) {
+      KillTree(dcache, neg);
+    }
+    dcache.Dput(neg);
+  }
+}
+
+}  // namespace
+
+// Linux's filename_create(): the parent of `path`, resolved with
+// kWalkParent, then held under the exclusive tree lock inside an epoch read
+// section, taken in that order. status() is ESTALE when a rename or rmdir
+// killed the parent between the walk and the lock.
+class Task::LockedParent {
+ public:
+  LockedParent(Task* task, const PathHandle* base, std::string_view path)
+      : task_(task),
+        handle_(PathWalker(task->kernel_)
+                    .Resolve(*task, base, path, kWalkParent, &last_)),
+        tree_(task->kernel_->tree_lock(), std::defer_lock) {
+    if (handle_.ok()) {
+      tree_.lock();
+      guard_.emplace(EpochDomain::Global());
+    }
+  }
+
+  Status status() const {
+    if (!handle_.ok()) {
+      return handle_.error();
+    }
+    return dir()->IsDead() ? Status(Errno::kESTALE) : Status::Ok();
+  }
+  VfsMount* mnt() const { return handle_->mnt(); }
+  Dentry* dir() const { return handle_->dentry(); }
+  Inode* inode() const { return handle_->inode(); }
+  FileSystem* fs() const { return dir()->sb()->fs(); }
+  const std::string& last() const { return last_; }
+  std::unique_lock<std::shared_mutex>& tree() { return tree_; }
+
+  // Linux's may_create(): write and search permission on the parent, on a
+  // writable mount. Removing a name asks the same of the parent.
+  Status MayWrite() const {
+    DIRCACHE_RETURN_IF_ERROR(task_->kernel_->security().Permission(
+        *task_->cred_, *inode(), kMayWrite | kMayExec, dir()));
+    if (mnt()->flags.read_only) {
+      return Errno::kEROFS;
+    }
+    return Status::Ok();
+  }
+
+  // Cache `inode` (the caller's reference passes to the dentry) as the new
+  // entry `last`: the dentry cached at the name dies first with its deep
+  // children, unless the caller already killed it (`name_killed`), then the
+  // parent's size and link count follow the FS and its mtime steps.
+  Result<PathHandle> Install(Inode* inode, uint32_t flags,
+                             bool name_killed = false) {
+    DentryCache& dcache = task_->kernel_->dcache();
+    if (!name_killed) {
+      KillCachedName(dcache, dir(), last_);
+    }
+    auto fresh =
+        dcache.AddChild(dir(), last_, inode, flags, task_->cred_->uid());
+    RefreshDirInode(this->inode());
+    this->inode()->set_mtime(this->inode()->mtime() + 1);
+    if (!fresh.ok()) {
+      return fresh.error();
+    }
+    return PathHandle::Adopt(mnt(), *fresh);
+  }
+
+  // Install the inode the FS just created as `last`, labelled by the LSM.
+  Result<PathHandle> InstallNew(Result<InodeNum> ino, uint32_t flags,
+                                bool name_killed = false) {
+    if (!ino.ok()) {
+      return ino.error();
+    }
+    auto inode = dir()->sb()->Iget(*ino);
+    if (!inode.ok()) {
+      return inode.error();
+    }
+    task_->kernel_->security().InitSecurity(*this->inode(), **inode);
+    return Install(*inode, flags, name_killed);
+  }
+
+ private:
+  Task* const task_;
+  std::string last_;
+  Result<PathHandle> handle_;
+  std::unique_lock<std::shared_mutex> tree_;
+  std::optional<EpochDomain::ReadGuard> guard_;
+};
+
+void Task::CacheRemovedName(Dentry* dir, std::string_view name) {
+  if (!kernel_->config().negative_on_unlink) {
+    return;
+  }
+  auto neg = kernel_->dcache().AddChild(dir, name, nullptr, kDentNegative,
+                                        cred_->uid());
+  if (neg.ok()) {
+    kernel_->dcache().Dput(*neg);
+  }
+}
+
+// Resolve `path`, let `authorize` refuse, then apply the change under the
+// tree lock. §3.2, deferred: the coherence section opens BEFORE the change
+// becomes visible (the fast path stands down, slowpath results cannot be
+// memoized), and a directory's O(cached-subtree) pass runs ONCE, after the
+// tree lock is released; the section's open/close counter bumps retire
+// anything an overlapping walk memoized.
+template <typename Authorize, typename Apply>
+Status Task::ChangeAttr(std::string_view path, obs::JournalEvent event,
+                        Authorize authorize, Apply apply) {
+  Scope s(this, SyscallKind::kChmodChown);
+  PathWalker walker(kernel_);
+  auto p = walker.Resolve(*this, nullptr, path, kWalkFollow);
+  if (!p.ok()) {
+    return p.error();
+  }
+  Inode* inode = p->inode();
+  DIRCACHE_RETURN_IF_ERROR(authorize(*p, *inode));
+  JournalSpan span(kernel_->obs(), event);
+  const bool inval = inode->IsDir() && kernel_->config().fastpath;
+  CoherenceSection section(inval ? &kernel_->dcache() : nullptr);
+  {
+    std::unique_lock<std::shared_mutex> tree(kernel_->tree_lock());
+    DIRCACHE_RETURN_IF_ERROR(apply(*inode));
+  }
+  if (inval) {
+    section.InvalidateNow(p->dentry());
+  }
+  return Status::Ok();
 }
 
 // ---------------------------------------------------------------------------
@@ -297,18 +438,7 @@ void Task::ExecuteSqe(const server::SubmissionQueueEntry& s,
     }
     case OpCode::kOpen: {
       Scope sc(this, SyscallKind::kOpen);
-      auto fd = [&]() -> Result<FdNum> {
-        if (s.fd == kAtFdCwd || s.path.empty() || s.path.front() == '/') {
-          return DoOpen(nullptr, s.path, s.flags,
-                        static_cast<uint16_t>(s.mode));
-        }
-        auto file = GetFile(s.fd);
-        if (!file.ok()) {
-          return file.error();
-        }
-        return DoOpen(&(*file)->path(), s.path, s.flags,
-                      static_cast<uint16_t>(s.mode));
-      }();
+      auto fd = DoOpen(s.fd, s.path, s.flags, static_cast<uint16_t>(s.mode));
       c->res = fd.ok() ? static_cast<int32_t>(*fd)
                        : -static_cast<int32_t>(fd.error());
       return;
@@ -333,56 +463,18 @@ void Task::ExecuteSqe(const server::SubmissionQueueEntry& s,
     }
     case OpCode::kMkdir: {
       Scope sc(this, SyscallKind::kMkdirRmdir);
-      if (s.fd == kAtFdCwd || s.path.empty() || s.path.front() == '/') {
-        c->res =
-            ResOf(DoMkdir(nullptr, s.path, static_cast<uint16_t>(s.mode)));
-        return;
-      }
-      auto file = GetFile(s.fd);
-      if (!file.ok()) {
-        c->res = -static_cast<int32_t>(file.error());
-        return;
-      }
-      c->res = ResOf(
-          DoMkdir(&(*file)->path(), s.path, static_cast<uint16_t>(s.mode)));
+      c->res = ResOf(DoMkdir(s.fd, s.path, static_cast<uint16_t>(s.mode)));
       return;
     }
     case OpCode::kUnlink: {
       const bool rmdir = (s.flags & kAtRemoveDir) != 0;
       Scope sc(this, rmdir ? SyscallKind::kMkdirRmdir : SyscallKind::kUnlink);
-      if (s.fd == kAtFdCwd || s.path.empty() || s.path.front() == '/') {
-        c->res = ResOf(DoUnlink(nullptr, s.path, rmdir));
-        return;
-      }
-      auto file = GetFile(s.fd);
-      if (!file.ok()) {
-        c->res = -static_cast<int32_t>(file.error());
-        return;
-      }
-      c->res = ResOf(DoUnlink(&(*file)->path(), s.path, rmdir));
+      c->res = ResOf(DoUnlink(s.fd, s.path, rmdir));
       return;
     }
     case OpCode::kRename: {
       Scope sc(this, SyscallKind::kRename);
-      const PathHandle* ob = nullptr;
-      const PathHandle* nb = nullptr;
-      if (s.fd != kAtFdCwd && !s.path.empty() && s.path.front() != '/') {
-        auto f = GetFile(s.fd);
-        if (!f.ok()) {
-          c->res = -static_cast<int32_t>(f.error());
-          return;
-        }
-        ob = &(*f)->path();
-      }
-      if (s.fd2 != kAtFdCwd && !s.path2.empty() && s.path2.front() != '/') {
-        auto f = GetFile(s.fd2);
-        if (!f.ok()) {
-          c->res = -static_cast<int32_t>(f.error());
-          return;
-        }
-        nb = &(*f)->path();
-      }
-      c->res = ResOf(DoRename(ob, s.path, nb, s.path2));
+      c->res = ResOf(DoRename(s.fd, s.path, s.fd2, s.path2));
       return;
     }
   }
@@ -440,14 +532,11 @@ Result<Stat> Task::DoStatx(FdNum dirfd, std::string_view path, int flags,
     }
     return StatFromInode(*inode);
   }
-  if (dirfd == kAtFdCwd || path.front() == '/') {
-    return DoStat(nullptr, path, follow);
+  auto base = WalkBase(dirfd, path);
+  if (!base.ok()) {
+    return base.error();
   }
-  auto file = GetFile(dirfd);
-  if (!file.ok()) {
-    return file.error();
-  }
-  return DoStat(&(*file)->path(), path, follow);
+  return DoStat(*base, path, follow);
 }
 
 Result<Stat> Task::Statx(FdNum dirfd, std::string_view path, int flags,
@@ -509,8 +598,12 @@ Result<FdNum> Task::OpenAt(FdNum dirfd, std::string_view path, int flags,
   return static_cast<FdNum>(cqe.res);
 }
 
-Result<FdNum> Task::DoOpen(const PathHandle* base, std::string_view path,
-                           int flags, uint16_t mode) {
+Result<FdNum> Task::DoOpen(FdNum dirfd, std::string_view path, int flags,
+                           uint16_t mode) {
+  auto base = WalkBase(dirfd, path);
+  if (!base.ok()) {
+    return base.error();
+  }
   PathWalker walker(kernel_);
   const bool want_write = (flags & kOWrite) != 0;
   int wf = (flags & kONoFollow) != 0 ? 0 : kWalkFollow;
@@ -520,82 +613,43 @@ Result<FdNum> Task::DoOpen(const PathHandle* base, std::string_view path,
 
   PathHandle p;
   if ((flags & kOCreat) != 0) {
-    std::string last;
-    auto parent = walker.Resolve(*this, base, path, wf | kWalkParent, &last);
-    if (!parent.ok()) {
-      return parent.error();
-    }
-    std::unique_lock<std::shared_mutex> tree(kernel_->tree_lock());
-    EpochDomain::ReadGuard guard(EpochDomain::Global());
-    Dentry* dir = parent->dentry();
-    if (dir->IsDead()) {
-      return Errno::kESTALE;
-    }
-    auto child = PathWalker::LookupOrInstantiate(*this, dir, last);
-    Dentry* existing = nullptr;
+    LockedParent parent(this, *base, path);
+    DIRCACHE_RETURN_IF_ERROR(parent.status());
+    auto child = PathWalker::LookupOrInstantiate(*this, parent.dir(),
+                                                 parent.last());
+    bool exists = false;
     if (child.ok()) {
-      if ((*child)->IsNegative()) {
-        kernel_->dcache().Dput(*child);
-      } else {
-        existing = *child;
-      }
+      exists = !(*child)->IsNegative();
+      kernel_->dcache().Dput(*child);
     } else if (child.error() != Errno::kENOENT) {
       return child.error();
     }
 
-    if (existing != nullptr) {
-      kernel_->dcache().Dput(existing);
+    if (exists) {
       if ((flags & kOExcl) != 0) {
         return Errno::kEEXIST;
       }
       // The file exists: re-resolve without create intent (handles
       // trailing symlinks and mount crossings uniformly).
-      tree.unlock();
-      auto full = walker.Resolve(*this, base, path, wf);
+      parent.tree().unlock();
+      auto full = walker.Resolve(*this, *base, path, wf);
       if (!full.ok()) {
         return full.error();
       }
       p = *std::move(full);
     } else {
-      // Create it.
-      Inode* dir_inode = dir->inode();
-      Status perm = kernel_->security().Permission(
-          *cred_, *dir_inode, kMayWrite | kMayExec, dir);
-      if (!perm.ok()) {
-        return perm.error();
-      }
-      if (parent->mnt()->flags.read_only) {
-        return Errno::kEROFS;
-      }
-      IoChargeScope charge(&io_clock_);
-      FileSystem* fs = dir->sb()->fs();
-      auto ino = fs->Create(dir_inode->ino(), last, FileType::kRegular,
-                            mode, cred_->uid(), cred_->gid());
-      if (!ino.ok()) {
-        return ino.error();
-      }
-      auto inode = dir->sb()->Iget(*ino);
-      if (!inode.ok()) {
-        return inode.error();
-      }
-      kernel_->security().InitSecurity(*dir_inode, **inode);
-      RefreshDirInode(dir_inode);
-      // Replace any cached negative dentry (and its deep children).
-      if (Dentry* neg = kernel_->dcache().LookupRef(dir, last)) {
-        kernel_->dcache().KillCachedChildren(neg);
-        kernel_->dcache().Kill(neg);
-        kernel_->dcache().Dput(neg);
-      }
-      auto fresh =
-          kernel_->dcache().AddChild(dir, last, *inode, 0, cred_->uid());
+      DIRCACHE_RETURN_IF_ERROR(parent.MayWrite());
+      auto ino = parent.fs()->Create(parent.inode()->ino(), parent.last(),
+                                     FileType::kRegular, mode, cred_->uid(),
+                                     cred_->gid());
+      auto fresh = parent.InstallNew(ino, 0);
       if (!fresh.ok()) {
         return fresh.error();
       }
-      dir_inode->set_mtime(dir_inode->mtime() + 1);
-      p = PathHandle::Adopt(parent->mnt(), *fresh);
+      p = *std::move(fresh);
     }
   } else {
-    auto full = walker.Resolve(*this, base, path, wf);
+    auto full = walker.Resolve(*this, *base, path, wf);
     if (!full.ok()) {
       return full.error();
     }
@@ -631,7 +685,6 @@ Result<FdNum> Task::DoOpen(const PathHandle* base, std::string_view path,
     return Errno::kEROFS;
   }
   if ((flags & kOTrunc) != 0 && want_write && inode->IsRegularFile()) {
-    IoChargeScope charge(&io_clock_);
     AttrUpdate update;
     update.size = 0;
     DIRCACHE_RETURN_IF_ERROR(
@@ -665,105 +718,60 @@ Status Task::Close(FdNum fd) {
 // attribute changes (chmod / chown / label)
 
 Status Task::Chmod(std::string_view path, uint16_t mode) {
-  Scope s(this, KindForAttr());
-  PathWalker walker(kernel_);
-  auto p = walker.Resolve(*this, nullptr, path, kWalkFollow);
-  if (!p.ok()) {
-    return p.error();
-  }
-  Inode* inode = p->inode();
-  if (cred_->uid() != kRootUid && cred_->uid() != inode->uid()) {
-    return Errno::kEPERM;
-  }
-  if (p->mnt()->flags.read_only) {
-    return Errno::kEROFS;
-  }
-  JournalSpan span(kernel_->obs(), obs::JournalEvent::kChmod);
-  const bool inval = inode->IsDir() && kernel_->config().fastpath;
-  // §3.2, deferred: the coherence section opens BEFORE the permission
-  // change becomes visible (fast path stands down, slowpath results cannot
-  // be memoized), and the O(cached-subtree) pass runs ONCE, after the tree
-  // lock is released. This replaces the old invalidate-twice-under-the-lock
-  // scheme: the section's open/close counter bumps retire anything an
-  // overlapping walk memoized, so the second pass is no longer needed.
-  CoherenceSection section(inval ? &kernel_->dcache() : nullptr);
-  {
-    std::unique_lock<std::shared_mutex> tree(kernel_->tree_lock());
-    IoChargeScope charge(&io_clock_);
-    AttrUpdate update;
-    update.mode = mode;
-    DIRCACHE_RETURN_IF_ERROR(
-        inode->sb()->fs()->SetAttr(inode->ino(), update));
-    inode->set_mode(mode & kModePermMask);
-    inode->set_ctime(inode->ctime() + 1);
-  }
-  if (inval) {
-    section.InvalidateNow(p->dentry());
-  }
-  return Status::Ok();
+  return ChangeAttr(
+      path, obs::JournalEvent::kChmod,
+      [&](const PathHandle& p, const Inode& inode) -> Status {
+        if (cred_->uid() != kRootUid && cred_->uid() != inode.uid()) {
+          return Errno::kEPERM;
+        }
+        return p.mnt()->flags.read_only ? Errno::kEROFS : Errno::kOk;
+      },
+      [&](Inode& inode) -> Status {
+        AttrUpdate update;
+        update.mode = mode;
+        DIRCACHE_RETURN_IF_ERROR(
+            inode.sb()->fs()->SetAttr(inode.ino(), update));
+        inode.set_mode(mode & kModePermMask);
+        inode.set_ctime(inode.ctime() + 1);
+        return Status::Ok();
+      });
 }
 
 Status Task::Chown(std::string_view path, Uid uid, Gid gid) {
-  Scope s(this, KindForAttr());
-  PathWalker walker(kernel_);
-  auto p = walker.Resolve(*this, nullptr, path, kWalkFollow);
-  if (!p.ok()) {
-    return p.error();
-  }
-  Inode* inode = p->inode();
-  if (cred_->uid() != kRootUid) {
-    // Non-root: may only change the group, to a group it belongs to.
-    if (uid != inode->uid() || cred_->uid() != inode->uid() ||
-        !cred_->InGroup(gid)) {
-      return Errno::kEPERM;
-    }
-  }
-  if (p->mnt()->flags.read_only) {
-    return Errno::kEROFS;
-  }
-  JournalSpan span(kernel_->obs(), obs::JournalEvent::kChown);
-  const bool inval = inode->IsDir() && kernel_->config().fastpath;
-  CoherenceSection section(inval ? &kernel_->dcache() : nullptr);  // see Chmod
-  {
-    std::unique_lock<std::shared_mutex> tree(kernel_->tree_lock());
-    IoChargeScope charge(&io_clock_);
-    AttrUpdate update;
-    update.uid = uid;
-    update.gid = gid;
-    DIRCACHE_RETURN_IF_ERROR(
-        inode->sb()->fs()->SetAttr(inode->ino(), update));
-    inode->set_uid(uid);
-    inode->set_gid(gid);
-    inode->set_ctime(inode->ctime() + 1);
-  }
-  if (inval) {
-    section.InvalidateNow(p->dentry());
-  }
-  return Status::Ok();
+  return ChangeAttr(
+      path, obs::JournalEvent::kChown,
+      [&](const PathHandle& p, const Inode& inode) -> Status {
+        // Non-root: may only change the group, to a group it belongs to.
+        if (cred_->uid() != kRootUid &&
+            (uid != inode.uid() || cred_->uid() != inode.uid() ||
+             !cred_->InGroup(gid))) {
+          return Errno::kEPERM;
+        }
+        return p.mnt()->flags.read_only ? Errno::kEROFS : Errno::kOk;
+      },
+      [&](Inode& inode) -> Status {
+        AttrUpdate update;
+        update.uid = uid;
+        update.gid = gid;
+        DIRCACHE_RETURN_IF_ERROR(
+            inode.sb()->fs()->SetAttr(inode.ino(), update));
+        inode.set_uid(uid);
+        inode.set_gid(gid);
+        inode.set_ctime(inode.ctime() + 1);
+        return Status::Ok();
+      });
 }
 
 Status Task::SetSecurityLabel(std::string_view path, std::string label) {
-  Scope s(this, KindForAttr());
-  PathWalker walker(kernel_);
-  auto p = walker.Resolve(*this, nullptr, path, kWalkFollow);
-  if (!p.ok()) {
-    return p.error();
-  }
-  if (cred_->uid() != kRootUid) {
-    return Errno::kEPERM;
-  }
-  Inode* inode = p->inode();
-  JournalSpan span(kernel_->obs(), obs::JournalEvent::kSetLabel);
-  const bool inval = inode->IsDir() && kernel_->config().fastpath;
-  CoherenceSection section(inval ? &kernel_->dcache() : nullptr);  // see Chmod
-  {
-    std::unique_lock<std::shared_mutex> tree(kernel_->tree_lock());
-    inode->set_security_label(std::move(label));
-  }
-  if (inval) {
-    section.InvalidateNow(p->dentry());
-  }
-  return Status::Ok();
+  return ChangeAttr(
+      path, obs::JournalEvent::kSetLabel,
+      [&](const PathHandle&, const Inode&) -> Status {
+        return cred_->uid() != kRootUid ? Errno::kEPERM : Errno::kOk;
+      },
+      [&](Inode& inode) -> Status {
+        inode.set_security_label(std::move(label));
+        return Status::Ok();
+      });
 }
 
 // ---------------------------------------------------------------------------
@@ -850,67 +858,37 @@ Status Task::MkdirAt(FdNum dirfd, std::string_view path, uint16_t mode) {
   return cqe.error();
 }
 
-Status Task::DoMkdir(const PathHandle* base, std::string_view path,
-                     uint16_t mode) {
-  PathWalker walker(kernel_);
-  std::string last;
-  auto parent = walker.Resolve(*this, base, path, kWalkParent, &last);
-  if (!parent.ok()) {
-    return parent.error();
+Status Task::DoMkdir(FdNum dirfd, std::string_view path, uint16_t mode) {
+  auto base = WalkBase(dirfd, path);
+  if (!base.ok()) {
+    return base.error();
   }
-  std::unique_lock<std::shared_mutex> tree(kernel_->tree_lock());
-  EpochDomain::ReadGuard guard(EpochDomain::Global());
-  Dentry* dir = parent->dentry();
-  if (dir->IsDead()) {
-    return Errno::kESTALE;
-  }
-  Inode* dir_inode = dir->inode();
-  Status perm = kernel_->security().Permission(*cred_, *dir_inode,
-                                               kMayWrite | kMayExec, dir);
-  if (!perm.ok()) {
-    return perm.error();
-  }
-  if (parent->mnt()->flags.read_only) {
-    return Errno::kEROFS;
-  }
-  auto existing = PathWalker::LookupOrInstantiate(*this, dir, last);
+  LockedParent parent(this, *base, path);
+  DIRCACHE_RETURN_IF_ERROR(parent.status());
+  DIRCACHE_RETURN_IF_ERROR(parent.MayWrite());
+  // mkdir kills the negative it finds here, before the FS creates the
+  // directory, so the install below need not look the name up again.
+  auto existing =
+      PathWalker::LookupOrInstantiate(*this, parent.dir(), parent.last());
   if (existing.ok()) {
-    bool positive = (*existing)->IsPositive();
-    Dentry* neg = *existing;
+    const bool positive = (*existing)->IsPositive();
+    if (!positive) {
+      KillTree(kernel_->dcache(), *existing);
+    }
+    kernel_->dcache().Dput(*existing);
     if (positive) {
-      kernel_->dcache().Dput(neg);
       return Errno::kEEXIST;
     }
-    kernel_->dcache().KillCachedChildren(neg);
-    kernel_->dcache().Kill(neg);
-    kernel_->dcache().Dput(neg);
   } else if (existing.error() != Errno::kENOENT) {
     return existing.error();
   }
-  IoChargeScope charge(&io_clock_);
-  FileSystem* fs = dir->sb()->fs();
-  auto ino = fs->Create(dir_inode->ino(), last, FileType::kDirectory, mode,
-                        cred_->uid(), cred_->gid());
-  if (!ino.ok()) {
-    return ino.error();
-  }
-  auto inode = dir->sb()->Iget(*ino);
-  if (!inode.ok()) {
-    return inode.error();
-  }
-  kernel_->security().InitSecurity(*dir_inode, **inode);
+  auto ino = parent.fs()->Create(parent.inode()->ino(), parent.last(),
+                                 FileType::kDirectory, mode, cred_->uid(),
+                                 cred_->gid());
   // A brand-new directory has all (zero) children cached (§5.1).
-  uint32_t flags =
+  const uint32_t flags =
       kernel_->config().dir_completeness ? kDentDirComplete : 0u;
-  auto fresh =
-      kernel_->dcache().AddChild(dir, last, *inode, flags, cred_->uid());
-  if (!fresh.ok()) {
-    return fresh.error();
-  }
-  kernel_->dcache().Dput(*fresh);
-  RefreshDirInode(dir_inode);
-  dir_inode->set_mtime(dir_inode->mtime() + 1);
-  return Status::Ok();
+  return parent.InstallNew(ino, flags, /*name_killed=*/true).error();
 }
 
 Status Task::Unlink(std::string_view path) {
@@ -928,30 +906,17 @@ Status Task::UnlinkAt(FdNum dirfd, std::string_view path, bool rmdir) {
   return cqe.error();
 }
 
-Status Task::DoUnlink(const PathHandle* base, std::string_view path,
-                      bool rmdir) {
-  PathWalker walker(kernel_);
-  std::string last;
-  auto parent = walker.Resolve(*this, base, path, kWalkParent, &last);
-  if (!parent.ok()) {
-    return parent.error();
+Status Task::DoUnlink(FdNum dirfd, std::string_view path, bool rmdir) {
+  auto base = WalkBase(dirfd, path);
+  if (!base.ok()) {
+    return base.error();
   }
-  std::unique_lock<std::shared_mutex> tree(kernel_->tree_lock());
-  EpochDomain::ReadGuard guard(EpochDomain::Global());
-  Dentry* dir = parent->dentry();
-  if (dir->IsDead()) {
-    return Errno::kESTALE;
-  }
-  Inode* dir_inode = dir->inode();
-  Status perm = kernel_->security().Permission(*cred_, *dir_inode,
-                                               kMayWrite | kMayExec, dir);
-  if (!perm.ok()) {
-    return perm.error();
-  }
-  if (parent->mnt()->flags.read_only) {
-    return Errno::kEROFS;
-  }
-  auto child = PathWalker::LookupOrInstantiate(*this, dir, last);
+  LockedParent parent(this, *base, path);
+  DIRCACHE_RETURN_IF_ERROR(parent.status());
+  DIRCACHE_RETURN_IF_ERROR(parent.MayWrite());
+  Dentry* dir = parent.dir();
+  Inode* dir_inode = parent.inode();
+  auto child = PathWalker::LookupOrInstantiate(*this, dir, parent.last());
   if (!child.ok()) {
     return child.error();
   }
@@ -965,12 +930,12 @@ Status Task::DoUnlink(const PathHandle* base, std::string_view path,
   if (victim->IsStub()) {
     // Materialize so type checks work; easiest through a real resolve.
     kernel_->dcache().Dput(victim);
-    tree.unlock();
-    auto full = walker.Resolve(*this, base, path, 0);
+    parent.tree().unlock();
+    auto full = PathWalker(kernel_).Resolve(*this, *base, path, 0);
     if (!full.ok()) {
       return full.error();
     }
-    tree.lock();
+    parent.tree().lock();
     victim = full->dentry();
     victim->DgetHeld();
   }
@@ -985,7 +950,7 @@ Status Task::DoUnlink(const PathHandle* base, std::string_view path,
     return Errno::kEISDIR;
   }
   if (victim->TestFlags(kDentMountpoint) &&
-      ns_->MountAt(parent->mnt(), victim) != nullptr) {
+      ns_->MountAt(parent.mnt(), victim) != nullptr) {
     put_victim();
     return Errno::kEBUSY;
   }
@@ -1004,10 +969,8 @@ Status Task::DoUnlink(const PathHandle* base, std::string_view path,
   if (kernel_->config().fastpath) {
     kernel_->dcache().InvalidateSubtree(victim);
   }
-  IoChargeScope charge(&io_clock_);
-  FileSystem* fs = dir->sb()->fs();
-  Status st = rmdir ? fs->Rmdir(dir_inode->ino(), last)
-                    : fs->Unlink(dir_inode->ino(), last);
+  Status st = rmdir ? parent.fs()->Rmdir(dir_inode->ino(), parent.last())
+                    : parent.fs()->Unlink(dir_inode->ino(), parent.last());
   if (!st.ok()) {
     put_victim();
     return st;
@@ -1017,17 +980,9 @@ Status Task::DoUnlink(const PathHandle* base, std::string_view path,
                               : 0);
   RefreshDirInode(dir_inode);
   dir_inode->set_mtime(dir_inode->mtime() + 1);
-  kernel_->dcache().KillCachedChildren(victim);
-  kernel_->dcache().Kill(victim);
+  KillTree(kernel_->dcache(), victim);
   put_victim();
-  // §5.2: keep a negative dentry for the removed name.
-  if (kernel_->config().negative_on_unlink) {
-    auto neg = kernel_->dcache().AddChild(dir, last, nullptr, kDentNegative,
-                                          cred_->uid());
-    if (neg.ok()) {
-      kernel_->dcache().Dput(*neg);
-    }
-  }
+  CacheRemovedName(dir, parent.last());
   return Status::Ok();
 }
 
@@ -1046,17 +1001,25 @@ Status Task::RenameAt(FdNum olddirfd, std::string_view oldpath,
   return cqe.error();
 }
 
-Status Task::DoRename(const PathHandle* oldbase, std::string_view oldpath,
-                      const PathHandle* newbase, std::string_view newpath) {
+Status Task::DoRename(FdNum olddirfd, std::string_view oldpath,
+                      FdNum newdirfd, std::string_view newpath) {
+  auto oldbase = WalkBase(olddirfd, oldpath);
+  if (!oldbase.ok()) {
+    return oldbase.error();
+  }
+  auto newbase = WalkBase(newdirfd, newpath);
+  if (!newbase.ok()) {
+    return newbase.error();
+  }
   PathWalker walker(kernel_);
   std::string old_last;
   std::string new_last;
-  auto oldp = walker.Resolve(*this, oldbase, oldpath, kWalkParent,
+  auto oldp = walker.Resolve(*this, *oldbase, oldpath, kWalkParent,
                              &old_last);
   if (!oldp.ok()) {
     return oldp.error();
   }
-  auto newp = walker.Resolve(*this, newbase, newpath, kWalkParent,
+  auto newp = walker.Resolve(*this, *newbase, newpath, kWalkParent,
                              &new_last);
   if (!newp.ok()) {
     return newp.error();
@@ -1170,7 +1133,6 @@ Status Task::DoRename(const PathHandle* oldbase, std::string_view oldpath,
 
   uint64_t lock_t0 = kernel_->obs().enabled() ? NowNanos() : 0;
   kernel_->rename_seq().WriteBegin();
-  IoChargeScope charge(&io_clock_);
   FileSystem* fs = old_dir->sb()->fs();
   Status st = fs->Rename(old_dir->inode()->ino(), old_last,
                          new_dir->inode()->ino(), new_last);
@@ -1181,18 +1143,11 @@ Status Task::DoRename(const PathHandle* oldbase, std::string_view oldpath,
       kernel_->dcache().InvalidateDentry(src);
     }
     if (target != nullptr) {
-      kernel_->dcache().KillCachedChildren(target);
-      kernel_->dcache().Kill(target);
+      KillTree(kernel_->dcache(), target);
     }
     // Kill any cached negative at the destination name (we may have raced
     // with LookupOrInstantiate above returning a negative we dropped).
-    if (Dentry* neg = kernel_->dcache().LookupRef(new_dir, new_last)) {
-      if (neg != src) {
-        kernel_->dcache().KillCachedChildren(neg);
-        kernel_->dcache().Kill(neg);
-      }
-      kernel_->dcache().Dput(neg);
-    }
+    KillCachedName(kernel_->dcache(), new_dir, new_last, src);
     kernel_->dcache().MoveDentry(src, new_dir, new_last);
     RefreshDirInode(old_dir->inode());
     RefreshDirInode(new_dir->inode());
@@ -1228,15 +1183,7 @@ Status Task::DoRename(const PathHandle* oldbase, std::string_view oldpath,
   if (!st.ok()) {
     return st;
   }
-  // §5.2: the source name now does not exist — cache that.
-  if (kernel_->config().negative_on_unlink) {
-    auto neg =
-        kernel_->dcache().AddChild(old_dir, old_last, nullptr,
-                                   kDentNegative, cred_->uid());
-    if (neg.ok()) {
-      kernel_->dcache().Dput(*neg);
-    }
-  }
+  CacheRemovedName(old_dir, old_last);  // the source name is gone now
   return Status::Ok();
 }
 
@@ -1245,8 +1192,7 @@ Status Task::DoRename(const PathHandle* oldbase, std::string_view oldpath,
 
 Status Task::Link(std::string_view oldpath, std::string_view newpath) {
   Scope s(this, SyscallKind::kLinkSymlink);
-  PathWalker walker(kernel_);
-  auto oldp = walker.Resolve(*this, nullptr, oldpath, 0);
+  auto oldp = PathWalker(kernel_).Resolve(*this, nullptr, oldpath, 0);
   if (!oldp.ok()) {
     return oldp.error();
   }
@@ -1254,99 +1200,28 @@ Status Task::Link(std::string_view oldpath, std::string_view newpath) {
   if (target_inode->IsDir()) {
     return Errno::kEPERM;
   }
-  std::string last;
-  auto newp = walker.Resolve(*this, nullptr, newpath, kWalkParent, &last);
-  if (!newp.ok()) {
-    return newp.error();
-  }
-  if (oldp->dentry()->sb() != newp->dentry()->sb()) {
+  LockedParent parent(this, nullptr, newpath);
+  DIRCACHE_RETURN_IF_ERROR(parent.status());
+  if (oldp->dentry()->sb() != parent.dir()->sb()) {
     return Errno::kEXDEV;
   }
-  std::unique_lock<std::shared_mutex> tree(kernel_->tree_lock());
-  EpochDomain::ReadGuard guard(EpochDomain::Global());
-  Dentry* dir = newp->dentry();
-  if (dir->IsDead()) {
-    return Errno::kESTALE;
-  }
-  Inode* dir_inode = dir->inode();
-  Status perm = kernel_->security().Permission(*cred_, *dir_inode,
-                                               kMayWrite | kMayExec, dir);
-  if (!perm.ok()) {
-    return perm.error();
-  }
-  if (newp->mnt()->flags.read_only) {
-    return Errno::kEROFS;
-  }
-  IoChargeScope charge(&io_clock_);
-  Status st =
-      dir->sb()->fs()->Link(dir_inode->ino(), last, target_inode->ino());
-  if (!st.ok()) {
-    return st;
-  }
-  if (Dentry* neg = kernel_->dcache().LookupRef(dir, last)) {
-    kernel_->dcache().KillCachedChildren(neg);
-    kernel_->dcache().Kill(neg);
-    kernel_->dcache().Dput(neg);
-  }
-  dir->sb()->IgetHeld(target_inode);
-  auto fresh = kernel_->dcache().AddChild(dir, last, target_inode, 0,
-                                          cred_->uid());
-  if (fresh.ok()) {
-    kernel_->dcache().Dput(*fresh);
-  }
+  DIRCACHE_RETURN_IF_ERROR(parent.MayWrite());
+  DIRCACHE_RETURN_IF_ERROR(parent.fs()->Link(
+      parent.inode()->ino(), parent.last(), target_inode->ino()));
+  parent.dir()->sb()->IgetHeld(target_inode);
   target_inode->set_nlink(target_inode->nlink() + 1);
-  RefreshDirInode(dir_inode);
-  dir_inode->set_mtime(dir_inode->mtime() + 1);
+  (void)parent.Install(target_inode, 0);
   return Status::Ok();
 }
 
 Status Task::Symlink(std::string_view target, std::string_view linkpath) {
   Scope s(this, SyscallKind::kLinkSymlink);
-  PathWalker walker(kernel_);
-  std::string last;
-  auto parent = walker.Resolve(*this, nullptr, linkpath, kWalkParent, &last);
-  if (!parent.ok()) {
-    return parent.error();
-  }
-  std::unique_lock<std::shared_mutex> tree(kernel_->tree_lock());
-  EpochDomain::ReadGuard guard(EpochDomain::Global());
-  Dentry* dir = parent->dentry();
-  if (dir->IsDead()) {
-    return Errno::kESTALE;
-  }
-  Inode* dir_inode = dir->inode();
-  Status perm = kernel_->security().Permission(*cred_, *dir_inode,
-                                               kMayWrite | kMayExec, dir);
-  if (!perm.ok()) {
-    return perm.error();
-  }
-  if (parent->mnt()->flags.read_only) {
-    return Errno::kEROFS;
-  }
-  IoChargeScope charge(&io_clock_);
-  auto ino = dir->sb()->fs()->SymlinkCreate(dir_inode->ino(), last, target,
-                                            cred_->uid(), cred_->gid());
-  if (!ino.ok()) {
-    return ino.error();
-  }
-  auto inode = dir->sb()->Iget(*ino);
-  if (!inode.ok()) {
-    return inode.error();
-  }
-  kernel_->security().InitSecurity(*dir_inode, **inode);
-  if (Dentry* neg = kernel_->dcache().LookupRef(dir, last)) {
-    kernel_->dcache().KillCachedChildren(neg);
-    kernel_->dcache().Kill(neg);
-    kernel_->dcache().Dput(neg);
-  }
-  auto fresh =
-      kernel_->dcache().AddChild(dir, last, *inode, 0, cred_->uid());
-  if (fresh.ok()) {
-    kernel_->dcache().Dput(*fresh);
-  }
-  RefreshDirInode(dir_inode);
-  dir_inode->set_mtime(dir_inode->mtime() + 1);
-  return Status::Ok();
+  LockedParent parent(this, nullptr, linkpath);
+  DIRCACHE_RETURN_IF_ERROR(parent.status());
+  DIRCACHE_RETURN_IF_ERROR(parent.MayWrite());
+  auto ino = parent.fs()->SymlinkCreate(parent.inode()->ino(), parent.last(),
+                                        target, cred_->uid(), cred_->gid());
+  return parent.InstallNew(ino, 0).error();
 }
 
 Result<std::string> Task::ReadLink(std::string_view path) {
@@ -1363,7 +1238,6 @@ Result<std::string> Task::ReadLink(std::string_view path) {
   if (const std::string* cached = inode->cached_link_target()) {
     return *cached;
   }
-  IoChargeScope charge(&io_clock_);
   auto target = inode->sb()->fs()->ReadLink(inode->ino());
   if (!target.ok()) {
     return target.error();
@@ -1393,7 +1267,6 @@ Status Task::Truncate(std::string_view path, uint64_t size) {
   if (p->mnt()->flags.read_only) {
     return Errno::kEROFS;
   }
-  IoChargeScope charge(&io_clock_);
   AttrUpdate update;
   update.size = size;
   DIRCACHE_RETURN_IF_ERROR(inode->sb()->fs()->SetAttr(inode->ino(), update));
@@ -1569,7 +1442,6 @@ Result<std::vector<DirEntry>> Task::DoReadDir(FdNum fd, size_t max_entries) {
   }
 
   kernel_->stats().readdir_uncached.Add();
-  IoChargeScope charge(&io_clock_);
   FileSystem* fs = dir->sb()->fs();
   auto r = fs->ReadDir(dir_inode->ino(), file->dir_offset, max_entries);
   if (!r.ok()) {
@@ -1653,7 +1525,9 @@ Status Task::Mount(std::string_view target, std::shared_ptr<FileSystem> fs,
   }
   auto m = ns_->AddMount(sb, fs_root, p->mnt(), p->dentry(), flags);
   if (m.ok() && kernel_->config().fastpath) {
-    kernel_->dcache().InvalidateSubtree(p->dentry());  // see Chmod
+    // No coherence section spans AddMount: retire what an optimistic walk
+    // memoized under the mountpoint since the pass above.
+    kernel_->dcache().InvalidateSubtree(p->dentry());
   }
   if (fresh_root) {
     // AddMount took its own reference; drop MakeRoot's so teardown
@@ -1692,7 +1566,9 @@ Status Task::BindMount(std::string_view source, std::string_view target) {
     return m.error();
   }
   if (kernel_->config().fastpath) {
-    kernel_->dcache().InvalidateSubtree(dst->dentry());  // see Chmod
+    // No coherence section spans AddMount: retire what an optimistic walk
+    // memoized under the mountpoint since the pass above.
+    kernel_->dcache().InvalidateSubtree(dst->dentry());
   }
   return Status::Ok();
 }
@@ -1718,7 +1594,9 @@ Status Task::Umount(std::string_view target) {
   }
   DIRCACHE_RETURN_IF_ERROR(ns_->RemoveMount(m));
   if (kernel_->config().fastpath) {
-    kernel_->dcache().InvalidateSubtree(m->root);  // see Chmod
+    // No coherence section spans RemoveMount: retire what an optimistic
+    // walk memoized under the mount since the pass above.
+    kernel_->dcache().InvalidateSubtree(m->root);
   }
   // References held by the mount (root + mountpoint) are dropped at
   // namespace teardown; the mount object itself lives until then.

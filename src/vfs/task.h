@@ -185,23 +185,32 @@ class Task : public std::enable_shared_from_this<Task> {
 
   // Syscall prologue/epilogue helper.
   class Scope;
+  // A mutation's parent directory, resolved and held (task.cc).
+  class LockedParent;
 
   // The batch execution core: decode one SQE, run it through the Do*
   // implementation (installing the per-op Scope), encode the CQE.
   void ExecuteSqe(const server::SubmissionQueueEntry& sqe,
                   server::CompletionQueueEntry* cqe);
 
-  Result<PathHandle> ResolveArg(FdNum dirfd, std::string_view path,
-                                int wflags, std::string* last_out = nullptr);
   Result<File*> GetFile(FdNum fd);
   Result<FdNum> InstallFile(std::unique_ptr<File> f);
-  Result<FdNum> DoOpen(const PathHandle* base, std::string_view path,
-                       int flags, uint16_t mode);
-  Status DoUnlink(const PathHandle* base, std::string_view path, bool rmdir);
-  Status DoMkdir(const PathHandle* base, std::string_view path,
-                 uint16_t mode);
-  Status DoRename(const PathHandle* oldbase, std::string_view oldpath,
-                  const PathHandle* newbase, std::string_view newpath);
+  // The base an *at() call walks `path` from: null for kAtFdCwd, an empty
+  // or an absolute path; else the open file's path, or EBADF.
+  Result<const PathHandle*> WalkBase(FdNum dirfd, std::string_view path);
+  // §5.2: cache a negative dentry for a name just removed from `dir`.
+  void CacheRemovedName(Dentry* dir, std::string_view name);
+  // chmod, chown and relabel (Linux's notify_change()).
+  template <typename Authorize, typename Apply>
+  Status ChangeAttr(std::string_view path, obs::JournalEvent event,
+                    Authorize authorize, Apply apply);
+
+  Result<FdNum> DoOpen(FdNum dirfd, std::string_view path, int flags,
+                       uint16_t mode);
+  Status DoUnlink(FdNum dirfd, std::string_view path, bool rmdir);
+  Status DoMkdir(FdNum dirfd, std::string_view path, uint16_t mode);
+  Status DoRename(FdNum olddirfd, std::string_view oldpath, FdNum newdirfd,
+                  std::string_view newpath);
   Result<Stat> DoStat(const PathHandle* base, std::string_view path,
                       bool follow);
   Result<Stat> DoStatx(FdNum dirfd, std::string_view path, int flags,

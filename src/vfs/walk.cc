@@ -104,6 +104,9 @@ namespace {
 
 constexpr int kMaxSymlinkDepth = 40;
 constexpr size_t kMaxNameLen = 255;
+// Deepest path (in components) the shortcut fallback probes; longer paths
+// take the ordinary full walk.
+constexpr size_t kShortcutMaxDepth = 32;
 
 // Iterates '/'-separated components of a path.
 class ComponentCursor {
@@ -410,7 +413,6 @@ static void ProbeShortcutAncestor(Kernel* k, Task& task,
                                   std::string_view path, MountNamespace* ns,
                                   Pcc* pcc, uint64_t inval_token,
                                   ShortcutResume* sc) {
-  const CacheConfig& cfg = k->config();
   CacheStats& stats = k->stats();
   const PathSigner& signer = k->signer();
   HashState base_st;
@@ -422,7 +424,7 @@ static void ProbeShortcutAncestor(Kernel* k, Task& task,
     return;  // "." / ".." or over-deep shapes: plain full walk
   }
   const size_t depth = prefixes.depth;
-  if (depth < 2 || depth > cfg.shortcut_max_depth) {
+  if (depth < 2 || depth > kShortcutMaxDepth) {
     return;  // no proper prefix to resume from
   }
   sc->attempted = true;
@@ -992,7 +994,7 @@ Result<PathHandle> PathWalker::WalkComponents(Task& task,
           trailing_symlink = child;
           trailing_symlink_mnt = mnt;
         }
-        if (cfg.fastpath && cfg.symlink_aliases) {
+        if (cfg.fastpath) {
           drop_alias_parent();
           child->DgetHeld();
           alias_parent = child;
@@ -1026,8 +1028,7 @@ Result<PathHandle> PathWalker::WalkComponents(Task& task,
     // Build/extend the symlink alias chain (§4.2) — only for components
     // that come from the caller's literal path, never for spliced
     // symlink-target components.
-    if (alias_parent != nullptr && pending[seg].literal && cfg.fastpath &&
-        cfg.symlink_aliases) {
+    if (alias_parent != nullptr && pending[seg].literal && cfg.fastpath) {
       Dentry* alias = MakeAlias(task, alias_mnt, alias_parent, comp, child,
                                 inval_snapshot);
       drop_alias_parent();
@@ -1119,10 +1120,7 @@ Result<Dentry*> MissLookup(Task& task, Dentry* parent,
     if (ino.error() != Errno::kENOENT) {
       return ino.error();
     }
-    bool want_negative =
-        cfg.negative_dentries &&
-        (fs->WantsNegativeDentries() || cfg.negative_on_pseudo_fs);
-    if (!want_negative) {
+    if (!fs->WantsNegativeDentries() && !cfg.negative_on_pseudo_fs) {
       return Errno::kENOENT;
     }
     return k->dcache().AddChild(parent, name, nullptr, kDentNegative,

@@ -11,6 +11,14 @@
 
 namespace dircache {
 
+// Nearest-rank quantile num/den of the samples `v`: v[n*num/den] once
+// sorted, clamped to the largest. `v` must not be empty.
+template <typename T>
+T Quantile(std::vector<T> v, size_t num, size_t den) {
+  std::sort(v.begin(), v.end());
+  return v[std::min(v.size() - 1, v.size() * num / den)];
+}
+
 struct LatencyResult {
   double mean_ns = 0;
   double p50_ns = 0;
@@ -57,9 +65,8 @@ LatencyResult MeasureLatency(Fn&& fn, uint64_t min_total_ns = 50'000'000,
   }
   var /= static_cast<double>(samples.size());
   r.ci95_ns = 1.96 * std::sqrt(var / static_cast<double>(samples.size()));
-  std::sort(samples.begin(), samples.end());
-  r.p50_ns = static_cast<double>(samples[samples.size() / 2]);
-  r.p99_ns = static_cast<double>(samples[samples.size() * 99 / 100]);
+  r.p50_ns = static_cast<double>(Quantile(samples, 1, 2));
+  r.p99_ns = static_cast<double>(Quantile(std::move(samples), 99, 100));
   return r;
 }
 

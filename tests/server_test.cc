@@ -2,6 +2,7 @@
 // across wraparound, submission-order execution, partial-batch failure
 // isolation, multi-producer submit vs drain concurrency, and the
 // shim-over-batch equivalence the redesign promises.
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
@@ -235,6 +236,40 @@ TEST(Server, TinyRingWrapsAroundWithoutLoss) {
   reaper.join();
   srv.Stop();
   EXPECT_EQ(srv.ops_completed(), kOps);
+}
+
+// One client thread that both submits and reaps, with more entries due at
+// once than the SQ and the CQ hold together: SubmitWait would spin on a full
+// SQ while the shard spins on a full CQ. SubmitOrReap reaps in between.
+TEST(Server, SubmitOrReapDrainsABurstLargerThanBothRings) {
+  TestWorld w(CacheConfig::Optimized());
+  ASSERT_OK(w.root->Mkdir("/burst"));
+  server::ServerOptions opts;
+  opts.ring_depth = 4;
+  server::Server srv(w.kernel.get(), w.root, opts);
+  srv.Start();
+  constexpr uint64_t kOps = 64;
+  std::vector<Cqe> cqes(4);
+  std::vector<bool> done(kOps, false);
+  uint64_t reaped = 0;
+  auto on_reap = [&](size_t got) {
+    for (size_t i = 0; i < got; ++i) {
+      EXPECT_TRUE(cqes[i].ok()) << cqes[i].error_name();
+      done[cqes[i].user_data] = true;
+    }
+    reaped += got;
+  };
+  for (uint64_t i = 0; i < kOps; ++i) {
+    Sqe s = Sqe::Statx(kAtFdCwd, "/burst", 0, nullptr);
+    s.user_data = i;
+    srv.SubmitOrReap(0, s, cqes.data(), cqes.size(), on_reap);
+  }
+  while (reaped < kOps) {
+    on_reap(srv.Reap(0, cqes.data(), cqes.size()));
+  }
+  srv.Stop();
+  EXPECT_EQ(reaped, kOps);
+  EXPECT_EQ(std::count(done.begin(), done.end(), true), 64);
 }
 
 TEST(Server, StopDrainsAlreadySubmittedEntries) {

@@ -517,6 +517,525 @@ TEST_P(SyscallTest, TrailingSlashRequiresDirectory) {
   EXPECT_OK(T().Statx(kAtFdCwd, "/sd/", 0));
 }
 
+// --- mutation syscalls: errno precedence and side effects -------------------
+// One row per (syscall, case). Each row runs in a fresh sandbox `/tN`,
+// written `@` in the table; `/ro` is a read-only mount that every row shares.
+// A row that expects success also checks what the call left behind: the new
+// name's type, the parent's nlink and size as its file system reports them,
+// and the parent's mtime step.
+//
+// The answers are this VFS's, including two that differ from Linux: mkdir
+// of an existing name returns EACCES in a parent the caller cannot write and
+// EROFS on a read-only mount, where Linux returns EEXIST for both.
+
+enum class MutOp {
+  kCreat,       // open(path, O_CREAT | O_RDONLY)
+  kCreatExcl,   // open(path, O_CREAT | O_EXCL | O_RDONLY)
+  kMkdir,       // mkdir(path)
+  kSymlink,     // symlink(path2, path)
+  kLink,        // link(path, path2)
+  kUnlink,      // unlink(path)
+  kRmdir,       // rmdir(path)
+  kRename,      // rename(path, path2)
+  kChmod,       // chmod(path, 0600)
+  kChown,       // chown(path, 1000, 1000)
+  kChownGroup,  // chown(path, 1000, 4242): a group uid 1000 is not in
+  kLabel,       // SetSecurityLabel(path, "relabeled")
+};
+
+// The dirfd an *At call gets: AT_FDCWD, an fd on the sandbox directory, a
+// descriptor number nothing has open, or an fd on the regular file `@/f`.
+enum class MutFd { kCwd, kDir, kBad, kFile };
+
+struct MutRow {
+  const char* what;
+  MutOp op;
+  const char* path;
+  const char* path2;
+  Errno want;
+  bool as_user = false;  // run as uid 1000, gid 1000 instead of root
+  MutFd fd = MutFd::kCwd;
+  MutFd fd2 = MutFd::kCwd;
+};
+
+constexpr Uid kUser = 1000;
+constexpr FdNum kUnusedFd = 999;
+
+// The sandbox a row runs in (`@`):
+//   f, g   regular files, root, 0644
+//   d      empty directory, root, 0755
+//   full   directory holding the file `x`
+//   gone   a name that was just unlinked
+//   nw     directory, root, 0755 (uid 1000 cannot write it), holding the
+//          file `f` and the directory `d`
+//   st     sticky directory, root, 01777, holding `rootf` (owned by root)
+//   u      directory owned by uid 1000, holding `mine` (owned by uid 1000)
+void MakeSandbox(Task& t, const std::string& at) {
+  auto touch = [&](const std::string& p) {
+    auto fd = t.Open(p, kOCreat | kOWrite, 0644);
+    ASSERT_OK(fd);
+    ASSERT_OK(t.Close(*fd));
+  };
+  ASSERT_OK(t.Mkdir(at));
+  touch(at + "/f");
+  touch(at + "/g");
+  ASSERT_OK(t.Mkdir(at + "/d"));
+  ASSERT_OK(t.Mkdir(at + "/full"));
+  touch(at + "/full/x");
+  touch(at + "/gone");
+  ASSERT_OK(t.Statx(kAtFdCwd, at + "/gone", 0));
+  ASSERT_OK(t.Unlink(at + "/gone"));
+  ASSERT_OK(t.Mkdir(at + "/nw"));
+  touch(at + "/nw/f");
+  ASSERT_OK(t.Mkdir(at + "/nw/d"));
+  ASSERT_OK(t.Mkdir(at + "/st", 01777));
+  touch(at + "/st/rootf");
+  ASSERT_OK(t.Mkdir(at + "/u"));
+  touch(at + "/u/mine");
+  ASSERT_OK(t.Chown(at + "/u", kUser, kUser));
+  ASSERT_OK(t.Chown(at + "/u/mine", kUser, kUser));
+}
+
+std::string Expand(const std::string& at, const char* p) {
+  std::string s(p);
+  if (!s.empty() && s.front() == '@') {
+    s.replace(0, 1, at);
+  }
+  return s;
+}
+
+// The absolute path a row's (dirfd, path) names, for checking side effects.
+std::string AbsPath(const std::string& at, MutFd fd, const std::string& p) {
+  if (p.empty() || p.front() == '/' || fd == MutFd::kCwd) {
+    return p;
+  }
+  return at + "/" + p;
+}
+
+std::string DirName(const std::string& p) {
+  return p.substr(0, p.find_last_of('/'));
+}
+
+const MutRow kMutRows[] = {
+    // open(O_CREAT)
+    {"creat new", MutOp::kCreat, "@/new", "", Errno::kOk},
+    {"creat existing", MutOp::kCreat, "@/f", "", Errno::kOk},
+    {"creat just unlinked", MutOp::kCreat, "@/gone", "", Errno::kOk},
+    {"creat missing parent", MutOp::kCreat, "@/nope/new", "", Errno::kENOENT},
+    {"creat file parent", MutOp::kCreat, "@/f/new", "", Errno::kENOTDIR},
+    {"creat unwritable parent", MutOp::kCreat, "@/nw/new", "", Errno::kEACCES,
+     true},
+    {"creat read-only mount", MutOp::kCreat, "/ro/new", "", Errno::kEROFS},
+    {"creat existing, unwritable parent", MutOp::kCreat, "@/nw/f", "",
+     Errno::kOk, true},
+    {"creat existing, read-only mount", MutOp::kCreat, "/ro/f", "",
+     Errno::kOk},
+    // open(O_CREAT | O_EXCL), and OpenAt four ways
+    {"excl new", MutOp::kCreatExcl, "@/new", "", Errno::kOk},
+    {"excl existing", MutOp::kCreatExcl, "@/f", "", Errno::kEEXIST},
+    {"excl just unlinked", MutOp::kCreatExcl, "@/gone", "", Errno::kOk},
+    {"excl missing parent", MutOp::kCreatExcl, "@/nope/new", "",
+     Errno::kENOENT},
+    {"excl file parent", MutOp::kCreatExcl, "@/f/new", "", Errno::kENOTDIR},
+    {"excl unwritable parent", MutOp::kCreatExcl, "@/nw/new", "",
+     Errno::kEACCES, true},
+    {"excl read-only mount", MutOp::kCreatExcl, "/ro/new", "", Errno::kEROFS},
+    {"excl existing, unwritable parent", MutOp::kCreatExcl, "@/nw/f", "",
+     Errno::kEEXIST, true},
+    {"excl existing, read-only mount", MutOp::kCreatExcl, "/ro/f", "",
+     Errno::kEEXIST},
+    {"openat dir fd", MutOp::kCreatExcl, "new", "", Errno::kOk, false,
+     MutFd::kDir},
+    {"openat bad fd, relative", MutOp::kCreatExcl, "new", "", Errno::kEBADF,
+     false, MutFd::kBad},
+    {"openat bad fd, absolute", MutOp::kCreatExcl, "@/new", "", Errno::kOk,
+     false, MutFd::kBad},
+    {"openat file fd", MutOp::kCreatExcl, "new", "", Errno::kENOTDIR, false,
+     MutFd::kFile},
+    {"openat dir fd, existing", MutOp::kCreatExcl, "f", "", Errno::kEEXIST,
+     false, MutFd::kDir},
+    // mkdir, and MkdirAt four ways
+    {"mkdir new", MutOp::kMkdir, "@/new", "", Errno::kOk},
+    {"mkdir existing", MutOp::kMkdir, "@/d", "", Errno::kEEXIST},
+    {"mkdir existing file", MutOp::kMkdir, "@/f", "", Errno::kEEXIST},
+    {"mkdir just unlinked", MutOp::kMkdir, "@/gone", "", Errno::kOk},
+    {"mkdir missing parent", MutOp::kMkdir, "@/nope/new", "", Errno::kENOENT},
+    {"mkdir file parent", MutOp::kMkdir, "@/f/new", "", Errno::kENOTDIR},
+    {"mkdir unwritable parent", MutOp::kMkdir, "@/nw/new", "", Errno::kEACCES,
+     true},
+    {"mkdir read-only mount", MutOp::kMkdir, "/ro/new", "", Errno::kEROFS},
+    {"mkdir existing, unwritable parent", MutOp::kMkdir, "@/nw/d", "",
+     Errno::kEACCES, true},  // Linux: EEXIST
+    {"mkdir existing, read-only mount", MutOp::kMkdir, "/ro/d", "",
+     Errno::kEROFS},  // Linux: EEXIST
+    {"mkdirat dir fd", MutOp::kMkdir, "new", "", Errno::kOk, false,
+     MutFd::kDir},
+    {"mkdirat bad fd, relative", MutOp::kMkdir, "new", "", Errno::kEBADF,
+     false, MutFd::kBad},
+    {"mkdirat bad fd, absolute", MutOp::kMkdir, "@/new", "", Errno::kOk, false,
+     MutFd::kBad},
+    {"mkdirat file fd", MutOp::kMkdir, "new", "", Errno::kENOTDIR, false,
+     MutFd::kFile},
+    // symlink(path2, path)
+    {"symlink new", MutOp::kSymlink, "@/new", "f", Errno::kOk},
+    {"symlink existing", MutOp::kSymlink, "@/f", "g", Errno::kEEXIST},
+    {"symlink just unlinked", MutOp::kSymlink, "@/gone", "f", Errno::kOk},
+    {"symlink missing parent", MutOp::kSymlink, "@/nope/new", "f",
+     Errno::kENOENT},
+    {"symlink file parent", MutOp::kSymlink, "@/f/new", "f", Errno::kENOTDIR},
+    {"symlink unwritable parent", MutOp::kSymlink, "@/nw/new", "f",
+     Errno::kEACCES, true},
+    {"symlink read-only mount", MutOp::kSymlink, "/ro/new", "f",
+     Errno::kEROFS},
+    {"symlink existing, unwritable parent", MutOp::kSymlink, "@/nw/f", "g",
+     Errno::kEACCES, true},
+    {"symlink existing, read-only mount", MutOp::kSymlink, "/ro/f", "g",
+     Errno::kEROFS},
+    // link(path, path2)
+    {"link new", MutOp::kLink, "@/f", "@/new", Errno::kOk},
+    {"link existing", MutOp::kLink, "@/f", "@/g", Errno::kEEXIST},
+    {"link just unlinked", MutOp::kLink, "@/f", "@/gone", Errno::kOk},
+    {"link missing source", MutOp::kLink, "@/nope", "@/new", Errno::kENOENT},
+    {"link directory source", MutOp::kLink, "@/d", "@/new", Errno::kEPERM},
+    {"link missing parent", MutOp::kLink, "@/f", "@/nope/new", Errno::kENOENT},
+    {"link file parent", MutOp::kLink, "@/f", "@/g/new", Errno::kENOTDIR},
+    {"link unwritable parent", MutOp::kLink, "@/u/mine", "@/nw/new",
+     Errno::kEACCES, true},
+    {"link read-only mount", MutOp::kLink, "/ro/f", "/ro/new", Errno::kEROFS},
+    {"link across file systems", MutOp::kLink, "@/f", "/ro/new",
+     Errno::kEXDEV},
+    {"link existing, unwritable parent", MutOp::kLink, "@/u/mine", "@/nw/f",
+     Errno::kEACCES, true},
+    {"link existing, read-only mount", MutOp::kLink, "/ro/f", "/ro/g",
+     Errno::kEROFS},
+    // unlink, and UnlinkAt four ways
+    {"unlink existing", MutOp::kUnlink, "@/f", "", Errno::kOk},
+    {"unlink just unlinked", MutOp::kUnlink, "@/gone", "", Errno::kENOENT},
+    {"unlink missing parent", MutOp::kUnlink, "@/nope/f", "", Errno::kENOENT},
+    {"unlink file parent", MutOp::kUnlink, "@/f/x", "", Errno::kENOTDIR},
+    {"unlink directory", MutOp::kUnlink, "@/d", "", Errno::kEISDIR},
+    {"unlink unwritable parent", MutOp::kUnlink, "@/nw/nope", "",
+     Errno::kEACCES, true},
+    {"unlink read-only mount", MutOp::kUnlink, "/ro/nope", "", Errno::kEROFS},
+    {"unlink existing, unwritable parent", MutOp::kUnlink, "@/nw/f", "",
+     Errno::kEACCES, true},
+    {"unlink existing, read-only mount", MutOp::kUnlink, "/ro/f", "",
+     Errno::kEROFS},
+    {"unlink sticky, not owner", MutOp::kUnlink, "@/st/rootf", "",
+     Errno::kEPERM, true},
+    {"unlinkat dir fd", MutOp::kUnlink, "f", "", Errno::kOk, false,
+     MutFd::kDir},
+    {"unlinkat bad fd, relative", MutOp::kUnlink, "f", "", Errno::kEBADF,
+     false, MutFd::kBad},
+    {"unlinkat bad fd, absolute", MutOp::kUnlink, "@/f", "", Errno::kOk, false,
+     MutFd::kBad},
+    {"unlinkat file fd", MutOp::kUnlink, "f", "", Errno::kENOTDIR, false,
+     MutFd::kFile},
+    // rmdir
+    {"rmdir existing", MutOp::kRmdir, "@/d", "", Errno::kOk},
+    {"rmdir not empty", MutOp::kRmdir, "@/full", "", Errno::kENOTEMPTY},
+    {"rmdir file", MutOp::kRmdir, "@/f", "", Errno::kENOTDIR},
+    {"rmdir just unlinked", MutOp::kRmdir, "@/gone", "", Errno::kENOENT},
+    {"rmdir missing parent", MutOp::kRmdir, "@/nope/d", "", Errno::kENOENT},
+    {"rmdir file parent", MutOp::kRmdir, "@/f/d", "", Errno::kENOTDIR},
+    {"rmdir unwritable parent", MutOp::kRmdir, "@/nw/nope", "",
+     Errno::kEACCES, true},
+    {"rmdir read-only mount", MutOp::kRmdir, "/ro/nope", "", Errno::kEROFS},
+    {"rmdir existing, unwritable parent", MutOp::kRmdir, "@/nw/d", "",
+     Errno::kEACCES, true},
+    {"rmdir existing, read-only mount", MutOp::kRmdir, "/ro/d", "",
+     Errno::kEROFS},
+    {"rmdirat dir fd", MutOp::kRmdir, "d", "", Errno::kOk, false,
+     MutFd::kDir},
+    // rename(path, path2), and RenameAt four ways on either side
+    {"rename to new name", MutOp::kRename, "@/f", "@/new", Errno::kOk},
+    {"rename over existing", MutOp::kRename, "@/f", "@/g", Errno::kOk},
+    {"rename across directories", MutOp::kRename, "@/f", "@/d/new",
+     Errno::kOk},
+    {"rename onto just-unlinked name", MutOp::kRename, "@/f", "@/gone",
+     Errno::kOk},
+    {"rename source just unlinked", MutOp::kRename, "@/gone", "@/new",
+     Errno::kENOENT},
+    {"rename source missing parent", MutOp::kRename, "@/nope/f", "@/new",
+     Errno::kENOENT},
+    {"rename target missing parent", MutOp::kRename, "@/f", "@/nope/new",
+     Errno::kENOENT},
+    {"rename source file parent", MutOp::kRename, "@/f/x", "@/new",
+     Errno::kENOTDIR},
+    {"rename target file parent", MutOp::kRename, "@/f", "@/g/new",
+     Errno::kENOTDIR},
+    {"rename source unwritable parent", MutOp::kRename, "@/nw/f", "@/u/new",
+     Errno::kEACCES, true},
+    {"rename target unwritable parent", MutOp::kRename, "@/u/mine",
+     "@/nw/new", Errno::kEACCES, true},
+    {"rename read-only mount", MutOp::kRename, "/ro/f", "/ro/new",
+     Errno::kEROFS},
+    {"rename across file systems", MutOp::kRename, "@/f", "/ro/new",
+     Errno::kEXDEV},
+    {"rename onto existing, unwritable parent", MutOp::kRename, "@/u/mine",
+     "@/nw/f", Errno::kEACCES, true},
+    {"rename onto existing, read-only mount", MutOp::kRename, "/ro/f",
+     "/ro/g", Errno::kEROFS},
+    {"rename directory into itself", MutOp::kRename, "@/d", "@/d/sub",
+     Errno::kEINVAL},
+    {"rename sticky, not owner", MutOp::kRename, "@/st/rootf", "@/st/moved",
+     Errno::kEPERM, true},
+    {"renameat old dir fd", MutOp::kRename, "f", "@/new", Errno::kOk, false,
+     MutFd::kDir},
+    {"renameat old bad fd, relative", MutOp::kRename, "f", "@/new",
+     Errno::kEBADF, false, MutFd::kBad},
+    {"renameat old bad fd, absolute", MutOp::kRename, "@/f", "@/new",
+     Errno::kOk, false, MutFd::kBad},
+    {"renameat old file fd", MutOp::kRename, "f", "@/new", Errno::kENOTDIR,
+     false, MutFd::kFile},
+    {"renameat new dir fd", MutOp::kRename, "@/f", "new", Errno::kOk, false,
+     MutFd::kCwd, MutFd::kDir},
+    {"renameat new bad fd, relative", MutOp::kRename, "@/f", "new",
+     Errno::kEBADF, false, MutFd::kCwd, MutFd::kBad},
+    {"renameat new bad fd, absolute", MutOp::kRename, "@/f", "@/new",
+     Errno::kOk, false, MutFd::kCwd, MutFd::kBad},
+    {"renameat new file fd", MutOp::kRename, "@/f", "new", Errno::kENOTDIR,
+     false, MutFd::kCwd, MutFd::kFile},
+    {"renameat new bad fd before a missing source", MutOp::kRename,
+     "@/nope/f", "new", Errno::kEBADF, false, MutFd::kCwd, MutFd::kBad},
+    // chmod
+    {"chmod file", MutOp::kChmod, "@/f", "", Errno::kOk},
+    {"chmod directory", MutOp::kChmod, "@/d", "", Errno::kOk},
+    {"chmod missing", MutOp::kChmod, "@/nope", "", Errno::kENOENT},
+    {"chmod just unlinked", MutOp::kChmod, "@/gone", "", Errno::kENOENT},
+    {"chmod file parent", MutOp::kChmod, "@/f/x", "", Errno::kENOTDIR},
+    {"chmod not owner", MutOp::kChmod, "@/f", "", Errno::kEPERM, true},
+    {"chmod owner", MutOp::kChmod, "@/u/mine", "", Errno::kOk, true},
+    {"chmod read-only mount", MutOp::kChmod, "/ro/f", "", Errno::kEROFS},
+    {"chmod not owner, read-only mount", MutOp::kChmod, "/ro/f", "",
+     Errno::kEPERM, true},
+    // chown
+    {"chown file", MutOp::kChown, "@/f", "", Errno::kOk},
+    {"chown directory", MutOp::kChown, "@/d", "", Errno::kOk},
+    {"chown missing", MutOp::kChown, "@/nope", "", Errno::kENOENT},
+    {"chown not owner", MutOp::kChown, "@/f", "", Errno::kEPERM, true},
+    {"chown owner, own group", MutOp::kChown, "@/u/mine", "", Errno::kOk,
+     true},
+    {"chown owner, foreign group", MutOp::kChownGroup, "@/u/mine", "",
+     Errno::kEPERM, true},
+    {"chown read-only mount", MutOp::kChown, "/ro/f", "", Errno::kEROFS},
+    // SetSecurityLabel (no read-only check)
+    {"relabel file", MutOp::kLabel, "@/f", "", Errno::kOk},
+    {"relabel directory", MutOp::kLabel, "@/d", "", Errno::kOk},
+    {"relabel missing", MutOp::kLabel, "@/nope", "", Errno::kENOENT},
+    {"relabel not root", MutOp::kLabel, "@/f", "", Errno::kEPERM, true},
+    {"relabel missing, not root", MutOp::kLabel, "@/nope", "",
+     Errno::kENOENT, true},
+    {"relabel read-only mount", MutOp::kLabel, "/ro/f", "", Errno::kOk},
+};
+
+TEST_P(SyscallTest, MutationErrnoTable) {
+  auto ro = std::make_shared<MemFs>();
+  ASSERT_OK(ro->Create(ro->RootIno(), "f", FileType::kRegular, 0644, 0, 0));
+  ASSERT_OK(ro->Create(ro->RootIno(), "g", FileType::kRegular, 0644, 0, 0));
+  ASSERT_OK(ro->Create(ro->RootIno(), "d", FileType::kDirectory, 0755, 0, 0));
+  ASSERT_OK(T().Mkdir("/ro"));
+  MountFlags ro_flags;
+  ro_flags.read_only = true;
+  ASSERT_OK(T().Mount("/ro", ro, ro_flags));
+  TaskPtr user = world_.UserTask(kUser, kUser);
+  FileSystem* rootfs = T().root().dentry()->sb()->fs();
+
+  int n = 0;
+  for (const MutRow& row : kMutRows) {
+    SCOPED_TRACE(row.what);
+    const std::string at = "/t" + std::to_string(n++);
+    MakeSandbox(T(), at);
+    if (::testing::Test::HasFatalFailure()) {
+      return;
+    }
+    auto dirfd = T().Open(at, kORead | kODirectory);
+    auto filefd = T().Open(at + "/f", kORead);
+    ASSERT_OK(dirfd);
+    ASSERT_OK(filefd);
+    auto fd_of = [&](MutFd f) -> FdNum {
+      switch (f) {
+        case MutFd::kCwd:
+          return kAtFdCwd;
+        case MutFd::kDir:
+          return *dirfd;
+        case MutFd::kBad:
+          return kUnusedFd;
+        case MutFd::kFile:
+          return *filefd;
+      }
+      return kAtFdCwd;
+    };
+    const std::string p1 = Expand(at, row.path);
+    const std::string p2 = Expand(at, row.path2);
+    const FdNum fd1 = fd_of(row.fd);
+    const FdNum fd2 = fd_of(row.fd2);
+    // The names whose parents a success changes: the created, removed or
+    // renamed entry (for link and symlink the new name).
+    const std::string a1 = AbsPath(at, row.fd, p1);
+    const std::string a2 = AbsPath(at, row.fd2, p2);
+    const std::string made = row.op == MutOp::kLink ? a2 : a1;
+    auto lstat = [&](const std::string& p) {
+      return T().Statx(kAtFdCwd, p, kAtSymlinkNoFollow);
+    };
+    auto before_made = lstat(made);
+    auto before_parent = lstat(DirName(made));
+    auto before_src = lstat(a1);
+    auto before_parent2 = lstat(DirName(a2));
+
+    Task& t = row.as_user ? *user : T();
+    Status st;
+    switch (row.op) {
+      case MutOp::kCreat:
+      case MutOp::kCreatExcl: {
+        int flags = kOCreat | kORead;
+        if (row.op == MutOp::kCreatExcl) {
+          flags |= kOExcl;
+        }
+        auto fd = row.fd == MutFd::kCwd ? t.Open(p1, flags, 0644)
+                                        : t.OpenAt(fd1, p1, flags, 0644);
+        st = fd.ok() ? t.Close(*fd) : Status(fd.error());
+        break;
+      }
+      case MutOp::kMkdir:
+        st = row.fd == MutFd::kCwd ? t.Mkdir(p1) : t.MkdirAt(fd1, p1, 0755);
+        break;
+      case MutOp::kSymlink:
+        st = t.Symlink(p2, p1);
+        break;
+      case MutOp::kLink:
+        st = t.Link(p1, p2);
+        break;
+      case MutOp::kUnlink:
+      case MutOp::kRmdir: {
+        const bool rmdir = row.op == MutOp::kRmdir;
+        if (row.fd != MutFd::kCwd) {
+          st = t.UnlinkAt(fd1, p1, rmdir);
+        } else {
+          st = rmdir ? t.Rmdir(p1) : t.Unlink(p1);
+        }
+        break;
+      }
+      case MutOp::kRename:
+        st = row.fd == MutFd::kCwd && row.fd2 == MutFd::kCwd
+                 ? t.Rename(p1, p2)
+                 : t.RenameAt(fd1, p1, fd2, p2);
+        break;
+      case MutOp::kChmod:
+        st = t.Chmod(p1, 0600);
+        break;
+      case MutOp::kChown:
+        st = t.Chown(p1, kUser, kUser);
+        break;
+      case MutOp::kChownGroup:
+        st = t.Chown(p1, kUser, 4242);
+        break;
+      case MutOp::kLabel:
+        st = t.SetSecurityLabel(p1, "relabeled");
+        break;
+    }
+    EXPECT_EQ(st.error(), row.want)
+        << "got " << st.error_name() << ", want " << ErrnoName(row.want);
+    ASSERT_OK(T().Close(*dirfd));
+    ASSERT_OK(T().Close(*filefd));
+    if (!st.ok() || row.want != Errno::kOk) {
+      continue;
+    }
+
+    // The parent as the cache serves it must agree with its file system.
+    auto coherent = [&](const std::string& dir) {
+      auto s = lstat(dir);
+      ASSERT_OK(s);
+      if (dir.rfind(at, 0) != 0) {
+        return;  // only the sandbox's file system is checked
+      }
+      auto attr = rootfs->GetAttr(s->ino);
+      ASSERT_OK(attr);
+      EXPECT_EQ(s->nlink, attr->nlink) << dir;
+      EXPECT_EQ(s->size, attr->size) << dir;
+    };
+    auto mtime_step = [&](const std::string& dir,
+                          const Result<Stat>& before) -> uint64_t {
+      auto s = lstat(dir);
+      return s.ok() && before.ok() ? s->mtime - before->mtime : ~0ull;
+    };
+    switch (row.op) {
+      case MutOp::kCreat:
+      case MutOp::kCreatExcl:
+      case MutOp::kMkdir:
+      case MutOp::kSymlink:
+      case MutOp::kLink: {
+        const bool existed = before_made.ok();
+        auto s = lstat(made);
+        ASSERT_OK(s);
+        const FileType want_type = row.op == MutOp::kMkdir
+                                       ? FileType::kDirectory
+                                   : row.op == MutOp::kSymlink
+                                       ? FileType::kSymlink
+                                       : FileType::kRegular;
+        EXPECT_EQ(s->type, want_type);
+        EXPECT_EQ(mtime_step(DirName(made), before_parent), existed ? 0u : 1u);
+        auto parent = lstat(DirName(made));
+        ASSERT_OK(parent);
+        EXPECT_EQ(parent->nlink,
+                  before_parent->nlink + (row.op == MutOp::kMkdir ? 1 : 0));
+        coherent(DirName(made));
+        if (row.op == MutOp::kLink) {
+          EXPECT_EQ(s->ino, before_src->ino);
+          EXPECT_EQ(s->nlink, before_src->nlink + 1);
+        }
+        break;
+      }
+      case MutOp::kUnlink:
+      case MutOp::kRmdir: {
+        EXPECT_ERR(lstat(a1), Errno::kENOENT);
+        EXPECT_EQ(mtime_step(DirName(a1), before_parent), 1u);
+        auto parent = lstat(DirName(a1));
+        ASSERT_OK(parent);
+        EXPECT_EQ(parent->nlink,
+                  before_parent->nlink - (row.op == MutOp::kRmdir ? 1 : 0));
+        coherent(DirName(a1));
+        break;
+      }
+      case MutOp::kRename: {
+        EXPECT_ERR(lstat(a1), Errno::kENOENT);
+        auto s = lstat(a2);
+        ASSERT_OK(s);
+        EXPECT_EQ(s->ino, before_src->ino);
+        EXPECT_EQ(s->type, before_src->type);
+        if (DirName(a1) == DirName(a2)) {
+          // Both the old and the new parent step it: the same inode twice.
+          EXPECT_EQ(mtime_step(DirName(a1), before_parent), 2u);
+        } else {
+          EXPECT_EQ(mtime_step(DirName(a1), before_parent), 1u);
+          EXPECT_EQ(mtime_step(DirName(a2), before_parent2), 1u);
+          coherent(DirName(a2));
+        }
+        coherent(DirName(a1));
+        break;
+      }
+      case MutOp::kChmod: {
+        auto s = lstat(a1);
+        ASSERT_OK(s);
+        EXPECT_EQ(s->mode & kModePermMask, 0600);
+        EXPECT_EQ(mtime_step(DirName(a1), before_parent), 0u);
+        break;
+      }
+      case MutOp::kChown:
+      case MutOp::kChownGroup: {
+        auto s = lstat(a1);
+        ASSERT_OK(s);
+        EXPECT_EQ(s->uid, kUser);
+        EXPECT_EQ(s->gid, kUser);
+        break;
+      }
+      case MutOp::kLabel:
+        EXPECT_OK(lstat(a1));
+        break;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllConfigs, SyscallTest,
     ::testing::Values(Variant::kBaseline, Variant::kOptimized,
