@@ -8,8 +8,9 @@
 // warm statx decomposition does:
 //   - unmodified: the component scan, plus one SecurityStack::Permission and
 //     one DentryCache::LookupRcu per component;
-//   - optimized: signing the path (scan + hash), one DLHT probe and one PCC
-//     probe (the permission phase).
+//   - optimized: signing the path as the walk signs a canonical one (the
+//     shape check and one hash pass: scan + hash), one DLHT probe and one
+//     PCC probe (the permission phase).
 // init+finalize is the whole statx minus those phases.
 #include <string_view>
 #include <vector>
@@ -130,10 +131,11 @@ Phases Probe(Env& env, const PathCase& pc, bool optimized) {
 
   const Cred& cred = *t.cred();
   const PathSigner& signer = k.signer();
+  // Every case is canonical, so the walk signs it in one pass.
   auto sign = [&] {
     HashState s = signer.RootState();
-    for (std::string_view c : comps) {
-      signer.AppendComponent(s, c);
+    if (PathSigner::IsCanonical(path)) {
+      signer.AppendCanonical(s, path);
     }
     return signer.Finalize(s);
   };
@@ -218,7 +220,8 @@ int main() {
   std::printf(
       "\nunmodified: perm = Permission x components, ht-look = LookupRcu x\n"
       "components, scan+hash = the component scan. optimized: perm = one\n"
-      "PCC probe, ht-look = one DLHT probe, scan+hash = signing the path.\n"
+      "PCC probe, ht-look = one DLHT probe, scan+hash = signing the path\n"
+      "(the shape check and one hash pass).\n"
       "init+fin = statx minus the three.\n"
       "\nExpected shape (paper): per-component costs (permission, hash\n"
       "lookups) grow with path length on the baseline; the optimized kernel\n"

@@ -7,14 +7,14 @@
 # Exports three trees into one temporary directory, at paths of equal length
 # (the build embeds source paths): the parent; the pad control, which is the
 # parent with a 64 KiB initialized global added to src/vfs/walk.cc; and
-# <rev>. Builds perfbench in each, then runs seeds 1, 2 and 3 of
-# warm_lookup, serve_mail and tree_churn with `--seconds 5 --trace 1`, one
-# run at a time, from the temporary directory with a relative --spans path
-# 27 characters long. The heap controls run the parent's binary twice more,
-# with --spans paths 16 characters shorter and 16 longer: perfbench copies
-# that path into a string at startup, so its length resizes an early heap
-# block (or drops it, for a path short enough to fit inside the string) and
-# moves every later allocation.
+# <rev>. Builds perfbench in each (scripts/perfbench_trees.sh), then runs
+# seeds 1, 2 and 3 of warm_lookup, serve_mail and tree_churn with
+# `--seconds 5 --trace 1`, one run at a time, from the temporary directory
+# with a relative --spans path 27 characters long. The heap controls run
+# the parent's binary twice more, with --spans paths 16 characters shorter
+# and 16 longer: perfbench copies that path into a string at startup, so
+# its length resizes an early heap block (or drops it, for a path short
+# enough to fit inside the string) and moves every later allocation.
 #
 # perfbench turns off address randomization, so one binary reproduces
 # every value. But the PCC's sets and the dcache's hash buckets are keyed
@@ -52,19 +52,13 @@ TMP=$(mktemp -d "${TMPDIR:-/tmp}/behaviour.XXXXXX")
 trap 'rm -rf "$TMP"' EXIT
 
 # p = parent, d = the pad control, h = the change: equal-length paths.
-for t in p d h; do
-  mkdir -p "$TMP/$t"
-  rev=$PARENT
-  [[ $t == h ]] && rev=$CHANGE
-  git archive "$rev" | tar -x -C "$TMP/$t"
-done
+source scripts/perfbench_trees.sh
+export_tree "$TMP/p" "$PARENT"
+export_tree "$TMP/d" "$PARENT"
+export_tree "$TMP/h" "$CHANGE"
 echo 'volatile char g_layout_pad[64 * 1024] = {1};' >> "$TMP/d/src/vfs/walk.cc"
-
 for t in p d h; do
-  echo "== building perfbench ($t)" >&2
-  cmake -S "$TMP/$t/perfbench" -B "$TMP/$t/.bench_build/perfbench" -G Ninja \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
-  cmake --build "$TMP/$t/.bench_build/perfbench" -j "$(nproc)" > /dev/null
+  build_perfbench "$TMP/$t"
 done
 
 cd "$TMP"

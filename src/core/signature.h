@@ -17,6 +17,9 @@
 
 namespace dircache {
 
+// Longest component name a path may hold (Linux's NAME_MAX).
+inline constexpr size_t kMaxNameLen = 255;
+
 // Prefix-state snapshots for the shortcut miss fallback (DESIGN.md §14):
 // the incremental hash state after every component of a path, plus the
 // offset where the remaining suffix starts. Finalizing state[k] yields the
@@ -93,6 +96,42 @@ class PathSigner {
       i = end;
     }
     return out->depth > 0;
+  }
+
+  // True if `path` is already in canonical form: non-empty names joined by
+  // single slashes after at most one leading slash, with no "." or ".."
+  // name, no trailing slash and no name over kMaxNameLen. Its bytes are
+  // then exactly the "/<name>" concatenation of its components (after one
+  // leading "/" for a relative path), which AppendCanonical signs in one
+  // pass.
+  static bool IsCanonical(std::string_view path) {
+    const char* p = path.data();
+    const char* const end = p + path.size();
+    if (p != end && *p == '/') {
+      ++p;
+    }
+    // One byte at a time: names are short, so a memchr per name costs more.
+    for (const char* name = p;; ++p) {
+      if (p == end || *p == '/') {
+        const size_t len = static_cast<size_t>(p - name);
+        if (len == 0 || len > kMaxNameLen ||
+            (name[0] == '.' && (len == 1 || (len == 2 && name[1] == '.')))) {
+          return false;
+        }
+        if (p == end) {
+          return true;
+        }
+        name = p + 1;
+      }
+    }
+  }
+
+  // Extend `state` with a canonical `path` (IsCanonical) in one hash pass,
+  // to the state AppendComponent per name reaches. False if PATH_MAX would
+  // be exceeded.
+  bool AppendCanonical(HashState& state, std::string_view path) const {
+    return path.front() == '/' ? hasher_.Update(state, path)
+                               : AppendComponent(state, path);
   }
 
  private:

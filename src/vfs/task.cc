@@ -200,7 +200,7 @@ void KillTree(DentryCache& dcache, Dentry* d) {
 // Kill whatever is cached at `name` in `dir` (a negative, once the FS holds
 // a new entry there), except `keep`.
 void KillCachedName(DentryCache& dcache, Dentry* dir, std::string_view name,
-                    const Dentry* keep = nullptr) {
+                    const Dentry* keep) {
   if (Dentry* neg = dcache.LookupRef(dir, name)) {
     if (neg != keep) {
       KillTree(dcache, neg);
@@ -252,16 +252,35 @@ class Task::LockedParent {
     return Status::Ok();
   }
 
-  // Cache `inode` (the caller's reference passes to the dentry) as the new
-  // entry `last`: the dentry cached at the name dies first with its deep
-  // children, unless the caller already killed it (`name_killed`), then the
-  // parent's size and link count follow the FS and its mtime steps.
-  Result<PathHandle> Install(Inode* inode, uint32_t flags,
-                             bool name_killed = false) {
-    DentryCache& dcache = task_->kernel_->dcache();
-    if (!name_killed) {
-      KillCachedName(dcache, dir(), last_);
+  // The rest of Linux's filename_create() for a caller that creates
+  // `last`, in its order: search permission on the parent (the walk's
+  // may_lookup() before the last name), the lookup of `last` (EEXIST if it
+  // is positive), then MayWrite(). Once the caller may create, the negative
+  // cached at the name dies with its deep children, so Install need not
+  // look the name up again: no one else can cache one under the exclusive
+  // tree lock.
+  Status MayCreate() {
+    Kernel* k = task_->kernel_;
+    DIRCACHE_RETURN_IF_ERROR(
+        k->security().Permission(*task_->cred_, *inode(), kMayExec, dir()));
+    auto cached = PathWalker::LookupOrInstantiate(*task_, dir(), last_);
+    if (!cached.ok()) {
+      return cached.error() == Errno::kENOENT ? MayWrite() : cached.error();
     }
+    Status st =
+        (*cached)->IsPositive() ? Status(Errno::kEEXIST) : MayWrite();
+    if (st.ok()) {
+      KillTree(k->dcache(), *cached);
+    }
+    k->dcache().Dput(*cached);
+    return st;
+  }
+
+  // Cache `inode` (the caller's reference passes to the dentry) as the new
+  // entry `last`, which MayCreate() cleared; the parent's size and link
+  // count follow the FS and its mtime steps.
+  Result<PathHandle> Install(Inode* inode, uint32_t flags) {
+    DentryCache& dcache = task_->kernel_->dcache();
     auto fresh =
         dcache.AddChild(dir(), last_, inode, flags, task_->cred_->uid());
     RefreshDirInode(this->inode());
@@ -273,8 +292,7 @@ class Task::LockedParent {
   }
 
   // Install the inode the FS just created as `last`, labelled by the LSM.
-  Result<PathHandle> InstallNew(Result<InodeNum> ino, uint32_t flags,
-                                bool name_killed = false) {
+  Result<PathHandle> InstallNew(Result<InodeNum> ino, uint32_t flags) {
     if (!ino.ok()) {
       return ino.error();
     }
@@ -283,7 +301,7 @@ class Task::LockedParent {
       return inode.error();
     }
     task_->kernel_->security().InitSecurity(*this->inode(), **inode);
-    return Install(*inode, flags, name_killed);
+    return Install(*inode, flags);
   }
 
  private:
@@ -615,20 +633,8 @@ Result<FdNum> Task::DoOpen(FdNum dirfd, std::string_view path, int flags,
   if ((flags & kOCreat) != 0) {
     LockedParent parent(this, *base, path);
     DIRCACHE_RETURN_IF_ERROR(parent.status());
-    auto child = PathWalker::LookupOrInstantiate(*this, parent.dir(),
-                                                 parent.last());
-    bool exists = false;
-    if (child.ok()) {
-      exists = !(*child)->IsNegative();
-      kernel_->dcache().Dput(*child);
-    } else if (child.error() != Errno::kENOENT) {
-      return child.error();
-    }
-
-    if (exists) {
-      if ((flags & kOExcl) != 0) {
-        return Errno::kEEXIST;
-      }
+    Status may = parent.MayCreate();
+    if (may.error() == Errno::kEEXIST && (flags & kOExcl) == 0) {
       // The file exists: re-resolve without create intent (handles
       // trailing symlinks and mount crossings uniformly).
       parent.tree().unlock();
@@ -638,7 +644,7 @@ Result<FdNum> Task::DoOpen(FdNum dirfd, std::string_view path, int flags,
       }
       p = *std::move(full);
     } else {
-      DIRCACHE_RETURN_IF_ERROR(parent.MayWrite());
+      DIRCACHE_RETURN_IF_ERROR(may);
       auto ino = parent.fs()->Create(parent.inode()->ino(), parent.last(),
                                      FileType::kRegular, mode, cred_->uid(),
                                      cred_->gid());
@@ -865,30 +871,14 @@ Status Task::DoMkdir(FdNum dirfd, std::string_view path, uint16_t mode) {
   }
   LockedParent parent(this, *base, path);
   DIRCACHE_RETURN_IF_ERROR(parent.status());
-  DIRCACHE_RETURN_IF_ERROR(parent.MayWrite());
-  // mkdir kills the negative it finds here, before the FS creates the
-  // directory, so the install below need not look the name up again.
-  auto existing =
-      PathWalker::LookupOrInstantiate(*this, parent.dir(), parent.last());
-  if (existing.ok()) {
-    const bool positive = (*existing)->IsPositive();
-    if (!positive) {
-      KillTree(kernel_->dcache(), *existing);
-    }
-    kernel_->dcache().Dput(*existing);
-    if (positive) {
-      return Errno::kEEXIST;
-    }
-  } else if (existing.error() != Errno::kENOENT) {
-    return existing.error();
-  }
+  DIRCACHE_RETURN_IF_ERROR(parent.MayCreate());
   auto ino = parent.fs()->Create(parent.inode()->ino(), parent.last(),
                                  FileType::kDirectory, mode, cred_->uid(),
                                  cred_->gid());
   // A brand-new directory has all (zero) children cached (§5.1).
   const uint32_t flags =
       kernel_->config().dir_completeness ? kDentDirComplete : 0u;
-  return parent.InstallNew(ino, flags, /*name_killed=*/true).error();
+  return parent.InstallNew(ino, flags).error();
 }
 
 Status Task::Unlink(std::string_view path) {
@@ -1205,7 +1195,7 @@ Status Task::Link(std::string_view oldpath, std::string_view newpath) {
   if (oldp->dentry()->sb() != parent.dir()->sb()) {
     return Errno::kEXDEV;
   }
-  DIRCACHE_RETURN_IF_ERROR(parent.MayWrite());
+  DIRCACHE_RETURN_IF_ERROR(parent.MayCreate());
   DIRCACHE_RETURN_IF_ERROR(parent.fs()->Link(
       parent.inode()->ino(), parent.last(), target_inode->ino()));
   parent.dir()->sb()->IgetHeld(target_inode);
@@ -1218,7 +1208,7 @@ Status Task::Symlink(std::string_view target, std::string_view linkpath) {
   Scope s(this, SyscallKind::kLinkSymlink);
   LockedParent parent(this, nullptr, linkpath);
   DIRCACHE_RETURN_IF_ERROR(parent.status());
-  DIRCACHE_RETURN_IF_ERROR(parent.MayWrite());
+  DIRCACHE_RETURN_IF_ERROR(parent.MayCreate());
   auto ino = parent.fs()->SymlinkCreate(parent.inode()->ino(), parent.last(),
                                         target, cred_->uid(), cred_->gid());
   return parent.InstallNew(ino, 0).error();

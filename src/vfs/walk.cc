@@ -103,7 +103,6 @@ class UntrustedBaseScope {
 namespace {
 
 constexpr int kMaxSymlinkDepth = 40;
-constexpr size_t kMaxNameLen = 255;
 // Deepest path (in components) the shortcut fallback probes; longer paths
 // take the ordinary full walk.
 constexpr size_t kShortcutMaxDepth = 32;
@@ -1279,8 +1278,10 @@ Result<Dentry*> PathWalker::LookupOrInstantiate(Task& task, Dentry* parent,
 }
 
 // ---------------------------------------------------------------------------
-// The fastpath (§3.1): canonicalize-while-hash, one DLHT probe, one PCC
-// probe. Returns true when it produced a definitive outcome in *result.
+// The fastpath (§3.1): sign the path (in one hash pass when it is already
+// canonical, else canonicalizing while hashing name by name), one DLHT
+// probe, one PCC probe. Returns true when it produced a definitive outcome
+// in *result.
 
 bool PathWalker::TryFastResolve(Task& task, const PathHandle& start,
                                 std::string_view path, int wflags,
@@ -1315,76 +1316,84 @@ bool PathWalker::TryFastResolve(Task& task, const PathHandle& start,
     return false;  // base state unknown: the slowpath will fill it
   }
 
-  // Plan 9 lexical mode keeps a small stack of prefix states so ".."
-  // truncates textually (§4.2). Fixed-size: deeper paths take the slowpath.
-  constexpr size_t kMaxLexicalDepth = 16;
-  std::array<HashState, kMaxLexicalDepth> lexical_stack;
-  size_t lexical_depth = 0;
-  ComponentCursor cur(path);
   bool trailing_dot = false;  // path ends in "." or "..": final must be a
                               // directory, and a preceding symlink is
                               // followed (POSIX trailing-dot semantics)
-  std::string_view comp;
-  while (!(comp = cur.Next()).empty()) {
-    trailing_dot = comp == "." || comp == "..";
-    if (comp == ".") {
-      continue;
+  if (PathSigner::IsCanonical(path)) {
+    // The path's own bytes are its canonical form: one hash pass.
+    if (!signer.AppendCanonical(st, path)) {
+      return false;
     }
-    if (comp == "..") {
-      if (cfg.dotdot == DotDotMode::kLexical) {
-        // Plan 9 semantics: textual truncation (§4.2).
-        if (lexical_depth == 0) {
-          return false;  // ".." above the walk base: give up
-        }
-        st = lexical_stack[--lexical_depth];
+  } else {
+    // Plan 9 lexical mode keeps a small stack of prefix states so ".."
+    // truncates textually (§4.2). Fixed-size: deeper paths take the
+    // slowpath.
+    constexpr size_t kMaxLexicalDepth = 16;
+    std::array<HashState, kMaxLexicalDepth> lexical_stack;
+    size_t lexical_depth = 0;
+    ComponentCursor cur(path);
+    std::string_view comp;
+    while (!(comp = cur.Next()).empty()) {
+      trailing_dot = comp == "." || comp == "..";
+      if (comp == ".") {
         continue;
       }
-      // POSIX semantics: one extra fastpath permission probe on the
-      // directory being exited (§4.2).
-      Signature psig = signer.Finalize(st);
-      FastDentry* pfd = ns->dlht().Lookup(psig, &stats);
-      if (pfd == nullptr) {
-        stats.dlht_misses.Add();
-        TraceOutcome(obs::WalkOutcome::kFastMissDlht);
+      if (comp == "..") {
+        if (cfg.dotdot == DotDotMode::kLexical) {
+          // Plan 9 semantics: textual truncation (§4.2).
+          if (lexical_depth == 0) {
+            return false;  // ".." above the walk base: give up
+          }
+          st = lexical_stack[--lexical_depth];
+          continue;
+        }
+        // POSIX semantics: one extra fastpath permission probe on the
+        // directory being exited (§4.2).
+        Signature psig = signer.Finalize(st);
+        FastDentry* pfd = ns->dlht().Lookup(psig, &stats);
+        if (pfd == nullptr) {
+          stats.dlht_misses.Add();
+          TraceOutcome(obs::WalkOutcome::kFastMissDlht);
+          return false;
+        }
+        Dentry* pd = DentryFromFast(pfd);
+        uint32_t pseq = pfd->seq.load(std::memory_order_acquire);
+        PccMiss pmiss = PccMiss::kNone;
+        if (!pcc->Lookup(pd, pseq, &stats, &pmiss)) {
+          stats.pcc_misses.Add();
+          TraceOutcome(PccMissOutcome(pmiss, epoch_flushed));
+          return false;
+        }
+        Mount* pm = pfd->mount.load(std::memory_order_acquire);
+        if (pm == nullptr || pd == pm->root || pd->IsNegative()) {
+          return false;  // mount boundary / nonsense: slowpath handles it
+        }
+        // The PCC hit covers the prefix *to* this directory; leaving it via
+        // ".." additionally requires search permission *on* it, checked
+        // directly (it is never part of any memoized prefix).
+        Inode* pi = pd->inode();
+        if (pi == nullptr || !pi->IsDir() ||
+            !k->security().Permission(*task.cred(), *pi, kMayExec, pd).ok()) {
+          return false;
+        }
+        Dentry* parent = pd->parent();
+        if (parent == nullptr || !CopyStateIfValid(parent, ns, &st)) {
+          return false;
+        }
+        continue;
+      }
+      if (comp.size() > kMaxNameLen) {
         return false;
       }
-      Dentry* pd = DentryFromFast(pfd);
-      uint32_t pseq = pfd->seq.load(std::memory_order_acquire);
-      PccMiss pmiss = PccMiss::kNone;
-      if (!pcc->Lookup(pd, pseq, &stats, &pmiss)) {
-        stats.pcc_misses.Add();
-        TraceOutcome(PccMissOutcome(pmiss, epoch_flushed));
+      if (cfg.dotdot == DotDotMode::kLexical) {
+        if (lexical_depth == kMaxLexicalDepth) {
+          return false;
+        }
+        lexical_stack[lexical_depth++] = st;
+      }
+      if (!signer.AppendComponent(st, comp)) {
         return false;
       }
-      Mount* pm = pfd->mount.load(std::memory_order_acquire);
-      if (pm == nullptr || pd == pm->root || pd->IsNegative()) {
-        return false;  // mount boundary / nonsense: slowpath handles it
-      }
-      // The PCC hit covers the prefix *to* this directory; leaving it via
-      // ".." additionally requires search permission *on* it, checked
-      // directly (it is never part of any memoized prefix).
-      Inode* pi = pd->inode();
-      if (pi == nullptr || !pi->IsDir() ||
-          !k->security().Permission(*task.cred(), *pi, kMayExec, pd).ok()) {
-        return false;
-      }
-      Dentry* parent = pd->parent();
-      if (parent == nullptr || !CopyStateIfValid(parent, ns, &st)) {
-        return false;
-      }
-      continue;
-    }
-    if (comp.size() > kMaxNameLen) {
-      return false;
-    }
-    if (cfg.dotdot == DotDotMode::kLexical) {
-      if (lexical_depth == kMaxLexicalDepth) {
-        return false;
-      }
-      lexical_stack[lexical_depth++] = st;
-    }
-    if (!signer.AppendComponent(st, comp)) {
-      return false;
     }
   }
 

@@ -1,6 +1,9 @@
 // Fastpath mechanics (§3): DLHT/PCC hits, coherence with chmod/chown/
 // rename (§3.2), credential isolation, directory-reference semantics,
 // symlink aliases (§4.2), and the Figure 6 test hooks.
+#include <string>
+#include <vector>
+
 #include "src/core/pcc.h"
 #include "tests/test_util.h"
 
@@ -200,6 +203,86 @@ TEST_F(FastpathTest, DotDotPathsStayCorrect) {
   // through it, even though ".." leaves immediately.
   EXPECT_ERR(alice->Statx(kAtFdCwd, "/home/alice/music/../docs/file", 0),
              Errno::kEACCES);
+}
+
+// One warm lookup of each path shape under both dot-dot modes: its answer
+// and the fastpath and DLHT counters it moves ({fastpath hits, fastpath
+// misses, DLHT hits, DLHT misses}). Canonical paths (absolute, relative,
+// names up to NAME_MAX) are signed in one pass; every other shape takes the
+// per-name loop. Relative paths start at /home/alice.
+struct ShapeCounts {
+  uint64_t fast_hits, fast_misses, dlht_hits, dlht_misses;
+};
+
+struct ShapeRow {
+  const char* what;
+  std::string path;
+  Errno want;
+  ShapeCounts posix, lexical;
+};
+
+std::vector<ShapeRow> ShapeRows() {
+  const std::string longest(kMaxNameLen, 'n');
+  const std::string too_long(kMaxNameLen + 1, 'n');
+  return {
+      {"absolute", "/home/alice/docs/file", Errno::kOk, {1, 0, 1, 0},
+       {1, 0, 1, 0}},
+      {"relative", "docs/file", Errno::kOk, {1, 0, 1, 0}, {1, 0, 1, 0}},
+      {"NAME_MAX name", "docs/" + longest, Errno::kENOENT, {1, 0, 1, 0},
+       {1, 0, 1, 0}},
+      {"root alone", "/", Errno::kOk, {1, 0, 1, 0}, {1, 0, 1, 0}},
+      {"double slash", "docs//file", Errno::kOk, {1, 0, 1, 0}, {1, 0, 1, 0}},
+      {"trailing slash", "docs/", Errno::kOk, {1, 0, 1, 0}, {1, 0, 1, 0}},
+      {"leading dot", "./docs", Errno::kOk, {1, 0, 1, 0}, {1, 0, 1, 0}},
+      {"trailing dot", "docs/.", Errno::kOk, {1, 0, 1, 0}, {1, 0, 1, 0}},
+      // POSIX ".." probes the directory it leaves; lexical ".." truncates
+      // the signed prefix, and above the walk base it gives up.
+      {"inner dot-dot", "docs/../docs/file", Errno::kOk, {1, 0, 2, 0},
+       {1, 0, 1, 0}},
+      {"dot-dot alone", "..", Errno::kOk, {1, 0, 2, 0}, {0, 1, 0, 0}},
+      // The slowpath answers a name over NAME_MAX.
+      {"name over NAME_MAX", "docs/" + too_long, Errno::kENAMETOOLONG,
+       {0, 1, 0, 0}, {0, 1, 0, 0}},
+  };
+}
+
+TEST(FastpathShapeTest, EachShapeWarmsToItsPinnedCounts) {
+  for (DotDotMode mode : {DotDotMode::kPosix, DotDotMode::kLexical}) {
+    const bool lexical = mode == DotDotMode::kLexical;
+    CacheConfig cfg = CacheConfig::Optimized();
+    cfg.dotdot = mode;
+    TestWorld world(cfg);
+    Task& t = *world.root;
+    ASSERT_OK(t.Mkdir("/home"));
+    ASSERT_OK(t.Mkdir("/home/alice"));
+    ASSERT_OK(t.Mkdir("/home/alice/docs"));
+    auto fd = t.Open("/home/alice/docs/file", kOCreat | kOWrite);
+    ASSERT_OK(fd);
+    ASSERT_OK(t.Close(*fd));
+    ASSERT_OK(t.Chdir("/home/alice"));
+    CacheStats& stats = world.kernel->stats();
+    for (const ShapeRow& row : ShapeRows()) {
+      SCOPED_TRACE(std::string(row.what) + (lexical ? ", lexical" : ", posix"));
+      for (int i = 0; i < 2; ++i) {
+        (void)t.Statx(kAtFdCwd, row.path, 0);
+      }
+      const ShapeCounts before{
+          stats.fastpath_hits.value(), stats.fastpath_misses.value(),
+          stats.dlht_hits.value(), stats.dlht_misses.value()};
+      auto r = t.Statx(kAtFdCwd, row.path, 0);
+      EXPECT_EQ(r.error(), row.want) << "got " << r.error_name();
+      const ShapeCounts want = lexical ? row.lexical : row.posix;
+      const ShapeCounts got{
+          stats.fastpath_hits.value() - before.fast_hits,
+          stats.fastpath_misses.value() - before.fast_misses,
+          stats.dlht_hits.value() - before.dlht_hits,
+          stats.dlht_misses.value() - before.dlht_misses};
+      EXPECT_EQ(got.fast_hits, want.fast_hits);
+      EXPECT_EQ(got.fast_misses, want.fast_misses);
+      EXPECT_EQ(got.dlht_hits, want.dlht_hits);
+      EXPECT_EQ(got.dlht_misses, want.dlht_misses);
+    }
+  }
 }
 
 TEST_F(FastpathTest, DirectoryReferenceSemantics) {

@@ -1,5 +1,8 @@
 // Properties of the path signature scheme (§3.3): determinism, keyedness,
-// prefix-resume equivalence, length separation, and index distribution.
+// prefix-resume equivalence, length separation, index distribution, and
+// one-pass signing of canonical paths.
+#include <algorithm>
+#include <cstring>
 #include <set>
 #include <string>
 
@@ -157,6 +160,118 @@ TEST(PathSignerTest, LongComponentTakesSlowPathConsistently) {
   HashState st2 = hasher.Init();
   ASSERT_TRUE(hasher.Update(st2, "/" + longname));
   EXPECT_EQ(hasher.Finalize(st2), signer.Finalize(st));
+}
+
+// Equal in every byte a state has consumed. The pending bytes past
+// pending_len are scratch that Finalize never reads.
+void ExpectSameState(const HashState& a, const HashState& b) {
+  EXPECT_EQ(a.sum, b.sum);
+  EXPECT_EQ(a.open_word, b.open_word);
+  EXPECT_EQ(a.words_consumed, b.words_consumed);
+  ASSERT_EQ(a.pending_len, b.pending_len);
+  EXPECT_EQ(std::memcmp(a.pending.data(), b.pending.data(), a.pending_len), 0);
+}
+
+// A random name of `len` bytes, never "." or "..".
+std::string RandomName(Rng& rng, size_t len) {
+  static constexpr char kChars[] = "abcxyz.-_019";
+  std::string name;
+  do {
+    name.clear();
+    for (size_t i = 0; i < len; ++i) {
+      name += kChars[rng.Below(sizeof(kChars) - 1)];
+    }
+  } while (name == "." || name == "..");
+  return name;
+}
+
+TEST(PathSignerTest, OnePassEqualsPerNameOnCanonicalPaths) {
+  // What the fastpath relies on: a canonical path signed in one pass from
+  // the walk base reaches the state of AppendComponent per name. Absolute
+  // paths start at the root; relative ones at a random base, most often
+  // with a partial word pending. Names run 1-255 bytes, so many take
+  // AppendComponent's long-name branch (72 bytes and up).
+  PathSigner signer(2024);
+  Rng rng(20);
+  int long_names = 0;
+  for (int i = 0; i < 4000; ++i) {
+    const bool absolute = rng.Below(2) == 0;
+    HashState base = signer.RootState();
+    if (!absolute) {
+      const std::string cwd = RandomName(rng, 1 + rng.Below(9));
+      ASSERT_TRUE(signer.AppendComponent(base, cwd));
+    }
+    std::string path = absolute ? "/" : "";
+    HashState per_name = base;
+    const size_t names = 1 + rng.Below(12);
+    for (size_t n = 0; n < names; ++n) {
+      const size_t len =
+          rng.Below(2) == 0 ? 1 + rng.Below(16) : 1 + rng.Below(kMaxNameLen);
+      const std::string name = RandomName(rng, len);
+      long_names += len >= 72 ? 1 : 0;
+      path += (n == 0 ? "" : "/") + name;
+      ASSERT_TRUE(signer.AppendComponent(per_name, name));
+    }
+    SCOPED_TRACE(path);
+    ASSERT_TRUE(PathSigner::IsCanonical(path));
+    HashState one_pass = base;
+    ASSERT_TRUE(signer.AppendCanonical(one_pass, path));
+    ExpectSameState(one_pass, per_name);
+    EXPECT_EQ(signer.Finalize(one_pass), signer.Finalize(per_name));
+  }
+  EXPECT_GT(long_names, 1000);
+}
+
+TEST(PathSignerTest, IsCanonicalRejectsEveryOtherShape) {
+  const std::string longest(kMaxNameLen, 'n');
+  const std::string too_long(kMaxNameLen + 1, 'n');
+  for (const std::string& p :
+       {std::string("a"), std::string("/a"), std::string("a/b"),
+        std::string("/usr/include/stdio.h"), std::string(".a"),
+        std::string("a.."), std::string("..."), std::string("a/.b/..c"),
+        longest, "/a/" + longest}) {
+    EXPECT_TRUE(PathSigner::IsCanonical(p)) << p;
+  }
+  for (const std::string& p :
+       {std::string(""), std::string("/"), std::string("//"),
+        std::string("//a"), std::string("a//b"), std::string("a/"),
+        std::string("/a/"), std::string("./a"), std::string("a/."),
+        std::string("."), std::string("a/../b"), std::string(".."),
+        std::string("/.."), too_long, "/a/" + too_long, too_long + "/a"}) {
+    EXPECT_FALSE(PathSigner::IsCanonical(p)) << p;
+  }
+}
+
+TEST(PathSignerTest, PathMaxBindsOnePassAndPerNameAlike) {
+  // Sixteen 255-byte names fill PATH_MAX exactly; one more byte fails both
+  // ways, absolute from the root and relative after the base's "/".
+  PathSigner signer(5);
+  const std::string name(kMaxNameLen, 'n');
+  std::string full;
+  for (int i = 0; i < 16; ++i) {
+    full += "/" + name;
+  }
+  ASSERT_EQ(full.size(), PathHashKey::kMaxPathLen);
+  const std::string full_rel = full.substr(1);
+  const std::string over = full.substr(0, full.size() - 1) + "/x";
+  const std::string over_rel = full_rel.substr(0, full_rel.size() - 1) + "/x";
+  const std::string* paths[] = {&full, &full_rel, &over, &over_rel};
+  for (const std::string* p : paths) {
+    SCOPED_TRACE(p->size());
+    ASSERT_TRUE(PathSigner::IsCanonical(*p));
+    const bool fits = p == &full || p == &full_rel;
+    HashState per_name = signer.RootState();
+    bool per_name_ok = true;
+    for (size_t i = p->front() == '/' ? 1 : 0; i <= p->size();) {
+      const size_t end = std::min(p->find('/', i), p->size());
+      per_name_ok = per_name_ok &&
+                    signer.AppendComponent(per_name, p->substr(i, end - i));
+      i = end + 1;
+    }
+    HashState one_pass = signer.RootState();
+    EXPECT_EQ(per_name_ok, fits);
+    EXPECT_EQ(signer.AppendCanonical(one_pass, *p), fits);
+  }
 }
 
 TEST(HashBytes64Test, SeedSensitivity) {

@@ -524,9 +524,10 @@ TEST_P(SyscallTest, TrailingSlashRequiresDirectory) {
 // name's type, the parent's nlink and size as its file system reports them,
 // and the parent's mtime step.
 //
-// The answers are this VFS's, including two that differ from Linux: mkdir
-// of an existing name returns EACCES in a parent the caller cannot write and
-// EROFS on a read-only mount, where Linux returns EEXIST for both.
+// Creating a name answers in the order of Linux's filename_create(): search
+// permission on the parent, then EEXIST for an existing name, then write
+// permission and the read-only mount. Rows whose answer differs from
+// Linux's say so.
 
 enum class MutOp {
   kCreat,       // open(path, O_CREAT | O_RDONLY)
@@ -570,6 +571,8 @@ constexpr FdNum kUnusedFd = 999;
 //          file `f` and the directory `d`
 //   st     sticky directory, root, 01777, holding `rootf` (owned by root)
 //   u      directory owned by uid 1000, holding `mine` (owned by uid 1000)
+//   ns     directory, root, 0700 (uid 1000 cannot search it), holding the
+//          file `f` and the directory `d`
 void MakeSandbox(Task& t, const std::string& at) {
   auto touch = [&](const std::string& p) {
     auto fd = t.Open(p, kOCreat | kOWrite, 0644);
@@ -594,6 +597,9 @@ void MakeSandbox(Task& t, const std::string& at) {
   touch(at + "/u/mine");
   ASSERT_OK(t.Chown(at + "/u", kUser, kUser));
   ASSERT_OK(t.Chown(at + "/u/mine", kUser, kUser));
+  ASSERT_OK(t.Mkdir(at + "/ns", 0700));
+  touch(at + "/ns/f");
+  ASSERT_OK(t.Mkdir(at + "/ns/d"));
 }
 
 std::string Expand(const std::string& at, const char* p) {
@@ -630,6 +636,10 @@ const MutRow kMutRows[] = {
      Errno::kOk, true},
     {"creat existing, read-only mount", MutOp::kCreat, "/ro/f", "",
      Errno::kOk},
+    {"creat new, unsearchable parent", MutOp::kCreat, "@/ns/new", "",
+     Errno::kEACCES, true},
+    {"creat existing, unsearchable parent", MutOp::kCreat, "@/ns/f", "",
+     Errno::kEACCES, true},
     // open(O_CREAT | O_EXCL), and OpenAt four ways
     {"excl new", MutOp::kCreatExcl, "@/new", "", Errno::kOk},
     {"excl existing", MutOp::kCreatExcl, "@/f", "", Errno::kEEXIST},
@@ -644,6 +654,10 @@ const MutRow kMutRows[] = {
      Errno::kEEXIST, true},
     {"excl existing, read-only mount", MutOp::kCreatExcl, "/ro/f", "",
      Errno::kEEXIST},
+    {"excl new, unsearchable parent", MutOp::kCreatExcl, "@/ns/new", "",
+     Errno::kEACCES, true},
+    {"excl existing, unsearchable parent", MutOp::kCreatExcl, "@/ns/f", "",
+     Errno::kEACCES, true},
     {"openat dir fd", MutOp::kCreatExcl, "new", "", Errno::kOk, false,
      MutFd::kDir},
     {"openat bad fd, relative", MutOp::kCreatExcl, "new", "", Errno::kEBADF,
@@ -665,9 +679,13 @@ const MutRow kMutRows[] = {
      true},
     {"mkdir read-only mount", MutOp::kMkdir, "/ro/new", "", Errno::kEROFS},
     {"mkdir existing, unwritable parent", MutOp::kMkdir, "@/nw/d", "",
-     Errno::kEACCES, true},  // Linux: EEXIST
+     Errno::kEEXIST, true},
     {"mkdir existing, read-only mount", MutOp::kMkdir, "/ro/d", "",
-     Errno::kEROFS},  // Linux: EEXIST
+     Errno::kEEXIST},
+    {"mkdir new, unsearchable parent", MutOp::kMkdir, "@/ns/new", "",
+     Errno::kEACCES, true},
+    {"mkdir existing, unsearchable parent", MutOp::kMkdir, "@/ns/d", "",
+     Errno::kEACCES, true},
     {"mkdirat dir fd", MutOp::kMkdir, "new", "", Errno::kOk, false,
      MutFd::kDir},
     {"mkdirat bad fd, relative", MutOp::kMkdir, "new", "", Errno::kEBADF,
@@ -688,9 +706,13 @@ const MutRow kMutRows[] = {
     {"symlink read-only mount", MutOp::kSymlink, "/ro/new", "f",
      Errno::kEROFS},
     {"symlink existing, unwritable parent", MutOp::kSymlink, "@/nw/f", "g",
-     Errno::kEACCES, true},
+     Errno::kEEXIST, true},
     {"symlink existing, read-only mount", MutOp::kSymlink, "/ro/f", "g",
-     Errno::kEROFS},
+     Errno::kEEXIST},
+    {"symlink new, unsearchable parent", MutOp::kSymlink, "@/ns/new", "f",
+     Errno::kEACCES, true},
+    {"symlink existing, unsearchable parent", MutOp::kSymlink, "@/ns/f", "g",
+     Errno::kEACCES, true},
     // link(path, path2)
     {"link new", MutOp::kLink, "@/f", "@/new", Errno::kOk},
     {"link existing", MutOp::kLink, "@/f", "@/g", Errno::kEEXIST},
@@ -703,11 +725,15 @@ const MutRow kMutRows[] = {
      Errno::kEACCES, true},
     {"link read-only mount", MutOp::kLink, "/ro/f", "/ro/new", Errno::kEROFS},
     {"link across file systems", MutOp::kLink, "@/f", "/ro/new",
-     Errno::kEXDEV},
+     Errno::kEXDEV},  // Linux: EROFS, the new name's mount before EXDEV
     {"link existing, unwritable parent", MutOp::kLink, "@/u/mine", "@/nw/f",
-     Errno::kEACCES, true},
+     Errno::kEEXIST, true},
     {"link existing, read-only mount", MutOp::kLink, "/ro/f", "/ro/g",
-     Errno::kEROFS},
+     Errno::kEEXIST},
+    {"link new, unsearchable parent", MutOp::kLink, "@/u/mine", "@/ns/new",
+     Errno::kEACCES, true},
+    {"link existing, unsearchable parent", MutOp::kLink, "@/u/mine", "@/ns/f",
+     Errno::kEACCES, true},
     // unlink, and UnlinkAt four ways
     {"unlink existing", MutOp::kUnlink, "@/f", "", Errno::kOk},
     {"unlink just unlinked", MutOp::kUnlink, "@/gone", "", Errno::kENOENT},
@@ -715,7 +741,7 @@ const MutRow kMutRows[] = {
     {"unlink file parent", MutOp::kUnlink, "@/f/x", "", Errno::kENOTDIR},
     {"unlink directory", MutOp::kUnlink, "@/d", "", Errno::kEISDIR},
     {"unlink unwritable parent", MutOp::kUnlink, "@/nw/nope", "",
-     Errno::kEACCES, true},
+     Errno::kEACCES, true},  // Linux: ENOENT, the lookup before may_delete()
     {"unlink read-only mount", MutOp::kUnlink, "/ro/nope", "", Errno::kEROFS},
     {"unlink existing, unwritable parent", MutOp::kUnlink, "@/nw/f", "",
      Errno::kEACCES, true},
@@ -739,7 +765,7 @@ const MutRow kMutRows[] = {
     {"rmdir missing parent", MutOp::kRmdir, "@/nope/d", "", Errno::kENOENT},
     {"rmdir file parent", MutOp::kRmdir, "@/f/d", "", Errno::kENOTDIR},
     {"rmdir unwritable parent", MutOp::kRmdir, "@/nw/nope", "",
-     Errno::kEACCES, true},
+     Errno::kEACCES, true},  // Linux: ENOENT, the lookup before may_delete()
     {"rmdir read-only mount", MutOp::kRmdir, "/ro/nope", "", Errno::kEROFS},
     {"rmdir existing, unwritable parent", MutOp::kRmdir, "@/nw/d", "",
      Errno::kEACCES, true},
