@@ -13,7 +13,9 @@
 // Series: unmodified Linux baseline; optimized fastpath hit; optimized with
 // the fastpath forced to miss + slowpath (worst case); Plan 9 lexical
 // dot-dot semantics (dot-dot patterns only, marked *).
+#include <cstdlib>
 #include <functional>
+#include <string_view>
 
 #include "bench/common.h"
 #include "src/vfs/walk.h"
@@ -68,9 +70,27 @@ void BuildFixture(Task& t) {
   (void)t.Symlink("FFF", "/XXX/YYY/ZZZ/LLL");
   (void)t.Symlink("/XXX", "/LLL");
   (void)t.Mkdir("/XXX/YYY/ZZZ/AAA/BBB");  // exists from loop
+  // 4-dotdot passes through /AAA/BBB under POSIX dot-dot semantics.
+  (void)t.Mkdir("/AAA");
+  (void)t.Mkdir("/AAA/BBB");
+}
+
+// A series is timed only once it answers the pattern's errno: a row that
+// fails where it should succeed times a different lookup than it names.
+void CheckAnswer(const char* syscall, const Pattern& pat, Errno got) {
+  if (got == pat.expect) {
+    return;
+  }
+  const std::string_view g = ErrnoName(got);
+  const std::string_view w = ErrnoName(pat.expect);
+  std::fprintf(stderr, "%s %s (%s): got %.*s, want %.*s\n", syscall,
+               pat.label, pat.path, static_cast<int>(g.size()), g.data(),
+               static_cast<int>(w.size()), w.data());
+  std::exit(1);
 }
 
 double MeasureStat(Task& t, const Pattern& pat) {
+  CheckAnswer("stat", pat, t.Statx(kAtFdCwd, pat.path, 0).error());
   return MeasureLatency([&] {
            auto r = t.Statx(kAtFdCwd, pat.path, 0);
            (void)r;
@@ -80,6 +100,11 @@ double MeasureStat(Task& t, const Pattern& pat) {
 }
 
 double MeasureOpen(Task& t, const Pattern& pat) {
+  auto checked = t.Open(pat.path, kORead);
+  CheckAnswer("open", pat, checked.error());
+  if (checked.ok()) {
+    (void)t.Close(*checked);
+  }
   return MeasureLatency([&] {
            auto fd = t.Open(pat.path, kORead);
            if (fd.ok()) {

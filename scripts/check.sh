@@ -10,7 +10,9 @@
 #                               #   whose labels match the ctest -L regex
 #                               #   LABELS (default obs|concurrency; the
 #                               #   server, shortcut and resize suites also
-#                               #   carry the concurrency label)
+#                               #   carry the concurrency label; dlht
+#                               #   selects every suite that reaches the
+#                               #   DLHT's split path)
 #   scripts/check.sh --asan     # + ASan+UBSan ctest over the obs
 #                               #   and server suites (span rings, the
 #                               #   flight recorder's by-value copies,

@@ -71,8 +71,6 @@ struct CacheConfig {
   bool negative_on_unlink = false;   // keep negatives after unlink/rename
   bool negative_on_pseudo_fs = false;  // negatives in proc-like file systems
   bool deep_negative = false;          // negative children under negatives
-  // Cap on deep-negative chain length created per lookup (memory guard).
-  size_t deep_negative_limit = 8;
 
   // --- DESIGN.md §15: elastic DLHT + memory-budget governor ---------------
   // Byte budget the CacheGovernor keeps the cache complex under (DLHT
@@ -89,9 +87,6 @@ struct CacheConfig {
   size_t dlht_min_buckets = 1 << 6;
   // Old buckets migrated per governor tick while a resize is in flight.
   size_t dlht_resize_step = 512;
-  // Shrink the table when the load factor falls below this (entries per
-  // bucket).
-  double dlht_shrink_load = 0.125;
 
   // A fully optimized configuration (every paper feature on).
   static CacheConfig Optimized() {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
+#include <utility>
 
 namespace dircache {
 
@@ -30,262 +32,152 @@ Dlht::~Dlht() {
   delete v;
 }
 
-FastDentry* Dlht::ProbeChain(const Bucket& bucket, const Signature& sig,
-                             CacheStats* stats, bool count_hit) {
-  for (HNode* n = bucket.chain.First(); n != nullptr;
-       n = n->next.load(std::memory_order_acquire)) {
-    auto* fd = FromHNode<FastDentry, &FastDentry::dlht_node>(n);
-    // The signature words are plain data guarded by state_seq (kernel
-    // seqcount idiom): sample, compare, re-validate. A dentry whose
-    // signature is being rewritten has been unhashed first, but a reader
-    // may still be standing on it during the grace period.
-    uint32_t s = fd->state_seq.ReadBegin();
-    bool match = fd->signature == sig;
-    if (fd->state_seq.ReadRetry(s)) {
-      continue;  // concurrent rewrite; treat as non-match
+FastDentry* Dlht::Probe(const Signature& sig, CacheStats* stats) const {
+  const View* v = view_.load(std::memory_order_acquire);
+  const size_t bo = sig.bucket & v->from->mask;
+  const Bucket* home = &v->from->buckets[bo];
+  const Bucket* second = nullptr;  // the new home, after an old one
+  if (!v->stable()) {
+    // Split in flight: at most two candidates, no stores, no locks. If the
+    // old home is already behind the cursor its chain has been emptied into
+    // the new table, so only the new home can hold the entry. If it is not,
+    // probe old-then-new: the second probe closes the window where the
+    // migrator moved this very bucket after our cursor sample.
+    second = &v->to->buckets[sig.bucket & v->to->mask];
+    if (v->cursor.load(std::memory_order_acquire) > bo) {
+      home = std::exchange(second, nullptr);
     }
-    if (match) {
-      if (count_hit && stats != nullptr) {
-        stats->dlht_hits.Add();
+  }
+  for (; home != nullptr; home = std::exchange(second, nullptr)) {
+    for (HNode* n = home->chain.First(); n != nullptr;
+         n = n->next.load(std::memory_order_acquire)) {
+      auto* fd = FromHNode<FastDentry, &FastDentry::dlht_node>(n);
+      // The signature words are plain data guarded by state_seq (kernel
+      // seqcount idiom): sample, compare, re-validate. A dentry whose
+      // signature is being rewritten has been unhashed first, but a reader
+      // may still be standing on it during the grace period.
+      uint32_t s = fd->state_seq.ReadBegin();
+      bool match = fd->signature == sig;
+      if (fd->state_seq.ReadRetry(s)) {
+        continue;  // concurrent rewrite; treat as non-match
       }
-      return fd;
-    }
-    if (stats != nullptr) {
-      stats->dlht_collisions.Add();
+      if (match) {
+        return fd;
+      }
+      if (stats != nullptr) {
+        stats->dlht_collisions.Add();
+      }
     }
   }
   return nullptr;
 }
 
 FastDentry* Dlht::Lookup(const Signature& sig, CacheStats* stats) const {
-  const View* v = view_.load(std::memory_order_acquire);
-  const Table* from = v->from;
-  const size_t bo = sig.bucket & from->mask;
-  if (v->from == v->to) {
-    return ProbeChain(from->buckets[bo], sig, stats, /*count_hit=*/true);
+  FastDentry* fd = Probe(sig, stats);
+  if (fd != nullptr && stats != nullptr) {
+    stats->dlht_hits.Add();
   }
-  // Split in flight: at most two candidates, no stores, no locks. If the
-  // old home is already behind the cursor its chain has been emptied into
-  // the new table, so only the new home can hold the entry. If it is not,
-  // probe old-then-new: the second probe closes the window where the
-  // migrator moved this very bucket after our cursor sample.
-  const Table* to = v->to;
-  const Bucket& nb = to->buckets[sig.bucket & to->mask];
-  if (v->cursor.load(std::memory_order_acquire) <= bo) {
-    if (FastDentry* fd =
-            ProbeChain(from->buckets[bo], sig, stats, /*count_hit=*/true)) {
-      return fd;
-    }
-  }
-  return ProbeChain(nb, sig, stats, /*count_hit=*/true);
+  return fd;
 }
 
 FastDentry* Dlht::ProbePrefix(const Signature& sig, CacheStats* stats) const {
   if (stats != nullptr) {
     stats->shortcut_probes.Add();
   }
-  const View* v = view_.load(std::memory_order_acquire);
-  const Table* from = v->from;
-  const size_t bo = sig.bucket & from->mask;
-  if (v->from == v->to) {
-    return ProbeChain(from->buckets[bo], sig, stats, /*count_hit=*/false);
-  }
-  const Table* to = v->to;
-  const Bucket& nb = to->buckets[sig.bucket & to->mask];
-  if (v->cursor.load(std::memory_order_acquire) <= bo) {
-    if (FastDentry* fd =
-            ProbeChain(from->buckets[bo], sig, stats, /*count_hit=*/false)) {
-      return fd;
-    }
-  }
-  return ProbeChain(nb, sig, stats, /*count_hit=*/false);
+  return Probe(sig, stats);
 }
 
-Dlht::Bucket* Dlht::WriterBucketFor(View* v, const Signature& sig,
-                                    bool* is_from, size_t* from_index) {
-  if (v->from == v->to) {
-    *is_from = true;
-    *from_index = sig.bucket & v->from->mask;
-    return &v->from->buckets[*from_index];
+template <typename Work>
+auto Dlht::WithHomeLocked(size_t bucket_key, Work&& work) {
+  EpochDomain::ReadGuard epoch(EpochDomain::Global());
+  while (true) {
+    View* v = view_.load(std::memory_order_acquire);
+    const size_t bo = bucket_key & v->from->mask;
+    const bool migrated =
+        !v->stable() && v->cursor.load(std::memory_order_acquire) > bo;
+    Bucket& home = migrated ? v->to->buckets[bucket_key & v->to->mask]
+                            : v->from->buckets[bo];
+    SpinGuard guard(home.lock);
+    // The view may have advanced (resize started or completed) or the
+    // migrator may have drained this very old bucket between the unlocked
+    // choice and taking the lock. With both checks passing, an old bucket
+    // we hold cannot migrate (the migrator needs this lock) and a new
+    // bucket stays the home (the cursor never regresses).
+    if (view_.load(std::memory_order_acquire) != v) {
+      continue;
+    }
+    if (!migrated && !v->stable() &&
+        v->cursor.load(std::memory_order_acquire) > bo) {
+      continue;
+    }
+    return work(home);
   }
-  const size_t bo = sig.bucket & v->from->mask;
-  if (v->cursor.load(std::memory_order_acquire) > bo) {
-    *is_from = false;
-    *from_index = bo;
-    return &v->to->buckets[sig.bucket & v->to->mask];
-  }
-  *is_from = true;
-  *from_index = bo;
-  return &v->from->buckets[bo];
+}
+
+void Dlht::Unhash(Bucket& home, FastDentry* fd) {
+  home.chain.Remove(&fd->dlht_node);
+  fd->on_dlht.store(nullptr, std::memory_order_release);
+  size_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 void Dlht::Insert(FastDentry* fd) {
   assert(fd->on_dlht.load(std::memory_order_relaxed) == nullptr);
-  EpochDomain::ReadGuard epoch(EpochDomain::Global());
-  while (true) {
-    View* v = view_.load(std::memory_order_acquire);
-    bool is_from;
-    size_t bo;
-    Bucket* bucket = WriterBucketFor(v, fd->signature, &is_from, &bo);
-    SpinGuard guard(bucket->lock);
-    // Validated-lock protocol: the view may have advanced (resize started
-    // or completed) or the migrator may have drained this very bucket
-    // between the unlocked choice and taking the lock. Re-check both; with
-    // the checks passing, an old bucket we hold cannot migrate (the
-    // migrator needs this lock) and a new bucket stays a valid home (the
-    // cursor never regresses).
-    if (view_.load(std::memory_order_acquire) != v) {
-      continue;
-    }
-    if (is_from && v->from != v->to &&
-        v->cursor.load(std::memory_order_acquire) > bo) {
-      continue;
-    }
-    bucket->chain.PushFront(&fd->dlht_node);
+  WithHomeLocked(BucketKeyFor(fd->signature), [&](Bucket& home) {
+    home.chain.PushFront(&fd->dlht_node);
     fd->on_dlht.store(this, std::memory_order_release);
     size_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-}
-
-bool Dlht::RemoveOwned(FastDentry* fd) {
-  EpochDomain::ReadGuard epoch(EpochDomain::Global());
-  while (true) {
-    View* v = view_.load(std::memory_order_acquire);
-    bool is_from;
-    size_t bo;
-    // The signature is stable here (the caller holds the dentry lock, which
-    // guards signature rewrites), so it still names the entry's home under
-    // whatever view we validate against.
-    Bucket* bucket = WriterBucketFor(v, fd->signature, &is_from, &bo);
-    SpinGuard guard(bucket->lock);
-    if (view_.load(std::memory_order_acquire) != v) {
-      continue;
-    }
-    if (is_from && v->from != v->to &&
-        v->cursor.load(std::memory_order_acquire) > bo) {
-      continue;
-    }
-    // A concurrent batched flush may unhash the entry between the caller's
-    // on_dlht load and this lock — re-check under it.
-    if (fd->on_dlht.load(std::memory_order_relaxed) != this) {
-      return false;
-    }
-    bucket->chain.Remove(&fd->dlht_node);
-    fd->on_dlht.store(nullptr, std::memory_order_release);
-    size_.fetch_sub(1, std::memory_order_relaxed);
-    return true;
-  }
+  });
 }
 
 bool Dlht::RemoveFromCurrent(FastDentry* fd) {
-  while (true) {
-    Dlht* table = fd->on_dlht.load(std::memory_order_acquire);
-    if (table == nullptr) {
-      return false;
-    }
-    if (table->RemoveOwned(fd)) {
-      return true;
-    }
-    // Flushed concurrently; re-examine (it can only go null while the
-    // dentry lock is held).
+  Dlht* table = fd->on_dlht.load(std::memory_order_acquire);
+  if (table == nullptr) {
+    return false;
   }
-}
-
-bool Dlht::RemoveEntryUnowned(FastDentry* fd) {
-  EpochDomain::ReadGuard epoch(EpochDomain::Global());
-  while (true) {
-    if (fd->on_dlht.load(std::memory_order_acquire) != this) {
-      return false;
-    }
-    // No dentry lock here, so the signature may be mid-rewrite — but a
-    // rewrite unhashes first, so a torn read means the entry left the
-    // table; loop back to the membership check.
-    uint32_t s = fd->state_seq.ReadBegin();
-    Signature sig = fd->signature;
-    if (fd->state_seq.ReadRetry(s)) {
-      continue;
-    }
-    View* v = view_.load(std::memory_order_acquire);
-    bool is_from;
-    size_t bo;
-    Bucket* bucket = WriterBucketFor(v, sig, &is_from, &bo);
-    SpinGuard guard(bucket->lock);
-    if (view_.load(std::memory_order_acquire) != v) {
-      continue;
-    }
-    if (is_from && v->from != v->to &&
-        v->cursor.load(std::memory_order_acquire) > bo) {
-      continue;
-    }
-    if (fd->on_dlht.load(std::memory_order_relaxed) != this) {
-      return false;
-    }
-    // The signature sample may already be stale (unhashed and re-inserted
-    // under a new name): only a node found on THIS locked chain may be
-    // spliced out of it.
-    for (HNode* node = bucket->chain.First(); node != nullptr;
-         node = node->next.load(std::memory_order_acquire)) {
-      if (node == &fd->dlht_node) {
-        bucket->chain.Remove(&fd->dlht_node);
-        fd->on_dlht.store(nullptr, std::memory_order_release);
-        size_.fetch_sub(1, std::memory_order_relaxed);
+  // The caller holds the dentry lock, which guards signature rewrites and
+  // re-inserts, so the signature names the entry's home and `on_dlht` can
+  // only go null meanwhile: no chain scan is needed.
+  return table->WithHomeLocked(
+      BucketKeyFor(fd->signature), [&](Bucket& home) {
+        // A concurrent batched flush may unhash the entry between the load
+        // above and this lock — re-check under it.
+        if (fd->on_dlht.load(std::memory_order_relaxed) != table) {
+          return false;
+        }
+        table->Unhash(home, fd);
         return true;
-      }
-    }
-    return false;  // moved buckets since it was sampled; skip
-  }
+      });
 }
 
+// The batch needs its key's home lock only, in every view, with no
+// per-entry fallback during a resize:
+// - InvalidationEngine::FlushBatch groups a run by (table, BucketKeyFor(sig))
+//   and the key is the unmasked sig.bucket, so every member of a run has
+//   one home under any view: before, during and after a split.
+// - Between batching and flush a member can only leave the table: the pass
+//   cleared its path_valid under the dentry lock, so Populate cannot
+//   re-insert it, and EnsurePathState refuses to re-sign it while the pass's
+//   coherence section is open.
+// - A member found off the home chain anyway is skipped, as in a stable
+//   view: only a node found on THIS locked chain may be spliced out of it.
 size_t Dlht::RemoveBatch(size_t bucket_key, FastDentry* const* fds, size_t n) {
   if (n == 0) {
     return 0;
   }
-  EpochDomain::ReadGuard epoch(EpochDomain::Global());
-  View* v = view_.load(std::memory_order_acquire);
-  if (v->from == v->to) {
-    Bucket& bucket = v->from->buckets[bucket_key & v->from->mask];
-    SpinGuard guard(bucket.lock);
-    if (view_.load(std::memory_order_acquire) == v) {
-      // Stable fastpath: the whole batch against one locked chain.
-      size_t removed = 0;
-      for (size_t i = 0; i < n; ++i) {
-        FastDentry* fd = fds[i];
-        // Between batching (under the dentry lock) and this flush the entry
-        // may have been unhashed, or unhashed and re-inserted under a
-        // different signature (a different bucket, possibly of a different
-        // table). Only a node found on THIS locked chain may be spliced out
-        // of it.
-        bool present = false;
-        for (HNode* node = bucket.chain.First(); node != nullptr;
-             node = node->next.load(std::memory_order_acquire)) {
-          if (node == &fd->dlht_node) {
-            present = true;
-            break;
-          }
+  return WithHomeLocked(bucket_key, [&](Bucket& home) {
+    size_t removed = 0;
+    for (size_t i = 0; i < n; ++i) {
+      for (HNode* node = home.chain.First(); node != nullptr;
+           node = node->next.load(std::memory_order_acquire)) {
+        if (node == &fds[i]->dlht_node) {
+          Unhash(home, fds[i]);
+          ++removed;
+          break;
         }
-        if (!present) {
-          continue;
-        }
-        bucket.chain.Remove(&fd->dlht_node);
-        fd->on_dlht.store(nullptr, std::memory_order_release);
-        size_.fetch_sub(1, std::memory_order_relaxed);
-        ++removed;
       }
-      return removed;
     }
-    // A resize raced the flush; fall through to the per-entry path.
-  }
-  // Resize in flight: the batch's shared key no longer pins one bucket for
-  // certain (its members may straddle the split cursor), so flush each
-  // entry through the validated-lock protocol instead.
-  size_t removed = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (RemoveEntryUnowned(fds[i])) {
-      ++removed;
-    }
-  }
-  return removed;
+    return removed;
+  });
 }
 
 bool Dlht::BeginResize(size_t new_buckets, CacheStats* stats) {
@@ -328,44 +220,33 @@ size_t Dlht::MigrateStep(size_t max_buckets, CacheStats* stats) {
     if (b >= old_count) {
       break;
     }
+    // Lock the old bucket, then its destinations: a grow splits old bucket
+    // b into new buckets b and b + old_count, a shrink merges it into
+    // b & to->mask (which is b when growing).
     Bucket& src = from->buckets[b];
     SpinGuard src_guard(src.lock);
+    SpinGuard lo_guard(to->buckets[b & to->mask].lock);
+    std::optional<SpinGuard> hi_guard;
     if (grow) {
-      // Old bucket b splits into new buckets b and b + old_count.
-      Bucket& lo = to->buckets[b];
-      Bucket& hi = to->buckets[b + old_count];
-      SpinGuard lo_guard(lo.lock);
-      SpinGuard hi_guard(hi.lock);
-      HNode* n = src.chain.First();
-      while (n != nullptr) {
-        // PushFront repoints n->next at the destination chain, so a reader
-        // standing on a migrated node walks into the new chain — every next
-        // still terminates, the worst case is a safe false miss.
-        HNode* next = n->next.load(std::memory_order_relaxed);
-        auto* fd = FromHNode<FastDentry, &FastDentry::dlht_node>(n);
-        // Signature words are stable: a rewrite requires unhashing, which
-        // needs the src lock we hold.
-        Bucket& dst = (fd->signature.bucket & to->mask) == b ? lo : hi;
-        src.chain.Remove(n);
-        dst.chain.PushFront(n);
-        n = next;
-      }
-      // Publish the migrated cursor BEFORE dropping the src lock (guards
-      // unwind destinations first, src last): any writer that then locks
-      // old bucket b sees cursor > b and retries against the new table.
-      v->cursor.store(b + 1, std::memory_order_release);
-    } else {
-      Bucket& dst = to->buckets[b & to->mask];
-      SpinGuard dst_guard(dst.lock);
-      HNode* n = src.chain.First();
-      while (n != nullptr) {
-        HNode* next = n->next.load(std::memory_order_relaxed);
-        src.chain.Remove(n);
-        dst.chain.PushFront(n);
-        n = next;
-      }
-      v->cursor.store(b + 1, std::memory_order_release);
+      hi_guard.emplace(to->buckets[b + old_count].lock);
     }
+    HNode* n = src.chain.First();
+    while (n != nullptr) {
+      // PushFront repoints n->next at the destination chain, so a reader
+      // standing on a migrated node walks into the new chain — every next
+      // still terminates, the worst case is a safe false miss.
+      HNode* next = n->next.load(std::memory_order_relaxed);
+      auto* fd = FromHNode<FastDentry, &FastDentry::dlht_node>(n);
+      // Signature words are stable: a rewrite requires unhashing, which
+      // needs the src lock we hold.
+      src.chain.Remove(n);
+      to->buckets[fd->signature.bucket & to->mask].chain.PushFront(n);
+      n = next;
+    }
+    // Publish the migrated cursor BEFORE dropping the src lock (guards
+    // unwind destinations first, src last): any writer that then locks
+    // old bucket b sees cursor > b and retries against the new table.
+    v->cursor.store(b + 1, std::memory_order_release);
     ++done;
   }
   if (stats != nullptr && done > 0) {

@@ -7,9 +7,9 @@
 // aliases and namespaces coherent (§4.3).
 //
 // Readers probe buckets lock-free (epoch-protected); writers serialize on
-// per-bucket spinlocks. All Insert/Remove calls for a given dentry must be
-// serialized by its owner (the VFS holds the dentry lock), which is what
-// makes `on_dlht` safe to read there.
+// per-bucket spinlocks. Insert and RemoveFromCurrent calls for a given
+// dentry must be serialized by its owner (the VFS holds the dentry lock),
+// which is what makes `on_dlht` safe to read there.
 //
 // The table geometry is NOT fixed at boot (the paper pins 16 index bits;
 // §3.3): the bucket array can be doubled or halved online. Internally the
@@ -23,12 +23,13 @@
 // split checks at most two candidate buckets — the old home (if not yet
 // migrated) and the new home. A reader racing the migration of its very
 // bucket can false-miss, which is safe: the DLHT is a validated hint cache
-// and a miss falls back to the slowpath. Writers use a validated-lock
-// protocol (lock the candidate bucket, re-check the view and cursor under
-// the lock, retry on change); holding old bucket b's lock with cursor <= b
-// guarantees b cannot migrate concurrently, because the migrator needs that
-// same lock. Retired views/tables are reclaimed through the epoch domain,
-// so anyone dereferencing them must be inside an epoch read guard.
+// and a miss falls back to the slowpath. Every writer takes its bucket
+// through one validated-lock step (lock the home bucket, re-check the view
+// and cursor under the lock, retry on change); holding old bucket b's lock
+// with cursor <= b guarantees b cannot migrate concurrently, because the
+// migrator needs that same lock. Retired views/tables are reclaimed through
+// the epoch domain, so anyone dereferencing them must be inside an epoch
+// read guard.
 #ifndef DIRCACHE_CORE_DLHT_H_
 #define DIRCACHE_CORE_DLHT_H_
 
@@ -80,13 +81,14 @@ class Dlht {
 
   // Batched eviction for subtree invalidation (§3.2): remove the subset of
   // `fds[0..n)` that was batched under bucket key `bucket_key` and is still
-  // present in that key's chain, clearing their `on_dlht`; the common case
-  // costs ONE bucket-lock acquisition. Entries that moved (re-hashed under
-  // a new signature) or were already unhashed since they were batched are
-  // skipped — membership is verified by walking the locked chain, never
-  // trusted from the caller. Returns the count removed. Unlike
-  // Insert/RemoveFromCurrent the caller does NOT hold the owning dentries'
-  // locks; that is the point of deferring the flush.
+  // present in that key's home chain, clearing their `on_dlht`; it costs ONE
+  // bucket-lock acquisition (the key's home lock) in every view, during a
+  // resize too. Entries that moved (re-hashed under a new signature) or were
+  // already unhashed since they were batched are skipped — membership is
+  // verified by walking the locked chain, never trusted from the caller.
+  // Returns the count removed. Unlike Insert/RemoveFromCurrent the caller
+  // does NOT hold the owning dentries' locks; that is the point of
+  // deferring the flush.
   size_t RemoveBatch(size_t bucket_key, FastDentry* const* fds, size_t n);
 
   // Grouping key for batched removals: the signature's full bucket hash,
@@ -152,25 +154,25 @@ class Dlht {
   void ForEachEntry(Fn&& fn) {
     EpochDomain::ReadGuard epoch(EpochDomain::Global());
     View* v = view_.load(std::memory_order_acquire);
-    if (v->from != v->to) {
+    auto walk = [&fn](const Bucket& bucket) {
+      for (HNode* n = bucket.chain.First(); n != nullptr;
+           n = n->next.load(std::memory_order_acquire)) {
+        fn(FromHNode<FastDentry, &FastDentry::dlht_node>(n));
+      }
+    };
+    if (!v->stable()) {
       std::vector<Bucket>& old_buckets = v->from->buckets;
       for (size_t b = 0; b < old_buckets.size(); ++b) {
         SpinGuard guard(old_buckets[b].lock);
-        if (v->cursor.load(std::memory_order_acquire) > b) {
-          continue;  // migrated; its entries live in the new table
-        }
-        for (HNode* n = old_buckets[b].chain.First(); n != nullptr;
-             n = n->next.load(std::memory_order_acquire)) {
-          fn(FromHNode<FastDentry, &FastDentry::dlht_node>(n));
+        // A migrated bucket's entries are enumerated from the new table.
+        if (v->cursor.load(std::memory_order_acquire) <= b) {
+          walk(old_buckets[b]);
         }
       }
     }
     for (Bucket& bucket : v->to->buckets) {
       SpinGuard guard(bucket.lock);
-      for (HNode* n = bucket.chain.First(); n != nullptr;
-           n = n->next.load(std::memory_order_acquire)) {
-        fn(FromHNode<FastDentry, &FastDentry::dlht_node>(n));
-      }
+      walk(bucket);
     }
   }
 
@@ -203,24 +205,21 @@ class Dlht {
     bool stable() const { return from == to; }
   };
 
-  // The candidate bucket for `sig` under view `v` per the two-candidate
-  // rule, for the validated-lock writer protocol. Sets *is_from/*from_index
-  // so callers can re-check the cursor under the lock.
-  static Bucket* WriterBucketFor(View* v, const Signature& sig, bool* is_from,
-                                 size_t* from_index);
+  // The writers' one locking step: lock the home bucket of `bucket_key`
+  // under the published view (the old bucket until the cursor passes it,
+  // then the new one), re-check the view and the cursor under that lock,
+  // retry on a change, and return `work(home)` with the lock still held.
+  // Inside an epoch read guard, so the view and its tables stay live.
+  template <typename Work>
+  auto WithHomeLocked(size_t bucket_key, Work&& work);
 
-  // Validated-lock removal for one entry without the owning dentry's lock
-  // (resize-aware RemoveBatch fallback): signature is sampled via the
-  // seqcount, membership verified on the locked chain. Returns true if
-  // removed, false if the entry left this table or moved buckets.
-  bool RemoveEntryUnowned(FastDentry* fd);
+  // Splice `fd` out of `home`, whose lock the caller holds.
+  void Unhash(Bucket& home, FastDentry* fd);
 
-  // Removal with the owning dentry's lock held (signature stable). Returns
-  // false if a concurrent batch flush unhashed the entry first.
-  bool RemoveOwned(FastDentry* fd);
-
-  static FastDentry* ProbeChain(const Bucket& bucket, const Signature& sig,
-                                CacheStats* stats, bool count_hit);
+  // The read path's probe body, shared by Lookup and ProbePrefix. Counts
+  // skipped chain entries into dlht_collisions; each caller counts its own
+  // probe or hit.
+  FastDentry* Probe(const Signature& sig, CacheStats* stats) const;
 
   std::atomic<View*> view_;
   std::atomic<size_t> size_{0};

@@ -29,10 +29,6 @@ struct ObsConfig {
   // so warm-hit lookups stay shared-write-free while it runs.
   bool sampler = false;
   uint64_t sample_interval_ms = 100;
-  // Watchdog: flag a fastpath hit-rate collapse when a window with at least
-  // `watchdog_min_walks` walks hits below `watchdog_min_hit_rate`.
-  double watchdog_min_hit_rate = 0.10;
-  uint64_t watchdog_min_walks = 128;
   // Watchdog: flag an invalidation-rate spike above this many subtree
   // invalidation passes per second.
   double watchdog_max_invalidations_per_sec = 10000.0;

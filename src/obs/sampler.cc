@@ -10,6 +10,11 @@ namespace obs {
 
 namespace {
 
+// Watchdog: flag a fastpath hit-rate collapse when a window with at least
+// kWatchdogMinWalks walks hits below kWatchdogMinHitRate.
+constexpr double kWatchdogMinHitRate = 0.10;
+constexpr uint64_t kWatchdogMinWalks = 128;
+
 uint64_t DeltaClamped(uint64_t cur, uint64_t prev) {
   return cur >= prev ? cur - prev : 0;
 }
@@ -19,8 +24,6 @@ uint64_t DeltaClamped(uint64_t cur, uint64_t prev) {
 Sampler::Sampler(const ObsConfig& cfg, SnapshotFn snapshot_fn,
                  WatchdogFn on_watchdog)
     : interval_ms_(cfg.sample_interval_ms == 0 ? 1 : cfg.sample_interval_ms),
-      min_hit_rate_(cfg.watchdog_min_hit_rate),
-      min_walks_(cfg.watchdog_min_walks),
       max_inval_per_sec_(cfg.watchdog_max_invalidations_per_sec),
       snapshot_fn_(std::move(snapshot_fn)),
       on_watchdog_(std::move(on_watchdog)) {
@@ -119,7 +122,8 @@ void Sampler::Loop() {
     // off-lock: the callee (the flight-recorder dump) takes its own locks
     // and renders a report.
     const char* fired = nullptr;
-    if (sample.walks >= min_walks_ && sample.hit_rate < min_hit_rate_) {
+    if (sample.walks >= kWatchdogMinWalks &&
+        sample.hit_rate < kWatchdogMinHitRate) {
       if (!hit_rate_collapse_) {
         fired = "hit_rate_collapse";
       }

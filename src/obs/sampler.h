@@ -68,8 +68,6 @@ class Sampler {
                         uint64_t t_prev, uint64_t t_now) const;
 
   const uint64_t interval_ms_;
-  const double min_hit_rate_;
-  const uint64_t min_walks_;
   const double max_inval_per_sec_;
   const SnapshotFn snapshot_fn_;
   const WatchdogFn on_watchdog_;

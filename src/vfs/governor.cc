@@ -23,6 +23,8 @@ constexpr uint64_t kPccWindow = 4096;
 // byte budget has headroom), up to kDlhtMaxBuckets (a power of two).
 constexpr size_t kDlhtGrowChainP99 = 4;
 constexpr size_t kDlhtMaxBuckets = 1 << 22;
+// Halve the DLHT when its load factor (entries per bucket) falls below this.
+constexpr double kDlhtShrinkLoad = 0.125;
 
 }  // namespace
 
@@ -149,20 +151,23 @@ bool CacheGovernor::SteerDlht(const Usage& usage) {
   CacheStats& stats = kernel_->stats();
   bool acted = false;
   bool dlht_wants_grow = false;
+  // Drive a migration forward one bounded step and journal its completion.
+  // Callers hold the shared tree lock: per-bucket locks do the real work,
+  // and no step overlaps an exclusive Audit.
+  auto step = [&](Dlht& table) {
+    const size_t moved = table.MigrateStep(cfg.dlht_resize_step, &stats);
+    if (!table.resize_in_flight()) {
+      kernel_->obs().RecordJournal(obs::JournalEvent::kDlhtMigrate,
+                                   NowNanos(), /*duration_ns=*/0, moved,
+                                   table.bucket_count());
+    }
+    return moved;
+  };
   for (const MountNamespacePtr& ns : kernel_->AllNamespaces()) {
     Dlht& table = ns->dlht();
     if (table.resize_in_flight()) {
-      // Drive the migration forward one bounded step. Shared tree lock:
-      // safe against concurrent walkers/mutators (per-bucket locks do the
-      // real work) but never overlapping an exclusive Audit.
       std::shared_lock<std::shared_mutex> tree(kernel_->tree_lock());
-      size_t moved = table.MigrateStep(cfg.dlht_resize_step, &stats);
-      acted |= moved > 0;
-      if (!table.resize_in_flight()) {
-        kernel_->obs().RecordJournal(obs::JournalEvent::kDlhtMigrate,
-                                     NowNanos(), /*duration_ns=*/0, moved,
-                                     table.bucket_count());
-      }
+      acted |= step(table) > 0;
       continue;
     }
     const size_t buckets = table.bucket_count();
@@ -189,7 +194,7 @@ bool CacheGovernor::SteerDlht(const Usage& usage) {
     } else if (!wants_grow && buckets > cfg.dlht_min_buckets &&
                buckets / 2 >= cfg.dlht_min_buckets &&
                static_cast<double>(entries) <
-                   static_cast<double>(buckets) * cfg.dlht_shrink_load) {
+                   static_cast<double>(buckets) * kDlhtShrinkLoad) {
       target = buckets / 2;
     }
     if (target != 0) {
@@ -198,12 +203,7 @@ bool CacheGovernor::SteerDlht(const Usage& usage) {
         kernel_->obs().RecordJournal(obs::JournalEvent::kDlhtResize,
                                      NowNanos(), /*duration_ns=*/0, buckets,
                                      target);
-        size_t moved = table.MigrateStep(cfg.dlht_resize_step, &stats);
-        if (!table.resize_in_flight()) {
-          kernel_->obs().RecordJournal(obs::JournalEvent::kDlhtMigrate,
-                                       NowNanos(), /*duration_ns=*/0, moved,
-                                       table.bucket_count());
-        }
+        step(table);
         acted = true;
       }
     }

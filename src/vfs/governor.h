@@ -13,7 +13,7 @@
 //  3. DLHT steering: drive an in-flight migration forward one bounded step;
 //     otherwise begin a 2x grow when the sampled chain-length p99 degrades
 //     past kDlhtGrowChainP99 (and the budget has headroom for the new
-//     table), or a 2x shrink when occupancy falls below dlht_shrink_load.
+//     table), or a 2x shrink when occupancy falls below kDlhtShrinkLoad.
 //  4. Attribution: when more than half of a window of PCC lookups missed
 //     (CacheStats pcc_hits/pcc_misses, the definition behind perfbench's
 //     core.pcc_hit_ratio) while the DLHT's chains are healthy, journal

@@ -241,28 +241,33 @@ class Task::LockedParent {
   const std::string& last() const { return last_; }
   std::unique_lock<std::shared_mutex>& tree() { return tree_; }
 
-  // Linux's may_create(): write and search permission on the parent, on a
-  // writable mount. Removing a name asks the same of the parent.
+  // Search permission on the parent: the walk's may_lookup() before the
+  // last name.
+  Status MaySearch() const {
+    return task_->kernel_->security().Permission(*task_->cred_, *inode(),
+                                                 kMayExec, dir());
+  }
+
+  // Linux's may_create(): a writable mount (mnt_want_write(), reported
+  // first), then write and search permission on the parent. Removing a
+  // name asks the same of the parent.
   Status MayWrite() const {
-    DIRCACHE_RETURN_IF_ERROR(task_->kernel_->security().Permission(
-        *task_->cred_, *inode(), kMayWrite | kMayExec, dir()));
     if (mnt()->flags.read_only) {
       return Errno::kEROFS;
     }
-    return Status::Ok();
+    return task_->kernel_->security().Permission(
+        *task_->cred_, *inode(), kMayWrite | kMayExec, dir());
   }
 
   // The rest of Linux's filename_create() for a caller that creates
-  // `last`, in its order: search permission on the parent (the walk's
-  // may_lookup() before the last name), the lookup of `last` (EEXIST if it
+  // `last`, in its order: MaySearch(), the lookup of `last` (EEXIST if it
   // is positive), then MayWrite(). Once the caller may create, the negative
   // cached at the name dies with its deep children, so Install need not
   // look the name up again: no one else can cache one under the exclusive
   // tree lock.
   Status MayCreate() {
     Kernel* k = task_->kernel_;
-    DIRCACHE_RETURN_IF_ERROR(
-        k->security().Permission(*task_->cred_, *inode(), kMayExec, dir()));
+    DIRCACHE_RETURN_IF_ERROR(MaySearch());
     auto cached = PathWalker::LookupOrInstantiate(*task_, dir(), last_);
     if (!cached.ok()) {
       return cached.error() == Errno::kENOENT ? MayWrite() : cached.error();
@@ -727,10 +732,12 @@ Status Task::Chmod(std::string_view path, uint16_t mode) {
   return ChangeAttr(
       path, obs::JournalEvent::kChmod,
       [&](const PathHandle& p, const Inode& inode) -> Status {
-        if (cred_->uid() != kRootUid && cred_->uid() != inode.uid()) {
-          return Errno::kEPERM;
+        if (p.mnt()->flags.read_only) {
+          return Errno::kEROFS;  // chmod_common(): mnt_want_write() first
         }
-        return p.mnt()->flags.read_only ? Errno::kEROFS : Errno::kOk;
+        return cred_->uid() != kRootUid && cred_->uid() != inode.uid()
+                   ? Errno::kEPERM
+                   : Errno::kOk;
       },
       [&](Inode& inode) -> Status {
         AttrUpdate update;
@@ -747,13 +754,16 @@ Status Task::Chown(std::string_view path, Uid uid, Gid gid) {
   return ChangeAttr(
       path, obs::JournalEvent::kChown,
       [&](const PathHandle& p, const Inode& inode) -> Status {
+        if (p.mnt()->flags.read_only) {
+          return Errno::kEROFS;  // do_fchownat(): mnt_want_write() first
+        }
         // Non-root: may only change the group, to a group it belongs to.
         if (cred_->uid() != kRootUid &&
             (uid != inode.uid() || cred_->uid() != inode.uid() ||
              !cred_->InGroup(gid))) {
           return Errno::kEPERM;
         }
-        return p.mnt()->flags.read_only ? Errno::kEROFS : Errno::kOk;
+        return Status::Ok();
       },
       [&](Inode& inode) -> Status {
         AttrUpdate update;
@@ -903,7 +913,13 @@ Status Task::DoUnlink(FdNum dirfd, std::string_view path, bool rmdir) {
   }
   LockedParent parent(this, *base, path);
   DIRCACHE_RETURN_IF_ERROR(parent.status());
-  DIRCACHE_RETURN_IF_ERROR(parent.MayWrite());
+  // Linux's do_unlinkat() order: search permission on the parent, the
+  // read-only mount (mnt_want_write()), the lookup, then may_delete()'s
+  // write permission.
+  DIRCACHE_RETURN_IF_ERROR(parent.MaySearch());
+  if (parent.mnt()->flags.read_only) {
+    return Errno::kEROFS;
+  }
   Dentry* dir = parent.dir();
   Inode* dir_inode = parent.inode();
   auto child = PathWalker::LookupOrInstantiate(*this, dir, parent.last());
@@ -916,6 +932,11 @@ Status Task::DoUnlink(FdNum dirfd, std::string_view path, bool rmdir) {
         victim->TestFlags(kDentEnotdir) ? Errno::kENOTDIR : Errno::kENOENT;
     kernel_->dcache().Dput(victim);
     return e;
+  }
+  Status may = parent.MayWrite();
+  if (!may.ok()) {
+    kernel_->dcache().Dput(victim);
+    return may;
   }
   if (victim->IsStub()) {
     // Materialize so type checks work; easiest through a real resolve.
@@ -1493,6 +1514,11 @@ Status Task::Mount(std::string_view target, std::shared_ptr<FileSystem> fs,
   if (!root_inode.ok()) {
     return root_inode.error();
   }
+  // §3.2: the coherence section spans the mount-table edit, and one pass
+  // after it retires everything cached under the mountpoint: the covered
+  // subtree's paths now lead elsewhere (§4.3).
+  const bool fastpath = kernel_->config().fastpath;
+  CoherenceSection section(fastpath ? &kernel_->dcache() : nullptr);
   std::unique_lock<std::shared_mutex> tree(kernel_->tree_lock());
   // Find (or create) the superblock's root dentry. Mount aliases reuse it.
   Dentry* fs_root = nullptr;
@@ -1509,16 +1535,7 @@ Status Task::Mount(std::string_view target, std::shared_ptr<FileSystem> fs,
   } else {
     sb->Iput(*root_inode);  // the existing root dentry already pins it
   }
-  if (kernel_->config().fastpath) {
-    // The covered subtree's paths now lead elsewhere (§4.3).
-    kernel_->dcache().InvalidateSubtree(p->dentry());
-  }
   auto m = ns_->AddMount(sb, fs_root, p->mnt(), p->dentry(), flags);
-  if (m.ok() && kernel_->config().fastpath) {
-    // No coherence section spans AddMount: retire what an optimistic walk
-    // memoized under the mountpoint since the pass above.
-    kernel_->dcache().InvalidateSubtree(p->dentry());
-  }
   if (fresh_root) {
     // AddMount took its own reference; drop MakeRoot's so teardown
     // accounting balances (an unused fresh root just becomes evictable).
@@ -1526,6 +1543,10 @@ Status Task::Mount(std::string_view target, std::shared_ptr<FileSystem> fs,
   }
   if (!m.ok()) {
     return m.error();
+  }
+  tree.unlock();
+  if (fastpath) {
+    section.InvalidateNow(p->dentry());
   }
   return Status::Ok();
 }
@@ -1546,19 +1567,18 @@ Status Task::BindMount(std::string_view source, std::string_view target) {
   if (!dst.ok()) {
     return dst.error();
   }
+  // One section and one pass, as in Mount.
+  const bool fastpath = kernel_->config().fastpath;
+  CoherenceSection section(fastpath ? &kernel_->dcache() : nullptr);
   std::unique_lock<std::shared_mutex> tree(kernel_->tree_lock());
-  if (kernel_->config().fastpath) {
-    kernel_->dcache().InvalidateSubtree(dst->dentry());
-  }
   auto m = ns_->AddMount(src->dentry()->sb(), src->dentry(), dst->mnt(),
                          dst->dentry(), src->mnt()->flags);
   if (!m.ok()) {
     return m.error();
   }
-  if (kernel_->config().fastpath) {
-    // No coherence section spans AddMount: retire what an optimistic walk
-    // memoized under the mountpoint since the pass above.
-    kernel_->dcache().InvalidateSubtree(dst->dentry());
+  tree.unlock();
+  if (fastpath) {
+    section.InvalidateNow(dst->dentry());
   }
   return Status::Ok();
 }
@@ -1577,16 +1597,15 @@ Status Task::Umount(std::string_view target) {
   if (m->parent == nullptr || p->dentry() != m->root) {
     return Errno::kEINVAL;
   }
+  // One section and one pass, as in Mount: everything resolved under this
+  // mount loses its canonical path.
+  const bool fastpath = kernel_->config().fastpath;
+  CoherenceSection section(fastpath ? &kernel_->dcache() : nullptr);
   std::unique_lock<std::shared_mutex> tree(kernel_->tree_lock());
-  if (kernel_->config().fastpath) {
-    // Everything resolved under this mount loses its canonical path.
-    kernel_->dcache().InvalidateSubtree(m->root);
-  }
   DIRCACHE_RETURN_IF_ERROR(ns_->RemoveMount(m));
-  if (kernel_->config().fastpath) {
-    // No coherence section spans RemoveMount: retire what an optimistic
-    // walk memoized under the mount since the pass above.
-    kernel_->dcache().InvalidateSubtree(m->root);
+  tree.unlock();
+  if (fastpath) {
+    section.InvalidateNow(m->root);
   }
   // References held by the mount (root + mountpoint) are dropped at
   // namespace teardown; the mount object itself lives until then.

@@ -1225,7 +1225,6 @@ Dentry* BuildDeepNegatives(Task& task, Mount* mnt, Dentry* from,
                            std::string_view first, std::string_view rest,
                            uint32_t neg_flags, uint64_t inval_snapshot) {
   Kernel* k = from->sb()->kernel();
-  const CacheConfig& cfg = k->config();
   Dentry* cur = from;
   bool cur_owned = false;  // `from`'s reference belongs to the caller
   size_t created = 0;
@@ -1237,7 +1236,7 @@ Dentry* BuildDeepNegatives(Task& task, Mount* mnt, Dentry* from,
       complete = false;
       break;
     }
-    if (created >= cfg.deep_negative_limit) {
+    if (created >= kDeepNegativeLimit) {
       complete = false;
       break;
     }

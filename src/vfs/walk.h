@@ -16,6 +16,7 @@
 #ifndef DIRCACHE_VFS_WALK_H_
 #define DIRCACHE_VFS_WALK_H_
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 
@@ -47,6 +48,9 @@ inline constexpr int kWalkDirectory = 2;  // final must be a directory
 // Resolve to the *parent* of the last component; the last component string
 // is returned through `last_out` (used by create/unlink/rename/mkdir).
 inline constexpr int kWalkParent = 4;
+
+// Cap on the deep-negative chain one lookup builds (§5.2 memory guard).
+inline constexpr size_t kDeepNegativeLimit = 8;
 
 class PathWalker {
  public:

@@ -1,5 +1,9 @@
 // Direct Lookup Hash Table and Prefix Check Cache unit tests (§3.1).
 #include <array>
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -134,6 +138,127 @@ TEST(DlhtTest, ChainsHoldManyEntries) {
   }
   EXPECT_EQ(table.SizeSlow(), 0u);
 }
+
+// Park a resize halfway (BeginResize, then MigrateStep over half the old
+// buckets): old homes [0, old/2) sit behind the split cursor and
+// [old/2, old) ahead of it. Every operation must find, count and remove
+// entries on both sides; the concurrency storms reach this state only by
+// chance.
+void CheckParkedSplit(size_t old_buckets, size_t new_buckets) {
+  PathSigner signer(9);
+  Dlht table(old_buckets);
+  Dlht other(old_buckets);
+  CacheStats stats;
+  std::vector<std::unique_ptr<FastDentry>> entries;
+  auto make = [&](size_t key) {
+    entries.push_back(std::make_unique<FastDentry>());
+    FastDentry* fd = entries.back().get();
+    fd->signature = SigOf(signer, "e" + std::to_string(entries.size()));
+    fd->signature.bucket = static_cast<uint32_t>(key);
+    return fd;
+  };
+  // Before the resize, two keys per old bucket b: b and b + old_buckets,
+  // which split apart on a grow and stay together on a shrink.
+  std::vector<FastDentry*> low;
+  std::vector<FastDentry*> high;
+  for (size_t b = 0; b < old_buckets; ++b) {
+    low.push_back(make(b));
+    high.push_back(make(b + old_buckets));
+    table.Insert(low.back());
+    table.Insert(high.back());
+  }
+  ASSERT_TRUE(table.BeginResize(new_buckets, &stats));
+  ASSERT_EQ(table.MigrateStep(old_buckets / 2, &stats), old_buckets / 2);
+  ASSERT_TRUE(table.resize_in_flight());
+  const size_t behind = 1;
+  const size_t ahead = old_buckets - 1;
+  for (size_t key : {behind, ahead}) {
+    table.Insert(make(key + 2 * old_buckets));
+  }
+
+  const uint64_t hits = stats.dlht_hits.value();
+  for (const auto& fd : entries) {
+    EXPECT_EQ(table.Lookup(fd->signature, &stats), fd.get());
+  }
+  EXPECT_EQ(stats.dlht_hits.value(), hits + entries.size());
+  const uint64_t probes = stats.shortcut_probes.value();
+  for (const auto& fd : entries) {
+    EXPECT_EQ(table.ProbePrefix(fd->signature, &stats), fd.get());
+  }
+  EXPECT_EQ(stats.shortcut_probes.value(), probes + entries.size());
+  EXPECT_EQ(stats.dlht_hits.value(), hits + entries.size());
+  for (size_t key : {behind, ahead}) {
+    Signature absent = SigOf(signer, "absent");
+    absent.bucket = static_cast<uint32_t>(key);
+    const uint64_t collisions = stats.dlht_collisions.value();
+    EXPECT_EQ(table.Lookup(absent, &stats), nullptr);
+    EXPECT_GT(stats.dlht_collisions.value(), collisions);
+  }
+  EXPECT_EQ(stats.dlht_hits.value(), hits + entries.size());
+
+  EXPECT_EQ(table.SizeSlow(), entries.size());
+  std::map<FastDentry*, int> seen;
+  table.ForEachEntry([&](FastDentry* fd) { ++seen[fd]; });
+  EXPECT_EQ(seen.size(), entries.size());
+  for (const auto& [fd, times] : seen) {
+    EXPECT_EQ(times, 1);
+  }
+
+  for (size_t key : {behind, ahead}) {
+    EXPECT_TRUE(Dlht::RemoveFromCurrent(high[key]));
+    EXPECT_FALSE(Dlht::RemoveFromCurrent(high[key]));
+    EXPECT_EQ(table.Lookup(high[key]->signature, &stats), nullptr);
+  }
+
+  // One RemoveBatch per key: it removes every member on the key's home
+  // (one inserted before the resize, two during it) and skips a member
+  // that left for another table under another key after it was batched.
+  for (size_t key : {behind, ahead}) {
+    FastDentry* during1 = make(key);
+    FastDentry* during2 = make(key);
+    FastDentry* left = make(key);
+    for (FastDentry* fd : {during1, during2, left}) {
+      table.Insert(fd);
+    }
+    Dlht::RemoveFromCurrent(left);
+    left->signature.bucket = static_cast<uint32_t>(key + 1);
+    other.Insert(left);
+    FastDentry* batch[] = {low[key], left, during1, during2};
+    EXPECT_EQ(table.RemoveBatch(key, batch, 4), 3u);
+    for (FastDentry* fd : {low[key], during1, during2}) {
+      EXPECT_EQ(fd->on_dlht.load(), nullptr);
+      EXPECT_EQ(table.Lookup(fd->signature, &stats), nullptr);
+    }
+    EXPECT_EQ(left->on_dlht.load(), &other);
+    EXPECT_EQ(other.Lookup(left->signature, &stats), left);
+  }
+  size_t live = 0;
+  for (const auto& fd : entries) {
+    live += fd->on_dlht.load() == &table ? 1 : 0;
+  }
+  EXPECT_EQ(table.SizeSlow(), live);
+  EXPECT_EQ(table.size(), live);
+
+  // Finishing the migration keeps every entry where probes find it.
+  while (table.MigrateStep(old_buckets, &stats) > 0) {
+  }
+  EXPECT_FALSE(table.resize_in_flight());
+  EXPECT_EQ(table.bucket_count(), new_buckets);
+  for (const auto& fd : entries) {
+    Dlht* home = fd->on_dlht.load();
+    if (home != nullptr) {
+      EXPECT_EQ(home->Lookup(fd->signature, &stats), fd.get());
+    }
+  }
+  EXPECT_EQ(table.SizeSlow(), live);
+  for (const auto& fd : entries) {
+    Dlht::RemoveFromCurrent(fd.get());
+  }
+}
+
+TEST(DlhtTest, EveryOperationOnAParkedGrow) { CheckParkedSplit(8, 16); }
+
+TEST(DlhtTest, EveryOperationOnAParkedShrink) { CheckParkedSplit(16, 8); }
 
 TEST(PccTest, InsertLookupSeqMismatch) {
   // Keys are pointer>>3: like dentries, test objects must be 8-aligned.

@@ -1,5 +1,7 @@
 // Mount points, bind mounts (aliases), pseudo file systems, namespaces,
 // and chroot (§4.3).
+#include <functional>
+
 #include <gtest/gtest.h>
 
 #include "tests/test_util.h"
@@ -206,6 +208,32 @@ TEST_P(MountTest, MountAliasSameInstanceTwice) {
     ASSERT_OK(st);
     EXPECT_EQ(st->ino, st1->ino);
   }
+}
+
+TEST_P(MountTest, EachMountTableChangeRunsOnePass) {
+  // One coherence section spans each mount-table edit, so a mount, a bind
+  // mount and an umount each run one invalidation pass on the fastpath
+  // kernel (none without it), and that pass retires the warm entries.
+  ASSERT_OK(T().Mkdir("/src"));
+  ASSERT_OK(T().Mkdir("/mnt"));
+  auto fd = T().Open("/mnt/covered", kOCreat | kOWrite);
+  ASSERT_OK(fd);
+  ASSERT_OK(T().Close(*fd));
+  ASSERT_OK(T().Statx(kAtFdCwd, "/mnt/covered", 0));
+  ASSERT_OK(T().Statx(kAtFdCwd, "/mnt/covered", 0));  // warm
+  const uint64_t want = GetParam() ? 1 : 0;
+  auto passes = [&](const std::function<Status()>& change) {
+    const uint64_t before = world_.kernel->stats().invalidation_walks.value();
+    EXPECT_OK(change());
+    return world_.kernel->stats().invalidation_walks.value() - before;
+  };
+  auto fs = std::make_shared<MemFs>();
+  EXPECT_EQ(passes([&] { return T().Mount("/mnt", fs); }), want);
+  EXPECT_ERR(T().Statx(kAtFdCwd, "/mnt/covered", 0), Errno::kENOENT);
+  EXPECT_EQ(passes([&] { return T().BindMount("/mnt", "/src"); }), want);
+  EXPECT_EQ(passes([&] { return T().Umount("/src"); }), want);
+  EXPECT_EQ(passes([&] { return T().Umount("/mnt"); }), want);
+  EXPECT_OK(T().Statx(kAtFdCwd, "/mnt/covered", 0));
 }
 
 INSTANTIATE_TEST_SUITE_P(BothKernels, MountTest, ::testing::Bool(),

@@ -1,6 +1,7 @@
 // Aggressive negative-dentry caching (§5.2): negatives after unlink and
 // rename, pseudo-FS negatives, deep negative chains, ENOTDIR chains, and
 // their coherence with later creations.
+#include "src/vfs/walk.h"
 #include "tests/test_util.h"
 
 namespace dircache {
@@ -128,15 +129,16 @@ TEST_F(NegativeTest, EnotdirChainsUnderRegularFiles) {
 }
 
 TEST_F(NegativeTest, DeepNegativeLimitBoundsChainLength) {
-  CacheConfig cfg = CacheConfig::Optimized();
-  cfg.deep_negative_limit = 2;
-  TestWorld limited(cfg);
-  Task& t = *limited.root;
-  ASSERT_OK(t.Mkdir("/top"));
-  size_t before = limited.kernel->dcache().dentry_count();
-  EXPECT_ERR(t.Statx(kAtFdCwd, "/top/a/b/c/d/e/f/g/h", 0), Errno::kENOENT);
+  ASSERT_OK(T().Mkdir("/top"));
+  std::string deep = "/top";
+  for (size_t i = 0; i < 2 * kDeepNegativeLimit; ++i) {
+    deep += "/n" + std::to_string(i);
+  }
+  size_t before = world_.kernel->dcache().dentry_count();
+  EXPECT_ERR(T().Statx(kAtFdCwd, deep, 0), Errno::kENOENT);
   // Chain creation stopped at the limit: at most limit+1 new dentries.
-  EXPECT_LE(limited.kernel->dcache().dentry_count(), before + 3);
+  EXPECT_LE(world_.kernel->dcache().dentry_count(),
+            before + kDeepNegativeLimit + 1);
 }
 
 TEST_F(NegativeTest, NegativesDoNotLeakAcrossPermissions) {

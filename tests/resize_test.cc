@@ -360,7 +360,7 @@ TEST_F(GovernorTest, GrowsDlhtWhenChainsDegradeAndMergesWhenSparse) {
   }
   EXPECT_EQ(table.bucket_count(), buckets * 2);
 
-  // Evict nearly everything: occupancy falls under dlht_shrink_load and the
+  // Evict nearly everything: occupancy falls under kDlhtShrinkLoad and the
   // governor halves the table (possibly repeatedly, down to the floor).
   world_.kernel->DropCaches();
   ASSERT_LT(table.size(), 8u);

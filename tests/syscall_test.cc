@@ -525,9 +525,11 @@ TEST_P(SyscallTest, TrailingSlashRequiresDirectory) {
 // and the parent's mtime step.
 //
 // Creating a name answers in the order of Linux's filename_create(): search
-// permission on the parent, then EEXIST for an existing name, then write
-// permission and the read-only mount. Rows whose answer differs from
-// Linux's say so.
+// permission on the parent, then EEXIST for an existing name, then the
+// read-only mount and write permission. Removing a name answers in the order
+// of do_unlinkat(): search permission on the parent, the read-only mount,
+// the lookup (ENOENT), then write permission. Chmod and chown report the
+// read-only mount first. Rows whose answer differs from Linux's say so.
 
 enum class MutOp {
   kCreat,       // open(path, O_CREAT | O_RDONLY)
@@ -632,6 +634,8 @@ const MutRow kMutRows[] = {
     {"creat unwritable parent", MutOp::kCreat, "@/nw/new", "", Errno::kEACCES,
      true},
     {"creat read-only mount", MutOp::kCreat, "/ro/new", "", Errno::kEROFS},
+    {"creat read-only mount, unwritable parent", MutOp::kCreat, "/ro/new", "",
+     Errno::kEROFS, true},
     {"creat existing, unwritable parent", MutOp::kCreat, "@/nw/f", "",
      Errno::kOk, true},
     {"creat existing, read-only mount", MutOp::kCreat, "/ro/f", "",
@@ -741,8 +745,12 @@ const MutRow kMutRows[] = {
     {"unlink file parent", MutOp::kUnlink, "@/f/x", "", Errno::kENOTDIR},
     {"unlink directory", MutOp::kUnlink, "@/d", "", Errno::kEISDIR},
     {"unlink unwritable parent", MutOp::kUnlink, "@/nw/nope", "",
-     Errno::kEACCES, true},  // Linux: ENOENT, the lookup before may_delete()
+     Errno::kENOENT, true},
+    {"unlink unsearchable parent", MutOp::kUnlink, "@/ns/nope", "",
+     Errno::kEACCES, true},
     {"unlink read-only mount", MutOp::kUnlink, "/ro/nope", "", Errno::kEROFS},
+    {"unlink read-only mount, unwritable parent", MutOp::kUnlink, "/ro/nope",
+     "", Errno::kEROFS, true},
     {"unlink existing, unwritable parent", MutOp::kUnlink, "@/nw/f", "",
      Errno::kEACCES, true},
     {"unlink existing, read-only mount", MutOp::kUnlink, "/ro/f", "",
@@ -765,7 +773,7 @@ const MutRow kMutRows[] = {
     {"rmdir missing parent", MutOp::kRmdir, "@/nope/d", "", Errno::kENOENT},
     {"rmdir file parent", MutOp::kRmdir, "@/f/d", "", Errno::kENOTDIR},
     {"rmdir unwritable parent", MutOp::kRmdir, "@/nw/nope", "",
-     Errno::kEACCES, true},  // Linux: ENOENT, the lookup before may_delete()
+     Errno::kENOENT, true},
     {"rmdir read-only mount", MutOp::kRmdir, "/ro/nope", "", Errno::kEROFS},
     {"rmdir existing, unwritable parent", MutOp::kRmdir, "@/nw/d", "",
      Errno::kEACCES, true},
@@ -834,7 +842,7 @@ const MutRow kMutRows[] = {
     {"chmod owner", MutOp::kChmod, "@/u/mine", "", Errno::kOk, true},
     {"chmod read-only mount", MutOp::kChmod, "/ro/f", "", Errno::kEROFS},
     {"chmod not owner, read-only mount", MutOp::kChmod, "/ro/f", "",
-     Errno::kEPERM, true},
+     Errno::kEROFS, true},
     // chown
     {"chown file", MutOp::kChown, "@/f", "", Errno::kOk},
     {"chown directory", MutOp::kChown, "@/d", "", Errno::kOk},
@@ -845,6 +853,8 @@ const MutRow kMutRows[] = {
     {"chown owner, foreign group", MutOp::kChownGroup, "@/u/mine", "",
      Errno::kEPERM, true},
     {"chown read-only mount", MutOp::kChown, "/ro/f", "", Errno::kEROFS},
+    {"chown not owner, read-only mount", MutOp::kChown, "/ro/f", "",
+     Errno::kEROFS, true},
     // SetSecurityLabel (no read-only check)
     {"relabel file", MutOp::kLabel, "@/f", "", Errno::kOk},
     {"relabel directory", MutOp::kLabel, "@/d", "", Errno::kOk},
