@@ -12,7 +12,8 @@
 #                               #   server, shortcut and resize suites also
 #                               #   carry the concurrency label; dlht
 #                               #   selects every suite that reaches the
-#                               #   DLHT's split path)
+#                               #   DLHT's split path; readdir every
+#                               #   suite that serves directory streams)
 #   scripts/check.sh --asan     # + ASan+UBSan ctest over the obs
 #                               #   and server suites (span rings, the
 #                               #   flight recorder's by-value copies,

@@ -3,9 +3,12 @@
 // compiled into the vfs library even though its interface lives in obs.
 #include "src/obs/audit.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
+#include <string_view>
+#include <tuple>
 #include <unordered_set>
 
 #include "src/core/dlht.h"
@@ -103,6 +106,9 @@ struct Auditor {
         }
         children.push_back(child);
       }
+      if (d->listing != nullptr) {
+        CheckListing(d);
+      }
     }
     // Recurse outside the parent's lock (quiescence makes the two-phase
     // scan exact; taking child locks under d->lock would invert the
@@ -111,6 +117,36 @@ struct Auditor {
       WalkTreeFrom(child, depth + 1, on_path);
     }
     on_path->erase(d);
+  }
+
+  // Compare `dir`'s listing with its children list, as (name, ino, type)
+  // multisets. Caller holds dir->lock.
+  void CheckListing(Dentry* dir) {
+    using Row = std::tuple<std::string_view, InodeNum, FileType>;
+    ++report.listings;
+    const DirListing& l = *dir->listing;
+    std::vector<Row> listed;
+    for (size_t i = 0; i < l.size(); ++i) {
+      listed.emplace_back(l.name(i), l.entry(i).ino, l.entry(i).type);
+    }
+    std::vector<Row> live;
+    for (const Dentry* child : dir->children) {
+      InodeNum ino = 0;
+      FileType type = FileType::kRegular;
+      if (ListedChild(*child, &ino, &type)) {
+        live.emplace_back(child->name(), ino, type);
+      }
+    }
+    std::sort(listed.begin(), listed.end());
+    std::sort(live.begin(), live.end());
+    if (listed != live) {
+      Violate(AuditCheck::kDirListing,
+              Format("directory %p '%s': listing holds %zu entries but %zu "
+                     "live positive or stub children (a children-list edit "
+                     "kept a stale listing?)",
+                     static_cast<const void*>(dir), DentName(dir),
+                     listed.size(), live.size()));
+    }
   }
 
   void CheckDlhtEntry(FastDentry* fd, Dlht* table, uint64_t ns_id) {
@@ -178,11 +214,11 @@ std::string AuditReport::Summary() const {
   return Format("audit: %s (%" PRIu64 " dentries, %" PRIu64
                 " dlht entries, %" PRIu64 " lru entries, %" PRIu64
                 " hash-chain entries, %" PRIu64 " pcc entries in %" PRIu64
-                " pccs)",
+                " pccs, %" PRIu64 " listings)",
                 clean() ? "clean"
                         : Format("%zu violations", violations.size()).c_str(),
                 dentries_visited, dlht_entries, lru_entries,
-                hash_chain_entries, pcc_entries, pccs_checked);
+                hash_chain_entries, pcc_entries, pccs_checked, listings);
 }
 
 std::string AuditReport::ToText() const {

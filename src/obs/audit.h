@@ -50,6 +50,10 @@ enum class AuditCheck : uint8_t {
   // No PCC entry memoizes a version counter the global source has not
   // issued yet (checked pre-wraparound only).
   kPccSeq,
+  // A directory's cached readdir listing (§5.1), when present, names
+  // exactly its live positive and stub children, with their inode numbers
+  // and types: every children-list edit dropped the listing it outdated.
+  kDirListing,
   kCount,
 };
 
@@ -67,6 +71,8 @@ inline const char* AuditCheckName(AuditCheck c) {
       return "lru_residency";
     case AuditCheck::kPccSeq:
       return "pcc_seq";
+    case AuditCheck::kDirListing:
+      return "dir_listing";
     case AuditCheck::kCount:
       break;
   }
@@ -89,6 +95,7 @@ struct AuditReport {
   uint64_t hash_chain_entries = 0;
   uint64_t pcc_entries = 0;
   uint64_t pccs_checked = 0;
+  uint64_t listings = 0;  // directories' cached readdir listings
 
   bool clean() const { return violations.empty(); }
 

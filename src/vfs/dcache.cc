@@ -128,6 +128,7 @@ Result<Dentry*> DentryCache::AddChild(Dentry* parent, std::string_view name,
     bucket.chain.PushFront(&fresh->hash_node);
   }
   parent->children.PushBack(fresh);
+  DropListing(parent);
   parent_guard.Release();
   count_.fetch_add(1, std::memory_order_relaxed);
   ChargeTenant(tenant, (flags & kDentNegative) != 0, +1);
@@ -190,6 +191,8 @@ void DentryCache::Release(Dentry* d) {
   }
   Dentry* alias = d->alias_target.exchange(nullptr);
   Dentry* parent = d->parent();
+  // Dead and unreferenced: no stream can pin this directory's listing now.
+  DropListing(d);
   count_.fetch_sub(1, std::memory_order_relaxed);
   ChargeTenant(d->tenant, d->TestFlags(kDentNegative), -1);
   // The inode reference is dropped by the *deferred* deleter, not here:
@@ -234,6 +237,7 @@ void DentryCache::Kill(Dentry* d) {
   }
   if (d->child_node.linked()) {
     d->child_node.Unlink();
+    DropListing(parent);
   }
   bool release = d->MarkDead();
   d->lock.unlock();
@@ -279,6 +283,7 @@ void DentryCache::MoveDentry(Dentry* d, Dentry* new_parent,
   }
   if (d->child_node.linked()) {
     d->child_node.Unlink();
+    DropListing(old_parent);
   }
 
   new_parent->DgetHeld();
@@ -291,6 +296,7 @@ void DentryCache::MoveDentry(Dentry* d, Dentry* new_parent,
     bucket.chain.PushFront(&d->hash_node);
   }
   new_parent->children.PushBack(d);
+  DropListing(new_parent);
 
   d->lock.unlock();
   if (second != first) {
@@ -298,6 +304,43 @@ void DentryCache::MoveDentry(Dentry* d, Dentry* new_parent,
   }
   first->lock.unlock();
   Dput(old_parent);  // the reference the dentry held on its old parent
+}
+
+DirListingRef DentryCache::PinListing(Dentry* dir) {
+  EpochDomain::ReadGuard epoch(EpochDomain::Global());
+  SpinGuard guard(dir->lock);
+  if (dir->listing == nullptr) {
+    // Two passes under the lock, which freezes the list: size the one
+    // allocation, then fill it.
+    InodeNum ino = 0;
+    FileType type = FileType::kRegular;
+    size_t count = 0;
+    size_t name_bytes = 0;
+    for (Dentry* child : dir->children) {
+      if (ListedChild(*child, &ino, &type)) {
+        ++count;
+        name_bytes += child->name().size();
+      }
+    }
+    DirListing* l = DirListing::Create(count, name_bytes);
+    for (Dentry* child : dir->children) {
+      if (ListedChild(*child, &ino, &type)) {
+        l->Append(child->name(), ino, type);
+      }
+    }
+    dir->listing = l;
+    listing_bytes_.fetch_add(l->bytes(), std::memory_order_relaxed);
+  }
+  dir->listing->Ref();
+  return DirListingRef(dir->listing);
+}
+
+void DentryCache::DropListing(Dentry* dir) {
+  if (const DirListing* l = dir->listing) {
+    dir->listing = nullptr;
+    listing_bytes_.fetch_sub(l->bytes(), std::memory_order_relaxed);
+    l->Unref();
+  }
 }
 
 size_t DentryCache::Shrink(size_t max) {
@@ -375,6 +418,7 @@ bool DentryCache::EvictOne(Dentry* d) {
   }
   if (d->child_node.linked()) {
     d->child_node.Unlink();
+    DropListing(parent);
   }
   if (parent != nullptr) {
     // Losing a cached child for space reasons invalidates directory

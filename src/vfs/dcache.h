@@ -92,6 +92,14 @@ class DentryCache {
   // write section; the subtree must already have been invalidated (§3.2).
   void MoveDentry(Dentry* d, Dentry* new_parent, std::string_view new_name);
 
+  // --- cached readdir (§5.1) ------------------------------------------------
+  // A reference on `dir`'s listing of its current live positive and stub
+  // children, built from the children list if no scan has since the list
+  // last changed. The caller holds a reference on `dir` and has found it
+  // DIR_COMPLETE; AddChild, Kill, MoveDentry and eviction drop the listing
+  // under the directory's lock whenever they edit its children list.
+  DirListingRef PinListing(Dentry* dir);
+
   // --- eviction ----------------------------------------------------------
   // Evict up to `max` unused dentries, scanning from the LRU tail with
   // second-chance (clock) semantics: an entry whose `lru_referenced` bit is
@@ -177,6 +185,12 @@ class DentryCache {
     auto n = negative_count_.load(std::memory_order_relaxed);
     return n > 0 ? static_cast<size_t>(n) : 0;
   }
+  // Bytes of the listings directories hold. A listing that only streams
+  // still pin is counted with them, like the rest of a stream's state: not
+  // at all.
+  uint64_t listing_bytes() const {
+    return listing_bytes_.load(std::memory_order_relaxed);
+  }
   size_t bucket_count() const { return buckets_.size(); }
   // Chain-length histogram of the primary hash table (for §6.5 statistics).
   std::vector<size_t> ChainHistogram(size_t max_len = 10) const;
@@ -242,6 +256,8 @@ class DentryCache {
   // Final teardown of a dead, unreferenced dentry (and, transitively, of
   // parents whose last reference this drop releases).
   void Release(Dentry* d);
+  // Drop `dir`'s listing, if it has one; caller holds dir->lock.
+  void DropListing(Dentry* dir);
   // Shared implementation of Shrink/ShrinkAll; `second_chance` toggles
   // whether referenced entries get rotated back or evicted outright.
   size_t ShrinkInternal(size_t max, bool second_chance);
@@ -281,6 +297,7 @@ class DentryCache {
   std::atomic<uint64_t> invalidation_counter_{1};
   std::atomic<size_t> count_{0};
   std::atomic<int64_t> negative_count_{0};
+  std::atomic<uint64_t> listing_bytes_{0};
   TenantSlot tenants_[kTenantSlots];
 
   // Fast-path coherence gate: sections open (started > completed) while a

@@ -18,8 +18,11 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <type_traits>
+#include <vector>
 
 #include "src/core/fast_dentry.h"
 #include "src/util/hlist.h"
@@ -30,7 +33,72 @@
 namespace dircache {
 
 class Dentry;
+class DentryCache;
 struct Mount;
+
+// The cached readdir of a DIR_COMPLETE directory (§5.1): its live positive
+// and stub children as (ino, type, name), immutable once built. One
+// allocation holds the header, an array of fixed-size entries and one
+// buffer of names, so a stream copies each entry out of contiguous memory
+// instead of chasing every child dentry. The directory holds one reference
+// (Dentry::listing) until a children-list edit drops it, and each directory
+// stream that served from it holds one (File::listing).
+class DirListing {
+ public:
+  struct Entry {
+    InodeNum ino;
+    uint32_t name_off;  // into the names buffer
+    uint16_t name_len;  // names are at most NAME_MAX bytes
+    FileType type;
+  };
+
+  size_t size() const { return count_; }
+  // Bytes of the one allocation: header, entries and names.
+  size_t bytes() const { return bytes_; }
+  const Entry& entry(size_t i) const { return entries()[i]; }
+  std::string_view name(size_t i) const {
+    return {names() + entries()[i].name_off, entries()[i].name_len};
+  }
+  // Appends entries from index `from` to `out`, at most `max` of them, and
+  // returns the index after the last one appended.
+  size_t CopyOut(size_t from, size_t max, std::vector<DirEntry>* out) const;
+
+  void Ref() const { refs_.fetch_add(1, std::memory_order_relaxed); }
+  // The last reference frees the listing.
+  void Unref() const;
+  struct Unrefer {
+    void operator()(const DirListing* l) const { l->Unref(); }
+  };
+
+ private:
+  friend class DentryCache;
+
+  // An empty listing with room for `count` entries and `name_bytes` of
+  // names, holding one reference; Append fills it.
+  static DirListing* Create(size_t count, size_t name_bytes);
+  DirListing(size_t count, size_t bytes) : count_(count), bytes_(bytes) {}
+  void Append(std::string_view name, InodeNum ino, FileType type);
+
+  Entry* entries() { return reinterpret_cast<Entry*>(this + 1); }
+  const Entry* entries() const {
+    return reinterpret_cast<const Entry*>(this + 1);
+  }
+  char* names() { return reinterpret_cast<char*>(entries() + count_); }
+  const char* names() const {
+    return reinterpret_cast<const char*>(entries() + count_);
+  }
+
+  mutable std::atomic<uint32_t> refs_{1};
+  uint32_t filled_ = 0;      // entries appended so far
+  uint32_t names_used_ = 0;  // name bytes appended so far
+  size_t count_;
+  size_t bytes_;
+};
+static_assert(sizeof(DirListing) % alignof(DirListing::Entry) == 0,
+              "the entries array starts right after the header");
+
+// One reference on a DirListing, dropped on destruction or reset().
+using DirListingRef = std::unique_ptr<const DirListing, DirListing::Unrefer>;
 
 // Dentry state flags (Dentry::flags, atomic).
 inline constexpr uint32_t kDentNegative = 1u << 0;     // cached ENOENT
@@ -142,7 +210,9 @@ class Dentry {
 
   // --- stub / alias payload ------------------------------------------------
   InodeNum stub_ino = 0;           // kDentStub: inode number from readdir
-  FileType stub_type = FileType::kRegular;
+  // The cached readdir of this directory's children (§5.1), or null until
+  // a cached scan builds it; every children-list edit drops it. this->lock.
+  const DirListing* listing = nullptr;
   std::atomic<Dentry*> alias_target{nullptr};  // kDentAlias: holds a ref
 
   // Credential uid whose activity instantiated this dentry (0 = root /
@@ -153,6 +223,7 @@ class Dentry {
 
   // --- linkage --------------------------------------------------------------
   SpinLock lock;  // guards children list, DLHT moves, stub materialization
+  FileType stub_type = FileType::kRegular;  // kDentStub: type from readdir
 
   HNode hash_node;    // primary hash chain (bucket lock)
   uint64_t hash_key = 0;
@@ -227,6 +298,33 @@ static_assert(std::is_standard_layout_v<FastDentry>,
 #pragma GCC diagnostic ignored "-Winvalid-offsetof"
 inline constexpr size_t kDentryFastOffset = offsetof(Dentry, fast);
 #pragma GCC diagnostic pop
+
+// The size is the governor's per-dentry cost (kApproxDentryBytes), and the
+// fastpath reads the fields from `fast` on where they are: a new field goes
+// into a padding hole, not onto the end.
+static_assert(sizeof(Dentry) == 376, "Dentry must not grow");
+static_assert(kDentryFastOffset == 144, "Dentry::fast must not move");
+
+// Whether `child` belongs in its directory's listing (§5.1): live, positive
+// or a stub, and not an alias. Fills its inode number and type. Caller
+// holds the parent's lock, under which none of this changes (materializing
+// a stub keeps its number and type).
+inline bool ListedChild(const Dentry& child, InodeNum* ino, FileType* type) {
+  if (child.IsNegative() || child.TestFlags(kDentAlias) || child.IsDead()) {
+    return false;
+  }
+  if (child.IsStub()) {
+    *ino = child.stub_ino;
+    *type = child.stub_type;
+    return true;
+  }
+  if (const Inode* i = child.inode()) {
+    *ino = i->ino();
+    *type = i->type();
+    return true;
+  }
+  return false;
+}
 
 inline Dentry* DentryFromFast(FastDentry* fd) {
   return reinterpret_cast<Dentry*>(reinterpret_cast<char*>(fd) -

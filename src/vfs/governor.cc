@@ -67,16 +67,7 @@ void CacheGovernor::Loop() {
 }
 
 CacheGovernor::Usage CacheGovernor::MeasureUsage() const {
-  Usage u;
-  u.dentry_bytes = static_cast<uint64_t>(kernel_->dcache().dentry_count()) *
-                   DentryCache::kApproxDentryBytes;
-  for (const MountNamespacePtr& ns : kernel_->AllNamespaces()) {
-    u.dlht_bytes += ns->dlht().memory_bytes();
-  }
-  for (const std::shared_ptr<Pcc>& pcc : kernel_->LivePccs()) {
-    u.pcc_bytes += pcc->bytes();
-  }
-  return u;
+  return kernel_->MeasureCacheUsage();
 }
 
 bool CacheGovernor::Tick() {

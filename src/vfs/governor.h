@@ -38,6 +38,7 @@
 namespace dircache {
 
 class Kernel;
+struct CacheUsage;
 
 class CacheGovernor {
  public:
@@ -57,13 +58,9 @@ class CacheGovernor {
   // and benches; safe to call concurrently with walkers and mutators.
   bool Tick();
 
-  // The accounted picture behind decisions, exposed for tests/snapshots.
-  struct Usage {
-    uint64_t dentry_bytes = 0;
-    uint64_t dlht_bytes = 0;
-    uint64_t pcc_bytes = 0;
-    uint64_t total() const { return dentry_bytes + dlht_bytes + pcc_bytes; }
-  };
+  // The accounted picture behind decisions (Kernel::MeasureCacheUsage),
+  // exposed for tests and benches.
+  using Usage = CacheUsage;
   Usage MeasureUsage() const;
 
   uint64_t ticks() const { return ticks_.load(std::memory_order_relaxed); }

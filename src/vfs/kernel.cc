@@ -43,26 +43,41 @@ obs::ObsSnapshot Kernel::Observe() const {
   obs::MemoryAccounting& mem = snap.memory;
   mem.budget_bytes = config_.cache.cache_memory_budget;
   mem.dentry_count = dcache_->dentry_count();
-  mem.dentry_bytes = mem.dentry_count * DentryCache::kApproxDentryBytes;
   mem.negative_dentries = dcache_->negative_count();
+  const CacheUsage usage = MeasureCacheUsage();
+  mem.dentry_bytes = usage.dentry_bytes;
+  mem.dlht_bytes = usage.dlht_bytes;
+  mem.pcc_bytes = usage.pcc_bytes;
+  mem.total_bytes = usage.total();
   for (const MountNamespacePtr& ns : AllNamespaces()) {
     Dlht& table = ns->dlht();
-    mem.dlht_bytes += table.memory_bytes();
     mem.dlht_buckets += table.bucket_count();
     mem.dlht_entries += table.size();
     mem.dlht_resize_in_flight |= table.resize_in_flight();
   }
   for (const std::shared_ptr<Pcc>& pcc : LivePccs()) {
     ++mem.pcc_count;
-    mem.pcc_bytes += pcc->bytes();
     mem.pcc_entries += pcc->OccupiedEntries();
     mem.pcc_capacity += pcc->capacity_entries();
   }
-  mem.total_bytes = mem.dentry_bytes + mem.dlht_bytes + mem.pcc_bytes;
   for (const DentryCache::TenantUsage& t : dcache_->TenantUsages()) {
     mem.tenants.push_back({t.tenant, t.dentries, t.negatives});
   }
   return snap;
+}
+
+CacheUsage Kernel::MeasureCacheUsage() const {
+  CacheUsage u;
+  u.dentry_bytes = static_cast<uint64_t>(dcache_->dentry_count()) *
+                       DentryCache::kApproxDentryBytes +
+                   dcache_->listing_bytes();
+  for (const MountNamespacePtr& ns : AllNamespaces()) {
+    u.dlht_bytes += ns->dlht().memory_bytes();
+  }
+  for (const std::shared_ptr<Pcc>& pcc : LivePccs()) {
+    u.pcc_bytes += pcc->bytes();
+  }
+  return u;
 }
 
 std::vector<MountNamespacePtr> Kernel::AllNamespaces() const {

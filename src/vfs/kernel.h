@@ -36,6 +36,17 @@ namespace dircache {
 class CacheGovernor;
 class Task;
 
+// The cache's accounted bytes (DESIGN.md §15): dentries at
+// DentryCache::kApproxDentryBytes each plus the readdir listings they hold
+// (§5.1), every namespace's DLHT, and every live PCC. The governor's budget
+// and Observe()'s memory section read this one measure.
+struct CacheUsage {
+  uint64_t dentry_bytes = 0;
+  uint64_t dlht_bytes = 0;
+  uint64_t pcc_bytes = 0;
+  uint64_t total() const { return dentry_bytes + dlht_bytes + pcc_bytes; }
+};
+
 struct KernelConfig {
   CacheConfig cache;
   // Seed for the signature hash key; 0 draws entropy at boot (§3.3).
@@ -68,6 +79,7 @@ class Kernel {
   // Safe to call concurrently with lookups; always includes the counter and
   // memory sections even when obs is disabled.
   obs::ObsSnapshot Observe() const;
+  CacheUsage MeasureCacheUsage() const;
 
   // The background sampler's time series alone (schema v2 `timeline`
   // section); `active == false` when obs or the sampler is off. Safe to

@@ -163,17 +163,19 @@ Result<const PathHandle*> Task::WalkBase(FdNum dirfd, std::string_view path) {
 }
 
 Result<FdNum> Task::InstallFile(std::unique_ptr<File> f) {
-  for (size_t i = 0; i < fds_.size(); ++i) {
-    if (fds_[i] == nullptr) {
-      fds_[i] = std::move(f);
-      return static_cast<FdNum>(i);
+  size_t fd = next_fd_;
+  while (fd < fds_.size() && fds_[fd] != nullptr) {
+    ++fd;
+  }
+  if (fd == fds_.size()) {
+    if (fds_.size() >= 4096) {
+      return Errno::kEMFILE;
     }
+    fds_.emplace_back();
   }
-  if (fds_.size() >= 4096) {
-    return Errno::kEMFILE;
-  }
-  fds_.push_back(std::move(f));
-  return static_cast<FdNum>(fds_.size() - 1);
+  fds_[fd] = std::move(f);
+  next_fd_ = fd + 1;
+  return static_cast<FdNum>(fd);
 }
 
 size_t Task::open_files() const {
@@ -715,6 +717,7 @@ Status Task::DoClose(FdNum fd) {
     return Errno::kEBADF;
   }
   fds_[static_cast<size_t>(fd)] = nullptr;
+  next_fd_ = std::min(next_fd_, static_cast<size_t>(fd));
   return Status::Ok();
 }
 
@@ -1374,8 +1377,7 @@ Result<uint64_t> Task::Lseek(FdNum fd, uint64_t offset) {
       (*file)->scan_from_zero = true;
       (*file)->scan_seeked = false;
       (*file)->scan_mode_decided = false;
-      (*file)->have_snapshot = false;
-      (*file)->snapshot.clear();
+      (*file)->listing.reset();
     } else {
       (*file)->scan_seeked = true;
     }
@@ -1419,36 +1421,11 @@ Result<std::vector<DirEntry>> Task::DoReadDir(FdNum fd, size_t max_entries) {
     if (dir->MarkReferenced()) {
       kernel_->stats().shared_writes.Add();
     }
-    if (!file->have_snapshot) {
-      // One pass over the cached children builds a snapshot this stream
-      // serves from (getdents snapshot semantics).
-      EpochDomain::ReadGuard eguard(EpochDomain::Global());
-      SpinGuard guard(dir->lock);
-      for (Dentry* child : dir->children) {
-        if (child->IsNegative() || child->TestFlags(kDentAlias) ||
-            child->IsDead()) {
-          continue;
-        }
-        DirEntry e;
-        e.name = child->name();
-        if (child->IsStub()) {
-          e.ino = child->stub_ino;
-          e.type = child->stub_type;
-        } else if (Inode* ci = child->inode()) {
-          e.ino = ci->ino();
-          e.type = ci->type();
-        } else {
-          continue;
-        }
-        file->snapshot.push_back(std::move(e));
-      }
-      file->have_snapshot = true;
+    if (!file->listing) {
+      file->listing = kernel_->dcache().PinListing(dir);
     }
-    uint64_t index = file->dir_offset;
-    while (index < file->snapshot.size() && out.size() < max_entries) {
-      out.push_back(file->snapshot[index++]);
-    }
-    file->dir_offset = index;
+    file->dir_offset =
+        file->listing->CopyOut(file->dir_offset, max_entries, &out);
     return out;
   }
 

@@ -37,15 +37,16 @@ class File {
   // readdir scan state (§5.1): a directory becomes DIR_COMPLETE only after
   // a full scan that started at offset 0, saw no lseek, and lost no child
   // to eviction meanwhile. dir_offset is the FS continuation cursor (FS
-  // mode) or an index into `snapshot` (cached mode).
+  // mode) or an index into `listing` (cached mode).
   uint64_t dir_offset = 0;
   bool scan_from_zero = true;
   bool scan_seeked = false;
   bool scan_mode_decided = false;
   bool scan_uses_cache = false;
   uint64_t scan_evict_gen = 0;
-  std::vector<DirEntry> snapshot;  // cached-mode listing
-  bool have_snapshot = false;
+  // Cached mode: the directory's listing as this stream's first getdents
+  // saw it, pinned until close or a rewind (getdents snapshot semantics).
+  DirListingRef listing;
 
  private:
   PathHandle path_;
@@ -227,7 +228,10 @@ class Task : public std::enable_shared_from_this<Task> {
   VirtualClock io_clock_;
   SyscallProfile* profiler_ = nullptr;
 
-  std::vector<std::shared_ptr<File>> fds_;
+  std::vector<std::unique_ptr<File>> fds_;
+  // Every descriptor below this one is open (Linux's files_struct::next_fd):
+  // InstallFile scans from here, and a close lowers it.
+  size_t next_fd_ = 0;
 };
 
 using TaskPtr = std::shared_ptr<Task>;

@@ -33,6 +33,22 @@ TEST_P(FileTableTest, FdNumbersAreReusedLowestFirst) {
   EXPECT_ERR(T().Close(*a), Errno::kEBADF);  // double close
 }
 
+TEST_P(FileTableTest, LowestFreeDescriptorAfterManyCloses) {
+  for (FdNum i = 0; i < 200; ++i) {
+    auto fd = T().Open("/many", kOCreat | kOWrite);
+    ASSERT_OK(fd);
+    ASSERT_EQ(*fd, i);
+  }
+  ASSERT_OK(T().Close(37));
+  ASSERT_OK(T().Close(5));
+  for (FdNum want : {5, 37, 200}) {
+    auto fd = T().Open("/many", kOWrite);
+    ASSERT_OK(fd);
+    EXPECT_EQ(*fd, want);
+  }
+  EXPECT_EQ(T().open_files(), 201u);
+}
+
 TEST_P(FileTableTest, IndependentOffsetsPerDescription) {
   auto w = T().Open("/data", kOCreat | kOWrite);
   ASSERT_OK(w);
