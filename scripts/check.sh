@@ -13,7 +13,9 @@
 #                               #   carry the concurrency label; dlht
 #                               #   selects every suite that reaches the
 #                               #   DLHT's split path; readdir every
-#                               #   suite that serves directory streams)
+#                               #   suite that serves directory streams;
+#                               #   storage every suite that drives
+#                               #   DiskFs's and MemFs's directory code)
 #   scripts/check.sh --asan     # + ASan+UBSan ctest over the obs
 #                               #   and server suites (span rings, the
 #                               #   flight recorder's by-value copies,

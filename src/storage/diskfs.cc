@@ -77,6 +77,33 @@ void StoreDirent(uint8_t* p, const RawDirent& d, std::string_view name) {
   }
 }
 
+// The record step of the dirent walk: each record of one directory block
+// from byte `pos` on, up to the first rec_len 0 (the never-written rest of
+// a block). `step(pos, record)` returns true to stop there, and so does
+// this.
+template <typename Step>
+bool ForEachRecord(const uint8_t* block, size_t pos, Step step) {
+  while (pos + kDirentHeaderLen <= kDirDataLen) {
+    RawDirent d;
+    LoadDirent(block + pos, &d);
+    if (d.rec_len == 0) {
+      break;
+    }
+    if (step(pos, d)) {
+      return true;
+    }
+    pos += d.rec_len;
+  }
+  return false;
+}
+
+// Whether the record at `rec` is live and named `name`.
+bool LiveRecordNamed(const uint8_t* rec, const RawDirent& d,
+                     std::string_view name) {
+  return d.ino != 0 && d.name_len == name.size() &&
+         std::memcmp(rec + kDirentHeaderLen, name.data(), name.size()) == 0;
+}
+
 uint64_t DivCeil(uint64_t a, uint64_t b) { return (a + b - 1) / b; }
 
 // Decode a linux_dirent64-style packed buffer back into DirEntry records —
@@ -381,10 +408,13 @@ Status DiskFs::FreeAllBlocks(RawInode& node) {
 // ---------------------------------------------------------------------------
 // Directory entries
 
-Result<InodeNum> DiskFs::DirFind(const RawInode& dir_node,
-                                 std::string_view name) {
-  uint64_t blocks = DivCeil(dir_node.size, kBlockSize);
-  for (uint64_t fb = 0; fb < blocks; ++fb) {
+template <typename RecordStep, typename BlockDone>
+Status DiskFs::WalkDirents(const RawInode& dir_node, uint64_t offset,
+                           bool verify, RecordStep record,
+                           BlockDone block_done) {
+  const uint64_t first = offset / kBlockSize;
+  const uint64_t blocks = DivCeil(dir_node.size, kBlockSize);
+  for (uint64_t fb = first; fb < blocks; ++fb) {
     auto bno = Bmap(dir_node, fb);
     if (!bno.ok()) {
       return bno.error();
@@ -396,124 +426,99 @@ Result<InodeNum> DiskFs::DirFind(const RawInode& dir_node,
     if (!buf.ok()) {
       return buf.error();
     }
-    const uint8_t* p = buf->data();
-    if (!VerifyDirTail(p)) {
+    if (verify && !VerifyDirTail(buf->data())) {
       return Errno::kEIO;
     }
-    size_t pos = 0;
-    while (pos + kDirentHeaderLen <= kDirDataLen) {
-      RawDirent d;
-      LoadDirent(p + pos, &d);
-      if (d.rec_len == 0) {
-        break;  // uninitialized tail
-      }
-      if (d.ino != 0 && d.name_len == name.size() &&
-          std::memcmp(p + pos + kDirentHeaderLen, name.data(),
-                      name.size()) == 0) {
-        return d.ino;
-      }
-      pos += d.rec_len;
+    const bool stop = ForEachRecord(
+        buf->data(), fb == first ? offset % kBlockSize : 0,
+        [&](size_t pos, const RawDirent& d) {
+          return record(fb, *buf, pos, d);
+        });
+    if (stop || block_done(fb, *buf)) {
+      break;
     }
   }
-  return Errno::kENOENT;
+  return Status::Ok();
 }
 
+Result<InodeNum> DiskFs::DirFind(const RawInode& dir_node,
+                                 std::string_view name) {
+  InodeNum found = 0;
+  DIRCACHE_RETURN_IF_ERROR(WalkDirents(
+      dir_node, 0, /*verify=*/true,
+      [&](uint64_t, BufferRef& buf, size_t pos, const RawDirent& d) {
+        if (!LiveRecordNamed(buf.data() + pos, d, name)) {
+          return false;
+        }
+        found = d.ino;
+        return true;
+      }));
+  if (found == 0) {
+    return Errno::kENOENT;
+  }
+  return found;
+}
+
+// DirInsert and DirRemove do not verify checksums: each runs after a
+// DirFind in the same mu_ section, which verified every block they scan,
+// and verifying again would add a CRC per directory block to every create.
 Status DiskFs::DirInsert(InodeNum dir_ino, RawInode& dir_node,
                          std::string_view name, InodeNum ino, FileType type) {
   const size_t need = DirentSpace(name.size());
-  uint64_t blocks = DivCeil(dir_node.size, kBlockSize);
-  for (uint64_t fb = 0; fb < blocks; ++fb) {
-    auto bno = Bmap(dir_node, fb);
-    if (!bno.ok()) {
-      return bno.error();
-    }
-    if (*bno == 0) {
-      continue;
-    }
-    auto buf = cache_->Get(*bno);
-    if (!buf.ok()) {
-      return buf.error();
-    }
-    uint8_t* p = buf->data();
-    size_t pos = 0;
-    while (pos + kDirentHeaderLen <= kDirDataLen) {
-      RawDirent d;
-      LoadDirent(p + pos, &d);
-      if (d.rec_len == 0) {
-        break;
-      }
-      size_t used = (d.ino == 0) ? 0 : DirentSpace(d.name_len);
-      size_t slack = d.rec_len - used;
-      if (slack >= need) {
-        size_t at = pos + used;
-        RawDirent fresh;
-        fresh.ino = ino;
-        fresh.name_len = static_cast<uint8_t>(name.size());
-        fresh.type = static_cast<uint8_t>(type);
-        fresh.rec_len = static_cast<uint16_t>(slack);
+  RawDirent fresh{ino, 0, static_cast<uint8_t>(name.size()),
+                  static_cast<uint8_t>(type)};
+  bool inserted = false;
+  DIRCACHE_RETURN_IF_ERROR(WalkDirents(
+      dir_node, 0, /*verify=*/false,
+      [&](uint64_t, BufferRef& buf, size_t pos, RawDirent d) {
+        size_t used = (d.ino == 0) ? 0 : DirentSpace(d.name_len);
+        size_t slack = d.rec_len - used;
+        if (slack < need) {
+          return false;
+        }
+        uint8_t* p = buf.data();
         if (used > 0) {
           // Shrink the live record, appending the new one in its slack.
           d.rec_len = static_cast<uint16_t>(used);
           StoreDirent(p + pos, d, {});
         }
-        StoreDirent(p + at, fresh, name);
+        fresh.rec_len = static_cast<uint16_t>(slack);
+        StoreDirent(p + pos + used, fresh, name);
         WriteDirTail(p);
-        buf->MarkDirty();
-        dir_node.mtime = dir_node.ctime = ++time_tick_;
-        return WriteInode(dir_ino, dir_node);
-      }
-      pos += d.rec_len;
+        buf.MarkDirty();
+        inserted = true;
+        return true;
+      }));
+  if (!inserted) {
+    // No room: append a new directory block holding one spanning record.
+    auto bno = BmapAlloc(dir_node, DivCeil(dir_node.size, kBlockSize));
+    if (!bno.ok()) {
+      return bno.error();
     }
+    auto buf = cache_->Get(*bno);
+    if (!buf.ok()) {
+      return buf.error();
+    }
+    fresh.rec_len = static_cast<uint16_t>(kDirDataLen);
+    StoreDirent(buf->data(), fresh, name);
+    WriteDirTail(buf->data());
+    buf->MarkDirty();
+    dir_node.size += kBlockSize;
   }
-  // No room: append a new directory block holding one spanning record.
-  uint64_t fb = blocks;
-  auto bno = BmapAlloc(dir_node, fb);
-  if (!bno.ok()) {
-    return bno.error();
-  }
-  auto buf = cache_->Get(*bno);
-  if (!buf.ok()) {
-    return buf.error();
-  }
-  RawDirent fresh;
-  fresh.ino = ino;
-  fresh.name_len = static_cast<uint8_t>(name.size());
-  fresh.type = static_cast<uint8_t>(type);
-  fresh.rec_len = static_cast<uint16_t>(kDirDataLen);
-  StoreDirent(buf->data(), fresh, name);
-  WriteDirTail(buf->data());
-  buf->MarkDirty();
-  dir_node.size += kBlockSize;
   dir_node.mtime = dir_node.ctime = ++time_tick_;
   return WriteInode(dir_ino, dir_node);
 }
 
 Status DiskFs::DirRemove(InodeNum dir_ino, RawInode& dir_node,
                          std::string_view name) {
-  uint64_t blocks = DivCeil(dir_node.size, kBlockSize);
-  for (uint64_t fb = 0; fb < blocks; ++fb) {
-    auto bno = Bmap(dir_node, fb);
-    if (!bno.ok()) {
-      return bno.error();
-    }
-    if (*bno == 0) {
-      continue;
-    }
-    auto buf = cache_->Get(*bno);
-    if (!buf.ok()) {
-      return buf.error();
-    }
-    uint8_t* p = buf->data();
-    size_t pos = 0;
-    while (pos + kDirentHeaderLen <= kDirDataLen) {
-      RawDirent d;
-      LoadDirent(p + pos, &d);
-      if (d.rec_len == 0) {
-        break;
-      }
-      if (d.ino != 0 && d.name_len == name.size() &&
-          std::memcmp(p + pos + kDirentHeaderLen, name.data(),
-                      name.size()) == 0) {
+  bool removed = false;
+  DIRCACHE_RETURN_IF_ERROR(WalkDirents(
+      dir_node, 0, /*verify=*/false,
+      [&](uint64_t, BufferRef& buf, size_t pos, RawDirent d) {
+        uint8_t* p = buf.data();
+        if (!LiveRecordNamed(p + pos, d, name)) {
+          return false;
+        }
         d.ino = 0;
         // Absorb a following free record to limit fragmentation.
         size_t next = pos + d.rec_len;
@@ -526,48 +531,26 @@ Status DiskFs::DirRemove(InodeNum dir_ino, RawInode& dir_node,
         }
         StoreDirent(p + pos, d, {});
         WriteDirTail(p);
-        buf->MarkDirty();
-        dir_node.mtime = dir_node.ctime = ++time_tick_;
-        return WriteInode(dir_ino, dir_node);
-      }
-      pos += d.rec_len;
-    }
+        buf.MarkDirty();
+        removed = true;
+        return true;
+      }));
+  if (!removed) {
+    return Errno::kENOENT;
   }
-  return Errno::kENOENT;
+  dir_node.mtime = dir_node.ctime = ++time_tick_;
+  return WriteInode(dir_ino, dir_node);
 }
 
 Result<bool> DiskFs::DirIsEmpty(const RawInode& dir_node) {
-  uint64_t blocks = DivCeil(dir_node.size, kBlockSize);
-  for (uint64_t fb = 0; fb < blocks; ++fb) {
-    auto bno = Bmap(dir_node, fb);
-    if (!bno.ok()) {
-      return bno.error();
-    }
-    if (*bno == 0) {
-      continue;
-    }
-    auto buf = cache_->Get(*bno);
-    if (!buf.ok()) {
-      return buf.error();
-    }
-    const uint8_t* p = buf->data();
-    if (!VerifyDirTail(p)) {
-      return Errno::kEIO;
-    }
-    size_t pos = 0;
-    while (pos + kDirentHeaderLen <= kDirDataLen) {
-      RawDirent d;
-      LoadDirent(p + pos, &d);
-      if (d.rec_len == 0) {
-        break;
-      }
-      if (d.ino != 0) {
-        return false;
-      }
-      pos += d.rec_len;
-    }
-  }
-  return true;
+  bool empty = true;
+  DIRCACHE_RETURN_IF_ERROR(WalkDirents(
+      dir_node, 0, /*verify=*/true,
+      [&](uint64_t, BufferRef&, size_t, const RawDirent& d) {
+        empty = d.ino == 0;
+        return !empty;
+      }));
+  return empty;
 }
 
 // ---------------------------------------------------------------------------
@@ -647,8 +630,8 @@ Result<InodeNum> DiskFs::Create(InodeNum dir, std::string_view name,
   if (static_cast<FileType>(dnode->type) != FileType::kDirectory) {
     return Errno::kENOTDIR;
   }
-  if (DirFind(*dnode, name).ok()) {
-    return Errno::kEEXIST;
+  if (auto found = DirFind(*dnode, name); found.error() != Errno::kENOENT) {
+    return found.ok() ? Errno::kEEXIST : found.error();
   }
   auto ino = AllocInode();
   if (!ino.ok()) {
@@ -732,8 +715,8 @@ Status DiskFs::Link(InodeNum dir, std::string_view name, InodeNum target) {
   if (static_cast<FileType>(tnode->type) == FileType::kDirectory) {
     return Errno::kEPERM;  // no hard links to directories
   }
-  if (DirFind(*dnode, name).ok()) {
-    return Errno::kEEXIST;
+  if (auto found = DirFind(*dnode, name); found.error() != Errno::kENOENT) {
+    return found.ok() ? Errno::kEEXIST : found.error();
   }
   DIRCACHE_RETURN_IF_ERROR(DirInsert(dir, *dnode, name, target,
                                      static_cast<FileType>(tnode->type)));
@@ -789,8 +772,39 @@ Status DiskFs::DropInodeRef(InodeNum ino, RawInode& node) {
   return WriteInode(ino, node);
 }
 
-Status DiskFs::DoUnlink(InodeNum dir, std::string_view name, bool must_be_dir,
-                        bool must_not_be_dir) {
+Status DiskFs::RemoveEntry(InodeNum dir, RawInode& dnode,
+                           std::string_view name, InodeNum ino,
+                           bool want_dir) {
+  auto node = ReadInode(ino);
+  if (!node.ok()) {
+    return node.error();
+  }
+  const bool is_dir = static_cast<FileType>(node->type) == FileType::kDirectory;
+  if (is_dir != want_dir) {
+    return is_dir ? Errno::kEISDIR : Errno::kENOTDIR;
+  }
+  if (is_dir) {
+    auto empty = DirIsEmpty(*node);
+    if (!empty.ok()) {
+      return empty.error();
+    }
+    if (!*empty) {
+      return Errno::kENOTEMPTY;
+    }
+  }
+  // Buffer everything the free path needs BEFORE removing the entry: past
+  // that point a transient read error would orphan the inode.
+  DIRCACHE_RETURN_IF_ERROR(PrefetchFreePath(ino, *node));
+  DIRCACHE_RETURN_IF_ERROR(DirRemove(dir, dnode, name));
+  if (is_dir) {
+    node->nlink = 0;  // a removed directory dies
+    --dnode.nlink;
+    DIRCACHE_RETURN_IF_ERROR(WriteInode(dir, dnode));
+  }
+  return DropInodeRef(ino, *node);
+}
+
+Status DiskFs::DoUnlink(InodeNum dir, std::string_view name, bool rmdir) {
   std::lock_guard<std::mutex> lock(mu_);
   auto dnode = ReadInode(dir);
   if (!dnode.ok()) {
@@ -803,44 +817,15 @@ Status DiskFs::DoUnlink(InodeNum dir, std::string_view name, bool must_be_dir,
   if (!target.ok()) {
     return target.error();
   }
-  auto tnode = ReadInode(*target);
-  if (!tnode.ok()) {
-    return tnode.error();
-  }
-  bool is_dir = static_cast<FileType>(tnode->type) == FileType::kDirectory;
-  if (must_be_dir && !is_dir) {
-    return Errno::kENOTDIR;
-  }
-  if (must_not_be_dir && is_dir) {
-    return Errno::kEISDIR;
-  }
-  if (is_dir) {
-    auto empty = DirIsEmpty(*tnode);
-    if (!empty.ok()) {
-      return empty.error();
-    }
-    if (!*empty) {
-      return Errno::kENOTEMPTY;
-    }
-  }
-  // Buffer everything the free path needs BEFORE removing the entry: past
-  // that point a transient read error would orphan the inode.
-  DIRCACHE_RETURN_IF_ERROR(PrefetchFreePath(*target, *tnode));
-  DIRCACHE_RETURN_IF_ERROR(DirRemove(dir, *dnode, name));
-  if (is_dir) {
-    tnode->nlink = 0;  // directories die on rmdir
-    --dnode->nlink;
-    DIRCACHE_RETURN_IF_ERROR(WriteInode(dir, *dnode));
-  }
-  return DropInodeRef(*target, *tnode);
+  return RemoveEntry(dir, *dnode, name, *target, rmdir);
 }
 
 Status DiskFs::Unlink(InodeNum dir, std::string_view name) {
-  return DoUnlink(dir, name, /*must_be_dir=*/false, /*must_not_be_dir=*/true);
+  return DoUnlink(dir, name, /*rmdir=*/false);
 }
 
 Status DiskFs::Rmdir(InodeNum dir, std::string_view name) {
-  return DoUnlink(dir, name, /*must_be_dir=*/true, /*must_not_be_dir=*/false);
+  return DoUnlink(dir, name, /*rmdir=*/true);
 }
 
 Status DiskFs::Rename(InodeNum old_dir, std::string_view old_name,
@@ -877,36 +862,9 @@ Status DiskFs::Rename(InodeNum old_dir, std::string_view old_name,
     if (*existing == *moved) {
       return Status::Ok();  // hard links to the same inode: no-op
     }
-    auto enode = ReadInode(*existing);
-    if (!enode.ok()) {
-      return enode.error();
-    }
-    bool existing_is_dir =
-        static_cast<FileType>(enode->type) == FileType::kDirectory;
-    if (moved_is_dir && !existing_is_dir) {
-      return Errno::kENOTDIR;
-    }
-    if (!moved_is_dir && existing_is_dir) {
-      return Errno::kEISDIR;
-    }
-    if (existing_is_dir) {
-      auto empty = DirIsEmpty(*enode);
-      if (!empty.ok()) {
-        return empty.error();
-      }
-      if (!*empty) {
-        return Errno::kENOTEMPTY;
-      }
-      enode->nlink = 0;
-      --ndnode->nlink;
-    }
-    DIRCACHE_RETURN_IF_ERROR(PrefetchFreePath(*existing, *enode));
-    DIRCACHE_RETURN_IF_ERROR(DirRemove(new_dir, *ndnode, new_name));
-    DIRCACHE_RETURN_IF_ERROR(DropInodeRef(*existing, *enode));
-  }
-
-  // Re-read directory inodes: DirRemove/DropInodeRef may have updated them.
-  if (existing.ok()) {
+    DIRCACHE_RETURN_IF_ERROR(
+        RemoveEntry(new_dir, *ndnode, new_name, *existing, moved_is_dir));
+    // Re-read directory inodes: the removal updated them.
     ndnode = ReadInode(new_dir);
     if (!ndnode.ok()) {
       return ndnode.error();
@@ -914,6 +872,8 @@ Status DiskFs::Rename(InodeNum old_dir, std::string_view old_name,
     if (new_dir == old_dir) {
       odnode = ndnode;
     }
+  } else if (existing.error() != Errno::kENOENT) {
+    return existing.error();
   }
 
   // Like journalless ext2, a device failure between the remove below and
@@ -992,100 +952,72 @@ Result<ReadDirResult> DiskFs::ReadDir(InodeNum dir, uint64_t offset,
   size_t result_count = 0;
   result.eof = true;
   const bool htree = dnode->size > kBlockSize;
-  uint64_t blocks = DivCeil(dnode->size, kBlockSize);
   result.next_offset = dnode->size;
 
-  auto pack_entry = [&](uint64_t ino, uint8_t type, const uint8_t* name,
-                        uint8_t name_len, uint64_t next_off) {
-    size_t rec = Align8(19 + name_len + 1);
+  // Pack one live record (`rec`, its header `d`) into the page, or end the
+  // walk at it once the page is full: `at` resumes the scan at this record,
+  // `after` past it.
+  auto emit = [&](const RawDirent& d, const uint8_t* rec, uint64_t at,
+                  uint64_t after) {
+    if (result_count >= max_entries) {
+      result.eof = false;
+      result.next_offset = at;
+      return true;
+    }
+    size_t len = Align8(19 + d.name_len + 1);
     size_t base = packed.size();
-    packed.resize(base + rec);
+    packed.resize(base + len);
     uint8_t* out = packed.data() + base;
-    std::memcpy(out, &ino, 8);         // d_ino
-    std::memcpy(out + 8, &next_off, 8);  // d_off
-    uint16_t reclen16 = static_cast<uint16_t>(rec);
+    std::memcpy(out, &d.ino, 8);     // d_ino
+    std::memcpy(out + 8, &after, 8);  // d_off
+    uint16_t reclen16 = static_cast<uint16_t>(len);
     std::memcpy(out + 16, &reclen16, 2);
-    out[18] = type;  // d_type
-    std::memcpy(out + 19, name, name_len);
-    out[19 + name_len] = '\0';
+    out[18] = d.type;  // d_type
+    std::memcpy(out + 19, rec + kDirentHeaderLen, d.name_len);
+    out[19 + d.name_len] = '\0';
     ++result_count;
+    return false;
   };
-
-  for (uint64_t fb = offset / kBlockSize; fb < blocks; ++fb) {
-    auto bno = Bmap(*dnode, fb);
-    if (!bno.ok()) {
-      return bno.error();
-    }
-    uint64_t cursor = (fb == offset / kBlockSize) ? offset % kBlockSize : 0;
-    if (*bno == 0) {
-      continue;
-    }
-    auto buf = cache_->Get(*bno);
-    if (!buf.ok()) {
-      return buf.error();
-    }
-    const uint8_t* p = buf->data();
-    // metadata_csum: verify the block before emitting anything from it.
-    if (!VerifyDirTail(p)) {
-      return Errno::kEIO;
-    }
-    if (htree) {
-      // Collect this leaf's live records into the hash-ordered tree.
-      std::multimap<uint64_t, size_t> ordered;  // name hash -> record pos
-      size_t pos = 0;
-      while (pos + kDirentHeaderLen <= kDirDataLen) {
-        RawDirent d;
-        LoadDirent(p + pos, &d);
-        if (d.rec_len == 0) {
-          break;
+  std::multimap<uint64_t, size_t> ordered;  // htree leaf: name hash -> pos
+  DIRCACHE_RETURN_IF_ERROR(WalkDirents(
+      *dnode, htree ? offset - offset % kBlockSize : offset,
+      /*verify=*/true,
+      [&](uint64_t fb, BufferRef& buf, size_t pos, const RawDirent& d) {
+        const uint8_t* rec = buf.data() + pos;
+        if (d.ino == 0) {
+          return false;
         }
-        if (d.ino != 0) {
-          uint64_t h = HashBytes64(
-              0x5d1e, std::string_view(reinterpret_cast<const char*>(
-                                           p + pos + kDirentHeaderLen),
-                                       d.name_len));
-          ordered.emplace(h, pos);
+        if (!htree) {
+          const uint64_t at = fb * kBlockSize + pos;
+          return emit(d, rec, at, at + d.rec_len);
         }
-        pos += d.rec_len;
-      }
-      uint64_t index = 0;
-      for (const auto& [h, rpos] : ordered) {
-        if (index++ < cursor) {
-          continue;  // resume within the block
-        }
-        if (result_count >= max_entries) {
-          result.eof = false;
-          result.next_offset = fb * kBlockSize + (index - 1);
-          FillFromPacked(packed, &result.entries);
-          return result;
-        }
-        RawDirent d;
-        LoadDirent(p + rpos, &d);
-        pack_entry(d.ino, d.type, p + rpos + kDirentHeaderLen, d.name_len,
-                   fb * kBlockSize + index);
-      }
-    } else {
-      size_t pos = static_cast<size_t>(cursor);
-      while (pos + kDirentHeaderLen <= kDirDataLen) {
-        RawDirent d;
-        LoadDirent(p + pos, &d);
-        if (d.rec_len == 0) {
-          break;
-        }
-        if (d.ino != 0) {
-          if (result_count >= max_entries) {
-            result.eof = false;
-            result.next_offset = fb * kBlockSize + pos;
-            FillFromPacked(packed, &result.entries);
-            return result;
+        ordered.emplace(
+            HashBytes64(0x5d1e, std::string_view(reinterpret_cast<const char*>(
+                                                     rec + kDirentHeaderLen),
+                                                 d.name_len)),
+            pos);
+        return false;
+      },
+      [&](uint64_t fb, BufferRef& buf) {
+        // An htree leaf comes out in hash order, the offset's block from
+        // the offset's entry index on.
+        const uint64_t cursor =
+            fb == offset / kBlockSize ? offset % kBlockSize : 0;
+        uint64_t index = 0;
+        for (const auto& [h, pos] : ordered) {
+          const uint64_t at = fb * kBlockSize + index;
+          if (index++ < cursor) {
+            continue;
           }
-          pack_entry(d.ino, d.type, p + pos + kDirentHeaderLen, d.name_len,
-                     fb * kBlockSize + pos + d.rec_len);
+          RawDirent d;
+          LoadDirent(buf.data() + pos, &d);
+          if (emit(d, buf.data() + pos, at, at + 1)) {
+            return true;
+          }
         }
-        pos += d.rec_len;
-      }
-    }
-  }
+        ordered.clear();
+        return false;
+      }));
   FillFromPacked(packed, &result.entries);
   return result;
 }
@@ -1249,50 +1181,43 @@ void DiskFs::Fsck(FsckReport* out) {
              " of dir " + std::to_string(dir));
         continue;
       }
-      size_t pos = 0;
-      while (pos + kDirentHeaderLen <= kDirDataLen) {
-        RawDirent d;
-        LoadDirent(p + pos, &d);
-        if (d.rec_len == 0) {
-          break;
-        }
+      ForEachRecord(p, 0, [&](size_t pos, const RawDirent& d) {
         if ((d.rec_len & 7) != 0 || pos + d.rec_len > kDirDataLen) {
           fail("malformed dirent record in dir " + std::to_string(dir));
-          break;
+          return true;
         }
-        if (d.ino != 0) {
-          std::string name(reinterpret_cast<const char*>(p + pos +
-                                                         kDirentHeaderLen),
-                           d.name_len);
-          if (names[name]) {
-            fail("duplicate name '" + name + "' in dir " +
-                 std::to_string(dir));
-          }
-          names[name] = true;
-          if (d.ino >= options_.max_inodes || !inode_bit(d.ino)) {
-            fail("entry '" + name + "' references unallocated inode " +
-                 std::to_string(d.ino));
-          } else {
-            auto child = ReadInode(d.ino);
-            if (!child.ok()) {
-              fail("entry '" + name + "' references dead inode " +
-                   std::to_string(d.ino));
-            } else {
-              if (child->type != d.type) {
-                fail("entry '" + name + "' type mismatch with inode " +
-                     std::to_string(d.ino));
-              }
-              name_refs[d.ino] += 1;
-              if (static_cast<FileType>(child->type) ==
-                  FileType::kDirectory) {
-                subdirs[dir] += 1;
-                queue.push_back(d.ino);
-              }
-            }
-          }
+        if (d.ino == 0) {
+          return false;
         }
-        pos += d.rec_len;
-      }
+        std::string name(
+            reinterpret_cast<const char*>(p + pos + kDirentHeaderLen),
+            d.name_len);
+        if (names[name]) {
+          fail("duplicate name '" + name + "' in dir " + std::to_string(dir));
+        }
+        names[name] = true;
+        if (d.ino >= options_.max_inodes || !inode_bit(d.ino)) {
+          fail("entry '" + name + "' references unallocated inode " +
+               std::to_string(d.ino));
+          return false;
+        }
+        auto child = ReadInode(d.ino);
+        if (!child.ok()) {
+          fail("entry '" + name + "' references dead inode " +
+               std::to_string(d.ino));
+          return false;
+        }
+        if (child->type != d.type) {
+          fail("entry '" + name + "' type mismatch with inode " +
+               std::to_string(d.ino));
+        }
+        name_refs[d.ino] += 1;
+        if (static_cast<FileType>(child->type) == FileType::kDirectory) {
+          subdirs[dir] += 1;
+          queue.push_back(d.ino);
+        }
+        return false;
+      });
     }
   }
 

@@ -109,6 +109,20 @@ class DiskFs final : public FileSystem {
   Result<uint64_t> BmapAlloc(RawInode& node, uint64_t file_block);
   Status FreeAllBlocks(RawInode& node);
 
+  // The one walk over a directory's dirent records (caller holds mu_).
+  // The block step maps and reads each block from file block
+  // offset / kBlockSize on and, when `verify`, checks its checksum tail;
+  // the record step hands each of its records (the first block's from byte
+  // offset % kBlockSize) to `record(fb, buf, pos, rec)`; then
+  // `block_done(fb, buf)` runs. Either ends the walk by returning true.
+  // Returns the first map, read or checksum (EIO) error.
+  struct NoBlockDone {
+    bool operator()(uint64_t, BufferRef&) const { return false; }
+  };
+  template <typename RecordStep, typename BlockDone = NoBlockDone>
+  Status WalkDirents(const RawInode& dir_node, uint64_t offset, bool verify,
+                     RecordStep record, BlockDone block_done = {});
+
   // Directory entry manipulation (caller holds mu_).
   Result<InodeNum> DirFind(const RawInode& dir_node, std::string_view name);
   Status DirInsert(InodeNum dir_ino, RawInode& dir_node,
@@ -117,8 +131,14 @@ class DiskFs final : public FileSystem {
                    std::string_view name);
   Result<bool> DirIsEmpty(const RawInode& dir_node);
 
-  Status DoUnlink(InodeNum dir, std::string_view name, bool must_be_dir,
-                  bool must_not_be_dir);
+  Status DoUnlink(InodeNum dir, std::string_view name, bool rmdir);
+  // Remove the entry `name` of `dir` (read into `dnode`), which names
+  // `ino`, for unlink, rmdir and rename's replaced target: EISDIR or
+  // ENOTDIR unless `ino` is a directory exactly when `want_dir`, ENOTEMPTY
+  // for a directory with entries; then the dirent, a directory's link in
+  // its parent (a second inode write), and the inode's own link.
+  Status RemoveEntry(InodeNum dir, RawInode& dnode, std::string_view name,
+                     InodeNum ino, bool want_dir);
   Status DropInodeRef(InodeNum ino, RawInode& node);
   // Touch every metadata block DropInodeRef(ino) will need, so the free
   // path after the point of no return (the dirent removal) only hits

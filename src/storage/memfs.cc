@@ -154,6 +154,28 @@ Status MemFs::Link(InodeNum dir, std::string_view name, InodeNum target) {
   return Status::Ok();
 }
 
+Status MemFs::RemoveEntry(Node* dir, Children::iterator it, bool want_dir) {
+  auto node = Find(it->second);
+  if (!node.ok()) {
+    return node.error();
+  }
+  const bool is_dir = (*node)->attr.type == FileType::kDirectory;
+  if (is_dir != want_dir) {
+    return is_dir ? Errno::kEISDIR : Errno::kENOTDIR;
+  }
+  if (is_dir) {
+    if (!(*node)->children.empty()) {
+      return Errno::kENOTEMPTY;
+    }
+    --dir->attr.nlink;
+    nodes_.erase(it->second);
+  } else if (--(*node)->attr.nlink == 0) {
+    nodes_.erase(it->second);
+  }
+  dir->children.erase(it);
+  return Status::Ok();
+}
+
 Status MemFs::RemoveName(InodeNum dir, std::string_view name,
                          bool dir_expected) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -165,29 +187,7 @@ Status MemFs::RemoveName(InodeNum dir, std::string_view name,
   if (it == (*dnode)->children.end()) {
     return Errno::kENOENT;
   }
-  auto tnode = Find(it->second);
-  if (!tnode.ok()) {
-    return tnode.error();
-  }
-  bool is_dir = (*tnode)->attr.type == FileType::kDirectory;
-  if (dir_expected && !is_dir) {
-    return Errno::kENOTDIR;
-  }
-  if (!dir_expected && is_dir) {
-    return Errno::kEISDIR;
-  }
-  if (is_dir) {
-    if (!(*tnode)->children.empty()) {
-      return Errno::kENOTEMPTY;
-    }
-    --(*dnode)->attr.nlink;
-    nodes_.erase(it->second);
-  } else {
-    if (--(*tnode)->attr.nlink == 0) {
-      nodes_.erase(it->second);
-    }
-  }
-  (*dnode)->children.erase(it);
+  DIRCACHE_RETURN_IF_ERROR(RemoveEntry(*dnode, it, dir_expected));
   (*dnode)->attr.mtime = ++time_tick_;
   return Status::Ok();
 }
@@ -227,27 +227,7 @@ Status MemFs::Rename(InodeNum old_dir, std::string_view old_name,
     if (nit->second == moved) {
       return Status::Ok();
     }
-    auto enode = Find(nit->second);
-    if (!enode.ok()) {
-      return enode.error();
-    }
-    bool existing_is_dir = (*enode)->attr.type == FileType::kDirectory;
-    if (moved_is_dir && !existing_is_dir) {
-      return Errno::kENOTDIR;
-    }
-    if (!moved_is_dir && existing_is_dir) {
-      return Errno::kEISDIR;
-    }
-    if (existing_is_dir) {
-      if (!(*enode)->children.empty()) {
-        return Errno::kENOTEMPTY;
-      }
-      --(*ndnode)->attr.nlink;
-      nodes_.erase(nit->second);
-    } else if (--(*enode)->attr.nlink == 0) {
-      nodes_.erase(nit->second);
-    }
-    (*ndnode)->children.erase(nit);
+    DIRCACHE_RETURN_IF_ERROR(RemoveEntry(*ndnode, nit, moved_is_dir));
   }
 
   (*odnode)->children.erase(oit);

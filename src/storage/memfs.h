@@ -58,15 +58,22 @@ class MemFs final : public FileSystem {
   static constexpr InodeNum kRootIno = 1;
 
  private:
+  using Children = std::map<std::string, InodeNum, std::less<>>;
   struct Node {
     InodeAttr attr;
-    std::map<std::string, InodeNum, std::less<>> children;  // dirs only
-    std::string data;  // file contents or symlink target
+    Children children;  // dirs only
+    std::string data;   // file contents or symlink target
   };
 
   Result<Node*> Find(InodeNum ino);
   Result<Node*> FindDir(InodeNum ino);
   Status RemoveName(InodeNum dir, std::string_view name, bool dir_expected);
+  // Drop the entry `it` of `dir` for unlink, rmdir and rename's replaced
+  // target: EISDIR or ENOTDIR unless it names a directory exactly when
+  // `want_dir`, ENOTEMPTY for a directory with children; then the parent's
+  // link for a directory, the node's own link, and the name (caller holds
+  // mu_).
+  Status RemoveEntry(Node* dir, Children::iterator it, bool want_dir);
 
   const Options options_;
   mutable std::mutex mu_;

@@ -251,8 +251,7 @@ class Task::LockedParent {
   }
 
   // Linux's may_create(): a writable mount (mnt_want_write(), reported
-  // first), then write and search permission on the parent. Removing a
-  // name asks the same of the parent.
+  // first), then write and search permission on the parent.
   Status MayWrite() const {
     if (mnt()->flags.read_only) {
       return Errno::kEROFS;
@@ -318,6 +317,36 @@ class Task::LockedParent {
   std::unique_lock<std::shared_mutex> tree_;
   std::optional<EpochDomain::ReadGuard> guard_;
 };
+
+// Linux's may_delete(), for unlink's and rmdir's victim and for rename's
+// source and replaced target, in its order: a negative victim (ENOENT,
+// ENOTDIR), write and search permission on the parent, the sticky bit
+// (only root, the victim's owner or the parent's owner may remove it), the
+// victim's type against `isdir`, then a busy mountpoint (EBUSY, which
+// vfs_unlink(), vfs_rmdir() and vfs_rename() report). The victim came from
+// LookupOrInstantiate, so a positive one has its inode.
+Status Task::MayDelete(VfsMount* mnt, Dentry* dir, Dentry* victim,
+                       bool isdir) {
+  if (victim->IsNegative()) {
+    return victim->TestFlags(kDentEnotdir) ? Errno::kENOTDIR : Errno::kENOENT;
+  }
+  Inode* dir_inode = dir->inode();
+  Inode* inode = victim->inode();
+  DIRCACHE_RETURN_IF_ERROR(kernel_->security().Permission(
+      *cred_, *dir_inode, kMayWrite | kMayExec, dir));
+  if ((dir_inode->mode() & kModeSticky) != 0 && cred_->uid() != kRootUid &&
+      cred_->uid() != inode->uid() && cred_->uid() != dir_inode->uid()) {
+    return Errno::kEPERM;
+  }
+  if (inode->IsDir() != isdir) {
+    return isdir ? Errno::kENOTDIR : Errno::kEISDIR;
+  }
+  if (victim->TestFlags(kDentMountpoint) &&
+      ns_->MountAt(mnt, victim) != nullptr) {
+    return Errno::kEBUSY;
+  }
+  return Status::Ok();
+}
 
 void Task::CacheRemovedName(Dentry* dir, std::string_view name) {
   if (!kernel_->config().negative_on_unlink) {
@@ -917,8 +946,7 @@ Status Task::DoUnlink(FdNum dirfd, std::string_view path, bool rmdir) {
   LockedParent parent(this, *base, path);
   DIRCACHE_RETURN_IF_ERROR(parent.status());
   // Linux's do_unlinkat() order: search permission on the parent, the
-  // read-only mount (mnt_want_write()), the lookup, then may_delete()'s
-  // write permission.
+  // read-only mount (mnt_want_write()), the lookup, then may_delete().
   DIRCACHE_RETURN_IF_ERROR(parent.MaySearch());
   if (parent.mnt()->flags.read_only) {
     return Errno::kEROFS;
@@ -929,73 +957,27 @@ Status Task::DoUnlink(FdNum dirfd, std::string_view path, bool rmdir) {
   if (!child.ok()) {
     return child.error();
   }
-  Dentry* victim = *child;
-  if (victim->IsNegative()) {
-    Errno e =
-        victim->TestFlags(kDentEnotdir) ? Errno::kENOTDIR : Errno::kENOENT;
-    kernel_->dcache().Dput(victim);
-    return e;
-  }
-  Status may = parent.MayWrite();
-  if (!may.ok()) {
-    kernel_->dcache().Dput(victim);
-    return may;
-  }
-  if (victim->IsStub()) {
-    // Materialize so type checks work; easiest through a real resolve.
-    kernel_->dcache().Dput(victim);
-    parent.tree().unlock();
-    auto full = PathWalker(kernel_).Resolve(*this, *base, path, 0);
-    if (!full.ok()) {
-      return full.error();
-    }
-    parent.tree().lock();
-    victim = full->dentry();
-    victim->DgetHeld();
-  }
-  Inode* victim_inode = victim->inode();
-  auto put_victim = [&] { kernel_->dcache().Dput(victim); };
-  if (rmdir && !victim_inode->IsDir()) {
-    put_victim();
-    return Errno::kENOTDIR;
-  }
-  if (!rmdir && victim_inode->IsDir()) {
-    put_victim();
-    return Errno::kEISDIR;
-  }
-  if (victim->TestFlags(kDentMountpoint) &&
-      ns_->MountAt(parent.mnt(), victim) != nullptr) {
-    put_victim();
-    return Errno::kEBUSY;
-  }
-  // Sticky directory: only the owner of the entry/directory (or root) may
-  // remove.
-  if ((dir_inode->mode() & kModeSticky) != 0 && cred_->uid() != kRootUid &&
-      cred_->uid() != victim_inode->uid() &&
-      cred_->uid() != dir_inode->uid()) {
-    put_victim();
-    return Errno::kEPERM;
-  }
+  PathHandle victim = PathHandle::Adopt(parent.mnt(), *child);
+  DIRCACHE_RETURN_IF_ERROR(
+      MayDelete(parent.mnt(), dir, victim.dentry(), rmdir));
 
   JournalSpan span(kernel_->obs(), obs::JournalEvent::kUnlink);
   span.SetArgs(rmdir ? 1 : 0);
   // §3.2: invalidate before the structure changes.
   if (kernel_->config().fastpath) {
-    kernel_->dcache().InvalidateSubtree(victim);
+    kernel_->dcache().InvalidateSubtree(victim.dentry());
   }
-  Status st = rmdir ? parent.fs()->Rmdir(dir_inode->ino(), parent.last())
-                    : parent.fs()->Unlink(dir_inode->ino(), parent.last());
-  if (!st.ok()) {
-    put_victim();
-    return st;
-  }
+  DIRCACHE_RETURN_IF_ERROR(
+      rmdir ? parent.fs()->Rmdir(dir_inode->ino(), parent.last())
+            : parent.fs()->Unlink(dir_inode->ino(), parent.last()));
+  Inode* victim_inode = victim.inode();
   victim_inode->set_nlink(victim_inode->nlink() > 0
                               ? victim_inode->nlink() - 1
                               : 0);
   RefreshDirInode(dir_inode);
   dir_inode->set_mtime(dir_inode->mtime() + 1);
-  KillTree(kernel_->dcache(), victim);
-  put_victim();
+  KillTree(kernel_->dcache(), victim.dentry());
+  victim.Reset();
   CacheRemovedName(dir, parent.last());
   return Status::Ok();
 }
@@ -1038,11 +1020,16 @@ Status Task::DoRename(FdNum olddirfd, std::string_view oldpath,
   if (!newp.ok()) {
     return newp.error();
   }
-  if (oldp->dentry()->sb() != newp->dentry()->sb()) {
-    return Errno::kEXDEV;
+  // Linux's do_renameat2() and vfs_rename() order (DESIGN.md §12).
+  Dentry* old_dir = oldp->dentry();
+  Dentry* new_dir = newp->dentry();
+  for (Dentry* dirp : {old_dir, new_dir}) {
+    EpochDomain::ReadGuard guard(EpochDomain::Global());
+    DIRCACHE_RETURN_IF_ERROR(kernel_->security().Permission(
+        *cred_, *dirp->inode(), kMayExec, dirp));
   }
-  if (oldp->mnt() != newp->mnt()) {
-    return Errno::kEXDEV;  // across bind mounts, like Linux
+  if (old_dir->sb() != new_dir->sb() || oldp->mnt() != newp->mnt()) {
+    return Errno::kEXDEV;  // across bind mounts too, like Linux
   }
   if (oldp->mnt()->flags.read_only) {
     return Errno::kEROFS;
@@ -1051,89 +1038,52 @@ Status Task::DoRename(FdNum olddirfd, std::string_view oldpath,
   JournalSpan rename_span(kernel_->obs(), obs::JournalEvent::kRename);
   std::unique_lock<std::shared_mutex> tree(kernel_->tree_lock());
   EpochDomain::ReadGuard guard(EpochDomain::Global());
-  Dentry* old_dir = oldp->dentry();
-  Dentry* new_dir = newp->dentry();
   if (old_dir->IsDead() || new_dir->IsDead()) {
     return Errno::kESTALE;
   }
-  for (Dentry* dirp : {old_dir, new_dir}) {
-    Status perm = kernel_->security().Permission(
-        *cred_, *dirp->inode(), kMayWrite | kMayExec, dirp);
-    if (!perm.ok()) {
-      return perm.error();
-    }
-  }
-
   auto moved = PathWalker::LookupOrInstantiate(*this, old_dir, old_last);
   if (!moved.ok()) {
     return moved.error();
   }
-  Dentry* src = *moved;
-  auto put_src = [&] { kernel_->dcache().Dput(src); };
-  if (src->IsNegative()) {
-    put_src();
+  PathHandle src = PathHandle::Adopt(oldp->mnt(), *moved);
+  if (src.dentry()->IsNegative()) {
     return Errno::kENOENT;
   }
-  // Sticky source directory: only the entry's or directory's owner (or
-  // root) may move the entry out.
-  if ((old_dir->inode()->mode() & kModeSticky) != 0 &&
-      cred_->uid() != kRootUid && src->inode() != nullptr &&
-      cred_->uid() != src->inode()->uid() &&
-      cred_->uid() != old_dir->inode()->uid()) {
-    put_src();
-    return Errno::kEPERM;
-  }
-  if (src->IsStub()) {
-    put_src();
-    return Errno::kEBUSY;  // extremely rare; retry resolves it
-  }
-  // Moving a directory into its own subtree is forbidden.
-  if (src->inode()->IsDir()) {
-    for (Dentry* a = new_dir; a != nullptr; a = a->parent()) {
-      if (a == src) {
-        put_src();
+  Inode* src_inode = src.inode();
+  const bool isdir = src_inode->IsDir();
+  if (isdir) {
+    // Moving a directory into its own subtree is forbidden.
+    for (Dentry* a = new_dir; a != nullptr && a->parent() != a;
+         a = a->parent()) {
+      if (a == src.dentry()) {
         return Errno::kEINVAL;
       }
-      if (a->parent() == a) {
-        break;
-      }
     }
   }
-
-  Dentry* target = nullptr;
-  {
-    auto existing =
-        PathWalker::LookupOrInstantiate(*this, new_dir, new_last);
-    if (existing.ok()) {
-      if ((*existing)->IsNegative()) {
-        kernel_->dcache().Dput(*existing);
-      } else {
-        target = *existing;
-      }
-    } else if (existing.error() != Errno::kENOENT) {
-      put_src();
-      return existing.error();
+  auto existing = PathWalker::LookupOrInstantiate(*this, new_dir, new_last);
+  if (!existing.ok() && existing.error() != Errno::kENOENT) {
+    return existing.error();
+  }
+  PathHandle target;
+  if (existing.ok()) {
+    target = PathHandle::Adopt(newp->mnt(), *existing);
+    if (target.dentry()->IsNegative()) {
+      target.Reset();
     }
   }
-  if (target == src) {
-    kernel_->dcache().Dput(target);
-    put_src();
-    return Status::Ok();  // same entry: POSIX no-op
+  if (target && target.inode() == src_inode) {
+    return Status::Ok();  // two names of one inode: nothing changes
   }
-  // Busy mountpoints may be neither moved nor replaced (POSIX EBUSY).
-  if (src->TestFlags(kDentMountpoint) &&
-      ns_->MountAt(oldp->mnt(), src) != nullptr) {
-    if (target != nullptr) {
-      kernel_->dcache().Dput(target);
-    }
-    put_src();
-    return Errno::kEBUSY;
-  }
-  if (target != nullptr && target->TestFlags(kDentMountpoint) &&
-      ns_->MountAt(newp->mnt(), target) != nullptr) {
-    kernel_->dcache().Dput(target);
-    put_src();
-    return Errno::kEBUSY;
+  DIRCACHE_RETURN_IF_ERROR(
+      MayDelete(oldp->mnt(), old_dir, src.dentry(), isdir));
+  DIRCACHE_RETURN_IF_ERROR(
+      target ? MayDelete(newp->mnt(), new_dir, target.dentry(), isdir)
+             : kernel_->security().Permission(*cred_, *new_dir->inode(),
+                                              kMayWrite | kMayExec, new_dir));
+  if (isdir && new_dir != old_dir) {
+    // The move rewrites the directory's "..".
+    DIRCACHE_RETURN_IF_ERROR(kernel_->security().Permission(
+        *cred_, *src_inode, kMayWrite, src.dentry()));
   }
 
   // §3.2, minimal critical section: the coherence section opens BEFORE the
@@ -1154,15 +1104,15 @@ Status Task::DoRename(FdNum olddirfd, std::string_view oldpath,
     if (fastpath) {
       // Retire the moved dentry's own identity (version bump + DLHT
       // eviction) before the splice publishes its new position.
-      kernel_->dcache().InvalidateDentry(src);
+      kernel_->dcache().InvalidateDentry(src.dentry());
     }
-    if (target != nullptr) {
-      KillTree(kernel_->dcache(), target);
+    if (target) {
+      KillTree(kernel_->dcache(), target.dentry());
     }
     // Kill any cached negative at the destination name (we may have raced
     // with LookupOrInstantiate above returning a negative we dropped).
-    KillCachedName(kernel_->dcache(), new_dir, new_last, src);
-    kernel_->dcache().MoveDentry(src, new_dir, new_last);
+    KillCachedName(kernel_->dcache(), new_dir, new_last, src.dentry());
+    kernel_->dcache().MoveDentry(src.dentry(), new_dir, new_last);
     RefreshDirInode(old_dir->inode());
     RefreshDirInode(new_dir->inode());
     old_dir->inode()->set_mtime(old_dir->inode()->mtime() + 1);
@@ -1184,19 +1134,15 @@ Status Task::DoRename(FdNum olddirfd, std::string_view oldpath,
     // subtree — and under a replaced target — carries stale prefix checks.
     // Runs outside every lock; the still-open coherence section keeps the
     // fast path honest until it completes.
-    section.InvalidateNow(src);
-    if (target != nullptr) {
-      section.InvalidateNow(target);
+    section.InvalidateNow(src.dentry());
+    if (target) {
+      section.InvalidateNow(target.dentry());
     }
   }
   section.Close();
-  if (target != nullptr) {
-    kernel_->dcache().Dput(target);
-  }
-  put_src();
-  if (!st.ok()) {
-    return st;
-  }
+  target.Reset();
+  src.Reset();
+  DIRCACHE_RETURN_IF_ERROR(st);
   CacheRemovedName(old_dir, old_last);  // the source name is gone now
   return Status::Ok();
 }

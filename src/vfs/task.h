@@ -199,6 +199,10 @@ class Task : public std::enable_shared_from_this<Task> {
   // The base an *at() call walks `path` from: null for kAtFdCwd, an empty
   // or an absolute path; else the open file's path, or EBADF.
   Result<const PathHandle*> WalkBase(FdNum dirfd, std::string_view path);
+  // Linux's may_delete(): may this task remove `victim` from `dir` (under
+  // `mnt`) as a directory (`isdir`) or not (task.cc)?
+  Status MayDelete(dircache::Mount* mnt, Dentry* dir, Dentry* victim,
+                   bool isdir);
   // §5.2: cache a negative dentry for a name just removed from `dir`.
   void CacheRemovedName(Dentry* dir, std::string_view name);
   // chmod, chown and relabel (Linux's notify_change()).

@@ -1268,12 +1268,17 @@ Dentry* BuildDeepNegatives(Task& task, Mount* mnt, Dentry* from,
 Result<Dentry*> PathWalker::LookupOrInstantiate(Task& task, Dentry* parent,
                                                 std::string_view name) {
   Kernel* k = parent->sb()->kernel();
-  if (Dentry* d = k->dcache().LookupRef(parent, name)) {
-    k->stats().dcache_hits.Add();
-    return d;
+  Dentry* d = k->dcache().LookupRef(parent, name);
+  if (d == nullptr) {
+    k->stats().dcache_misses.Add();
+    return MissLookup(task, parent, name);
   }
-  k->stats().dcache_misses.Add();
-  return MissLookup(task, parent, name);
+  k->stats().dcache_hits.Add();
+  if (Status st = MaterializeStub(task, d); !st.ok()) {
+    k->dcache().Dput(d);
+    return st.error();
+  }
+  return d;
 }
 
 // ---------------------------------------------------------------------------

@@ -69,8 +69,9 @@ class PathWalker {
 
   // Find the child in the dcache or instantiate it from the low-level FS
   // (positive or negative dentry). Used by the mutation syscalls under the
-  // exclusive tree lock. Returns a referenced dentry, or ENOENT when the
-  // component is absent and may not be cached.
+  // exclusive tree lock. Returns a referenced dentry, a readdir stub with
+  // its inode attached (§5.1), or ENOENT when the component is absent and
+  // may not be cached.
   static Result<Dentry*> LookupOrInstantiate(Task& task, Dentry* parent,
                                              std::string_view name);
 

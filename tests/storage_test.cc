@@ -1,13 +1,17 @@
 // Storage substrate tests: block device cost model, buffer cache behaviour,
 // DiskFs on-disk structures, MemFs semantics.
+#include <cstring>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/storage/block_device.h"
 #include "src/storage/buffer_cache.h"
 #include "src/storage/diskfs.h"
+#include "src/storage/fsck.h"
 #include "src/storage/memfs.h"
+#include "src/util/hash.h"
 #include "tests/test_util.h"
 
 namespace dircache {
@@ -282,6 +286,163 @@ TEST_F(DiskFsTest, InodeExhaustionReportsEnospc) {
     }
   }
   EXPECT_EQ(last.error(), Errno::kENOSPC);
+}
+
+// Every ReadDir page of `dir` at page sizes 1, 7 and 256, serialized: each
+// entry's name, inode number and type, then the page's next_offset and eof.
+std::string ReadDirPages(DiskFs& fs, InodeNum dir) {
+  std::string out;
+  auto put = [&](uint64_t v) {
+    out.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  for (size_t page : {1, 7, 256}) {
+    uint64_t offset = 0;
+    for (int calls = 0; calls < 10000; ++calls) {
+      auto r = fs.ReadDir(dir, offset, page);
+      EXPECT_OK(r);
+      if (!r.ok()) {
+        break;
+      }
+      for (const DirEntry& e : r->entries) {
+        out += e.name;
+        out.push_back('\0');
+        put(e.ino);
+        put(static_cast<uint64_t>(e.type));
+      }
+      put(r->next_offset);
+      put(r->eof ? 1 : 0);
+      if (r->eof) {
+        break;
+      }
+      offset = r->next_offset;
+    }
+  }
+  return out;
+}
+
+// A fixed script pins what DiskFs writes: the device image (every block,
+// after DropCaches writes the buffer cache back) and every readdir page,
+// so the inode and block allocation order, the dirent layout, readdir's
+// order and its offsets all stay as they are.
+TEST_F(DiskFsTest, FixedScriptPinsImageAndReadDirPages) {
+  const InodeNum root = DiskFs::kRootIno;
+  auto make = [&](InodeNum dir, const std::string& name,
+                  FileType type) -> InodeNum {
+    auto ino = fs_->Create(dir, name, type,
+                           type == FileType::kDirectory ? 0755 : 0644, 0, 0);
+    EXPECT_OK(ino);
+    return ino.ok() ? *ino : 0;
+  };
+  const InodeNum big = make(root, "big", FileType::kDirectory);
+  const InodeNum small = make(root, "small", FileType::kDirectory);
+  // Five rounds of every name length from 1 to 80: a multi-block (htree)
+  // directory.
+  std::vector<std::string> names;
+  for (int i = 0; i < 400; ++i) {
+    names.push_back(std::string(1 + i % 80, static_cast<char>('a' + i / 80)));
+    make(big, names.back(), FileType::kRegular);
+  }
+  // Free every third record, then re-create into part of the slack.
+  for (size_t i = 0; i < names.size(); i += 3) {
+    ASSERT_OK(fs_->Unlink(big, names[i]));
+  }
+  for (int i = 0; i < 60; ++i) {
+    make(big, "re" + std::string(1 + (i * 7) % 50, 'q') + std::to_string(i),
+         FileType::kRegular);
+  }
+  // Renames: within a directory, across, onto a file (within and across),
+  // onto an empty directory (within and across), and a directory to
+  // another parent.
+  ASSERT_OK(fs_->Rename(big, names[1], big, "renamed_within"));
+  ASSERT_OK(fs_->Rename(big, names[2], small, "moved_in"));
+  make(small, "t1", FileType::kRegular);
+  make(small, "t2", FileType::kRegular);
+  ASSERT_OK(fs_->Rename(small, "t1", small, "t2"));
+  ASSERT_OK(fs_->Rename(big, names[4], small, "moved_in"));
+  make(small, "e1", FileType::kDirectory);
+  make(small, "e2", FileType::kDirectory);
+  ASSERT_OK(fs_->Rename(small, "e1", small, "e2"));
+  make(big, "e3", FileType::kDirectory);
+  ASSERT_OK(fs_->Rename(small, "e2", big, "e3"));
+  const InodeNum sub = make(small, "sub", FileType::kDirectory);
+  make(sub, "inner", FileType::kRegular);
+  ASSERT_OK(fs_->Rename(small, "sub", big, "sub"));
+  // mkdir and rmdir, link and unlink of one of two links.
+  make(big, "gone_dir", FileType::kDirectory);
+  ASSERT_OK(fs_->Rmdir(big, "gone_dir"));
+  auto linked = fs_->Lookup(big, names[5]);
+  ASSERT_OK(linked);
+  ASSERT_OK(fs_->Link(small, "hard", *linked));
+  ASSERT_OK(fs_->Unlink(big, names[5]));
+
+  std::string pages;
+  for (InodeNum dir : {root, big, small, sub}) {
+    pages += ReadDirPages(*fs_, dir);
+  }
+  EXPECT_EQ(HashBytes64(0x5eed, pages), 0x3061405acba48d4dull);
+
+  fs_->DropCaches();
+  uint64_t image = 0x5eed;
+  Block block{};
+  for (uint64_t b = 0; b < fs_->device().num_blocks(); ++b) {
+    ASSERT_OK(fs_->device().Read(b, &block));
+    image = HashBytes64(
+        image, std::string_view(reinterpret_cast<const char*>(block.data()),
+                                block.size()));
+  }
+  EXPECT_EQ(image, 0x536942854142f82bull);
+}
+
+// A directory block whose checksum fails is never taken for one without
+// the name: Create, Link and Rename into it answer EIO and leave it as it
+// is, so fsck still finds the damage. Two rows: one name byte flipped, and
+// one byte of a record's rec_len (which would let the insert overwrite the
+// next record). The directory's one entry was unlinked, so its block holds
+// no live record and fsck's only finding is the checksum.
+TEST_F(DiskFsTest, CorruptDirectoryBlockFailsInsertsWithEio) {
+  constexpr size_t kRecLenByte = 8;  // the first record's rec_len, low byte
+  constexpr size_t kNameByte = 12;   // the first record's first name byte
+  for (size_t flip : {kNameByte, kRecLenByte}) {
+    SCOPED_TRACE(flip == kNameByte ? "name byte" : "rec_len byte");
+    DiskFsOptions opt;
+    opt.num_blocks = 1 << 12;
+    opt.max_inodes = 1 << 10;
+    DiskFs fs(opt);
+    const InodeNum root = DiskFs::kRootIno;
+    auto dir = fs.Create(root, "dir", FileType::kDirectory, 0755, 0, 0);
+    ASSERT_OK(dir);
+    auto file = fs.Create(root, "file", FileType::kRegular, 0644, 0, 0);
+    ASSERT_OK(file);
+    ASSERT_OK(fs.Create(*dir, "victim_entry", FileType::kRegular, 0644, 0, 0));
+    ASSERT_OK(fs.Unlink(*dir, "victim_entry"));
+    ASSERT_TRUE(RunFsck(fs).clean());
+
+    // Find the directory's block by its tail magic and the stale name.
+    bool corrupted = false;
+    for (uint64_t b = 0; b < fs.device().num_blocks() && !corrupted; ++b) {
+      auto buf = fs.buffer_cache().Get(b);
+      ASSERT_OK(buf);
+      uint32_t magic;
+      std::memcpy(&magic, buf->data() + kBlockSize - 4, 4);
+      if (magic == 0xde200de2u &&
+          std::memcmp(buf->data() + kNameByte, "victim_entry", 12) == 0) {
+        buf->data()[flip] ^= 0xff;
+        buf->MarkDirty();
+        corrupted = true;
+      }
+    }
+    ASSERT_TRUE(corrupted);
+
+    EXPECT_ERR(fs.Create(*dir, "new", FileType::kRegular, 0644, 0, 0),
+               Errno::kEIO);
+    EXPECT_ERR(fs.Link(*dir, "linked", *file), Errno::kEIO);
+    EXPECT_ERR(fs.Rename(root, "file", *dir, "moved"), Errno::kEIO);
+    EXPECT_OK(fs.Lookup(root, "file"));
+    FsckReport report = RunFsck(fs);
+    ASSERT_EQ(report.errors.size(), 1u) << report.Summary();
+    EXPECT_NE(report.errors[0].find("checksum mismatch"), std::string::npos)
+        << report.Summary();
+  }
 }
 
 TEST(MemFsTest, BasicTreeOperations) {

@@ -517,6 +517,58 @@ TEST_P(SyscallTest, TrailingSlashRequiresDirectory) {
   EXPECT_OK(T().Statx(kAtFdCwd, "/sd/", 0));
 }
 
+// A name the dcache knows only from a readdir (a stub, on the DIR_COMPLETE
+// variants) is renamed and removed like any other name: the lookup under
+// the tree lock hands the mutation a materialized dentry, so the sticky,
+// type and same-inode checks all see its inode.
+TEST_P(SyscallTest, RenameAndRemoveReadDirStubs) {
+  auto touch = [&](const std::string& p) {
+    auto fd = T().Open(p, kOCreat | kOWrite, 0644);
+    ASSERT_OK(fd);
+    ASSERT_OK(T().Close(*fd));
+  };
+  ASSERT_OK(T().Mkdir("/d"));
+  touch("/d/a");
+  touch("/d/b");
+  touch("/d/c");
+  ASSERT_OK(T().Mkdir("/d/sub"));
+  ASSERT_OK(T().Mkdir("/st", 01777));
+  touch("/st/r");
+  world_.kernel->DropCaches();
+  for (const char* dir : {"/d", "/st"}) {
+    auto fd = T().Open(dir, kORead | kODirectory);
+    ASSERT_OK(fd);
+    while (true) {
+      auto page = T().ReadDirFd(*fd);
+      ASSERT_OK(page);
+      if (page->empty()) {
+        break;
+      }
+    }
+    ASSERT_OK(T().Close(*fd));
+  }
+
+  TaskPtr user = world_.UserTask(1000, 1000);
+  EXPECT_ERR(user->Rename("/st/r", "/st/r2"), Errno::kEPERM);
+  EXPECT_OK(T().Rename("/d/a", "/d/a2"));
+  EXPECT_ERR(T().Rename("/d/a", "/d/a2"), Errno::kENOENT);
+  EXPECT_OK(T().Unlink("/d/b"));
+  EXPECT_OK(T().Rmdir("/d/sub"));
+  // Two links of one inode: rename(2) returns 0 and changes nothing.
+  ASSERT_OK(T().Link("/d/c", "/d/c2"));
+  EXPECT_OK(T().Rename("/d/c", "/d/c2"));
+  for (const char* p : {"/d/c", "/d/c2"}) {
+    auto st = T().Statx(kAtFdCwd, p, 0);
+    ASSERT_OK(st);
+    EXPECT_EQ(st->nlink, 2u) << p;
+  }
+  EXPECT_OK(T().Statx(kAtFdCwd, "/d/a2", 0));
+  EXPECT_ERR(T().Statx(kAtFdCwd, "/d/b", 0), Errno::kENOENT);
+  EXPECT_ERR(T().Statx(kAtFdCwd, "/d/sub", 0), Errno::kENOENT);
+  obs::AuditReport report = world_.kernel->Audit();
+  EXPECT_TRUE(report.clean()) << report.ToText();
+}
+
 // --- mutation syscalls: errno precedence and side effects -------------------
 // One row per (syscall, case). Each row runs in a fresh sandbox `/tN`,
 // written `@` in the table; `/ro` is a read-only mount that every row shares.
@@ -528,7 +580,14 @@ TEST_P(SyscallTest, TrailingSlashRequiresDirectory) {
 // permission on the parent, then EEXIST for an existing name, then the
 // read-only mount and write permission. Removing a name answers in the order
 // of do_unlinkat(): search permission on the parent, the read-only mount,
-// the lookup (ENOENT), then write permission. Chmod and chown report the
+// the lookup (ENOENT), then write permission. Renaming answers in the order
+// of do_renameat2() and vfs_rename(): search permission on each parent,
+// EXDEV, the read-only mount, the source lookup (ENOENT), EINVAL for a move
+// into its own subtree, the target lookup; then 0 with nothing changed when
+// both names are one inode; may_delete() on the source (write permission on
+// its parent, the sticky bit); may_delete() on an existing target, or else
+// write permission on the new parent; and write permission on a directory
+// that changes parents (its `..` is rewritten). Chmod and chown report the
 // read-only mount first. Rows whose answer differs from Linux's say so.
 
 enum class MutOp {
@@ -573,6 +632,7 @@ constexpr FdNum kUnusedFd = 999;
 //          file `f` and the directory `d`
 //   st     sticky directory, root, 01777, holding `rootf` (owned by root)
 //   u      directory owned by uid 1000, holding `mine` (owned by uid 1000)
+//          and `rd` (a directory, root, 0755)
 //   ns     directory, root, 0700 (uid 1000 cannot search it), holding the
 //          file `f` and the directory `d`
 void MakeSandbox(Task& t, const std::string& at) {
@@ -597,6 +657,7 @@ void MakeSandbox(Task& t, const std::string& at) {
   touch(at + "/st/rootf");
   ASSERT_OK(t.Mkdir(at + "/u"));
   touch(at + "/u/mine");
+  ASSERT_OK(t.Mkdir(at + "/u/rd"));
   ASSERT_OK(t.Chown(at + "/u", kUser, kUser));
   ASSERT_OK(t.Chown(at + "/u/mine", kUser, kUser));
   ASSERT_OK(t.Mkdir(at + "/ns", 0700));
@@ -814,6 +875,14 @@ const MutRow kMutRows[] = {
      Errno::kEINVAL},
     {"rename sticky, not owner", MutOp::kRename, "@/st/rootf", "@/st/moved",
      Errno::kEPERM, true},
+    {"rename onto sticky, not owner of target", MutOp::kRename, "@/u/mine",
+     "@/st/rootf", Errno::kEPERM, true},
+    {"rename source missing, unwritable parent", MutOp::kRename, "@/nw/nope",
+     "@/u/new", Errno::kENOENT, true},
+    {"rename unwritable directory to another parent", MutOp::kRename,
+     "@/u/rd", "@/st/rd", Errno::kEACCES, true},
+    {"rename unwritable directory within its parent", MutOp::kRename,
+     "@/u/rd", "@/u/rd2", Errno::kOk, true},
     {"renameat old dir fd", MutOp::kRename, "f", "@/new", Errno::kOk, false,
      MutFd::kDir},
     {"renameat old bad fd, relative", MutOp::kRename, "f", "@/new",
