@@ -23,7 +23,7 @@
 // depth, and reports throughput plus the batch_* histograms.
 //
 // `observe` prints the kernel's versioned observability snapshot (latency
-// histograms + walk outcomes + timeline/heat/journal, DESIGN.md §9–§10);
+// histograms + walk outcomes + timeline/journal, DESIGN.md §9–§10);
 // `trace-request <path>` force-traces one statx end to end (DESIGN.md §13)
 // and prints its span tree from the flight recorder; `flight-recorder`
 // prints the last traced requests without submitting anything;

@@ -31,7 +31,7 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR="${BUILD_DIR:-build}"
 # The obs snapshot schema version every artifact must carry (DESIGN.md §9).
-export OBS_SCHEMA=5
+export OBS_SCHEMA=6
 if [[ ! -f "$BUILD_DIR/CMakeCache.txt" ]]; then
   cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 fi

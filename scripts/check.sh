@@ -10,14 +10,17 @@
 #                               #   whose labels match the ctest -L regex
 #                               #   LABELS (default obs|concurrency; the
 #                               #   server, shortcut and resize suites also
-#                               #   carry the concurrency label; dlht
+#                               #   carry the concurrency label, and obs
+#                               #   selects every suite that builds a kernel
+#                               #   with obs on: obs, server, shortcut,
+#                               #   resize; dlht
 #                               #   selects every suite that reaches the
 #                               #   DLHT's split path; readdir every
 #                               #   suite that serves directory streams;
 #                               #   storage every suite that drives
 #                               #   DiskFs's and MemFs's directory code)
 #   scripts/check.sh --asan     # + ASan+UBSan ctest over the obs
-#                               #   and server suites (span rings, the
+#                               #   and server labels (span rings, the
 #                               #   flight recorder's by-value copies,
 #                               #   Chrome-trace rendering)
 #   scripts/check.sh --stress   # + every obs|concurrency test binary run

@@ -70,11 +70,6 @@ inline constexpr size_t kJournalSnapshotLimit = 64;
 inline constexpr size_t kSpanRingEvents = 256;
 inline constexpr size_t kSpanSnapshotLimit = 96;
 
-// Path heat sketches (schema v2): Space-Saving slots per shard, and the
-// entries reported per sketch in a snapshot.
-inline constexpr size_t kHeatSlots = 32;
-inline constexpr size_t kHeatSnapshotTopK = 20;
-
 // Samples the background sampler retains; the oldest is overwritten.
 inline constexpr size_t kTimelineCapacity = 128;
 

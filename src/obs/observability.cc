@@ -4,31 +4,12 @@
 #include <cinttypes>
 #include <cstdio>
 #include <mutex>
-#include <string_view>
 
 namespace dircache {
 
 namespace {
 
 using obs::Appendf;
-
-// Obs-local seed for the heat-sketch hash family (see State::heat_key).
-constexpr uint64_t kHeatHashSeed = 0x0b5e7ull;
-
-// Parent directory of an observed path, for the miss-directory sketch.
-std::string_view DirnameOf(std::string_view path) {
-  while (path.size() > 1 && path.back() == '/') {
-    path.remove_suffix(1);
-  }
-  size_t pos = path.rfind('/');
-  if (pos == std::string_view::npos) {
-    return ".";
-  }
-  if (pos == 0) {
-    return "/";
-  }
-  return path.substr(0, pos);
-}
 
 // Drains one ring per shard and keeps the `limit` newest records by `time`,
 // oldest first.
@@ -111,13 +92,7 @@ obs::OpAttribution AttributeTrace(const obs::RequestTrace& t) {
 
 }  // namespace
 
-Observability::State::State(const ObsConfig& c)
-    : cfg(c),
-      heat_key(kHeatHashSeed),
-      heat_hasher(&heat_key),
-      hot_paths(obs::kHeatSlots),
-      slow_paths(obs::kHeatSlots),
-      miss_dirs(obs::kHeatSlots) {
+Observability::State::State(const ObsConfig& c) : cfg(c) {
   for (size_t i = 0; i < kStatsShardCount; ++i) {
     journals.push_back(
         std::make_unique<obs::SeqRing<obs::JournalEventRecord>>(
@@ -177,69 +152,13 @@ void Observability::CompleteTrace(const obs::RequestTrace& t) {
     record(sp.kind, sp.begin_ns, sp.duration_ns, sp.arg0, sp.arg1);
   }
 
-  State::AttributionCell& cell =
-      s.attribution[static_cast<size_t>(t.op) < obs::kTraceOpCount
-                        ? static_cast<size_t>(t.op)
-                        : static_cast<size_t>(obs::TraceOp::kOther)];
-  cell.traced.fetch_add(a.traced, std::memory_order_relaxed);
-  cell.total_ns.fetch_add(a.total_ns, std::memory_order_relaxed);
-  cell.queue_ns.fetch_add(a.queue_ns, std::memory_order_relaxed);
-  cell.dispatch_ns.fetch_add(a.dispatch_ns, std::memory_order_relaxed);
-  cell.walk_fast_ns.fetch_add(a.walk_fast_ns, std::memory_order_relaxed);
-  cell.walk_slow_ns.fetch_add(a.walk_slow_ns, std::memory_order_relaxed);
-  cell.io_ns.fetch_add(a.io_ns, std::memory_order_relaxed);
-  cell.inval_ns.fetch_add(a.inval_ns, std::memory_order_relaxed);
-  cell.other_ns.fetch_add(a.other_ns, std::memory_order_relaxed);
-  cell.gate_waits.fetch_add(a.gate_waits, std::memory_order_relaxed);
-  cell.epoch_retries.fetch_add(a.epoch_retries, std::memory_order_relaxed);
-  cell.shortcut_resumes.fetch_add(a.shortcut_resumes,
-                                  std::memory_order_relaxed);
-  cell.spans_dropped.fetch_add(a.spans_dropped, std::memory_order_relaxed);
-
   State::FlightRecorder& fr = *s.flight[shard];
   std::lock_guard<std::mutex> lock(fr.mu);
+  fr.attribution[static_cast<size_t>(t.op) < obs::kTraceOpCount
+                     ? static_cast<size_t>(t.op)
+                     : static_cast<size_t>(obs::TraceOp::kOther)] += a;
   fr.ring[fr.seq % fr.ring.size()] = t;
   ++fr.seq;
-}
-
-void Observability::RecordWalkSlow(obs::WalkOutcome outcome,
-                                   uint64_t latency_ns,
-                                   std::string_view path) {
-  State& s = *state_;
-  s.outcomes[static_cast<size_t>(outcome)].Add();
-  s.ops[static_cast<size_t>(obs::ObsOp::kLookup)].Record(latency_ns);
-  if (path.empty()) {
-    return;
-  }
-  if (path.size() > PathHashKey::kMaxPathLen) {
-    path = path.substr(0, PathHashKey::kMaxPathLen);
-  }
-  HashState h = s.heat_hasher.Init();
-  s.heat_hasher.Update(h, path);
-  uint64_t key = s.heat_hasher.Finalize(h).words[0];
-  switch (outcome) {
-    case obs::WalkOutcome::kFastHit:
-    case obs::WalkOutcome::kFastNegative:
-      s.hot_paths.Record(key, path);
-      return;
-    case obs::WalkOutcome::kFastMissDlht:
-    case obs::WalkOutcome::kFastMissPccCred:
-    case obs::WalkOutcome::kFastMissPccStale:
-    case obs::WalkOutcome::kFastMissPccEpoch:
-    case obs::WalkOutcome::kFastMissStructural:
-    case obs::WalkOutcome::kFastMissShortcutHit:
-    case obs::WalkOutcome::kFastMissShortcutPartial:
-    case obs::WalkOutcome::kFastMissShortcutNone: {
-      std::string_view dir = DirnameOf(path);
-      HashState dh = s.heat_hasher.Init();
-      s.heat_hasher.Update(dh, dir);
-      s.miss_dirs.Record(s.heat_hasher.Finalize(dh).words[0], dir);
-      break;  // a fastpath miss also ran the slowpath: fall through below
-    }
-    default:
-      break;
-  }
-  s.slow_paths.Record(key, path);
 }
 
 obs::ObsSnapshot Observability::CoreSample(const State& s) {
@@ -270,31 +189,17 @@ obs::ObsSnapshot Observability::Snapshot(const CacheStats* stats) const {
   obs::ObsSnapshot core = CoreSample(s);
   snap.ops = core.ops;
   snap.outcomes = core.outcomes;
-  snap.heat.hot_paths = s.hot_paths.Drain(obs::kHeatSnapshotTopK);
-  snap.heat.slow_paths = s.slow_paths.Drain(obs::kHeatSnapshotTopK);
-  snap.heat.miss_dirs = s.miss_dirs.Drain(obs::kHeatSnapshotTopK);
   snap.journal =
       NewestRecords(s.journals, &obs::JournalEventRecord::begin_ns,
                     obs::kJournalSnapshotLimit);
   // v3 sections: drained span rings, attribution totals, dump count.
   snap.spans = NewestRecords(s.span_rings, &obs::SpanEvent::begin_ns,
                              obs::kSpanSnapshotLimit);
-  for (size_t i = 0; i < obs::kTraceOpCount; ++i) {
-    const State::AttributionCell& c = s.attribution[i];
-    obs::OpAttribution& a = snap.attribution[i];
-    a.traced = c.traced.load(std::memory_order_relaxed);
-    a.total_ns = c.total_ns.load(std::memory_order_relaxed);
-    a.queue_ns = c.queue_ns.load(std::memory_order_relaxed);
-    a.dispatch_ns = c.dispatch_ns.load(std::memory_order_relaxed);
-    a.walk_fast_ns = c.walk_fast_ns.load(std::memory_order_relaxed);
-    a.walk_slow_ns = c.walk_slow_ns.load(std::memory_order_relaxed);
-    a.io_ns = c.io_ns.load(std::memory_order_relaxed);
-    a.inval_ns = c.inval_ns.load(std::memory_order_relaxed);
-    a.other_ns = c.other_ns.load(std::memory_order_relaxed);
-    a.gate_waits = c.gate_waits.load(std::memory_order_relaxed);
-    a.epoch_retries = c.epoch_retries.load(std::memory_order_relaxed);
-    a.shortcut_resumes = c.shortcut_resumes.load(std::memory_order_relaxed);
-    a.spans_dropped = c.spans_dropped.load(std::memory_order_relaxed);
+  for (const auto& frp : s.flight) {
+    std::lock_guard<std::mutex> lock(frp->mu);
+    for (size_t i = 0; i < obs::kTraceOpCount; ++i) {
+      snap.attribution[i] += frp->attribution[i];
+    }
   }
   snap.flight_dumps = s.flight_dumps.load(std::memory_order_relaxed);
   snap.timeline = Timeline();
@@ -387,23 +292,9 @@ void Observability::Reset() {
   for (auto& c : state_->outcomes) {
     c.Reset();
   }
-  state_->hot_paths.Reset();
-  state_->slow_paths.Reset();
-  state_->miss_dirs.Reset();
-  for (auto& cell : state_->attribution) {
-    cell.traced.store(0, std::memory_order_relaxed);
-    cell.total_ns.store(0, std::memory_order_relaxed);
-    cell.queue_ns.store(0, std::memory_order_relaxed);
-    cell.dispatch_ns.store(0, std::memory_order_relaxed);
-    cell.walk_fast_ns.store(0, std::memory_order_relaxed);
-    cell.walk_slow_ns.store(0, std::memory_order_relaxed);
-    cell.io_ns.store(0, std::memory_order_relaxed);
-    cell.inval_ns.store(0, std::memory_order_relaxed);
-    cell.other_ns.store(0, std::memory_order_relaxed);
-    cell.gate_waits.store(0, std::memory_order_relaxed);
-    cell.epoch_retries.store(0, std::memory_order_relaxed);
-    cell.shortcut_resumes.store(0, std::memory_order_relaxed);
-    cell.spans_dropped.store(0, std::memory_order_relaxed);
+  for (auto& frp : state_->flight) {
+    std::lock_guard<std::mutex> lock(frp->mu);
+    frp->attribution = {};
   }
   // Journal, span, and flight-recorder rings are not cleared: the
   // "most recent events" windows are already self-evicting, and zeroing

@@ -1,16 +1,15 @@
 // Observability: per-kernel latency histograms, walk-outcome counters, and
-// (since schema v2) continuous telemetry — background sampler, path heat
-// sketches, coherence event journal (DESIGN.md §9–§10).
+// (since schema v2) continuous telemetry — background sampler and
+// coherence event journal (DESIGN.md §9–§10).
 //
 // One instance lives inside each Kernel. When disabled (the default) it
 // owns no memory and every recording entry point is a single plain-bool
 // branch — the warm-hit read path stays exactly as shared-write-free as the
 // scalability work left it. When enabled, recording goes to sharded
-// structures (histograms, outcome counters, heat sketches, and one SeqRing
-// per shard for each of journal events and request spans) that
-// follow the same thread->shard mapping as ShardedCounter, so concurrent
-// recorders do not contend. The optional sampler thread only *reads* that
-// sharded state.
+// structures (histograms, outcome counters, and one SeqRing per shard for
+// each of journal events and request spans) that follow the same
+// thread->shard mapping as ShardedCounter, so concurrent recorders do not
+// contend. The optional sampler thread only *reads* that sharded state.
 //
 // The read side is Kernel::Observe(), which asks this class for a
 // versioned ObsSnapshot (see snapshot.h), and Kernel::Timeline() for the
@@ -24,11 +23,9 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/obs/event_journal.h"
-#include "src/obs/heat_sketch.h"
 #include "src/obs/histogram.h"
 #include "src/obs/obs_config.h"
 #include "src/obs/request_trace.h"
@@ -37,7 +34,6 @@
 #include "src/obs/snapshot.h"
 #include "src/obs/walk_trace.h"
 #include "src/util/clock.h"
-#include "src/util/hash.h"
 #include "src/util/stats.h"
 
 namespace dircache {
@@ -65,15 +61,14 @@ class Observability {
     state_->ops[static_cast<size_t>(op)].Record(ns);
   }
 
-  // Records one finished walk: outcome counter, lookup-latency histogram,
-  // and the path heat sketches (`path` is the observed request text; it is
-  // hashed, never copied, on this path).
-  void RecordWalk(obs::WalkOutcome outcome, uint64_t latency_ns,
-                  std::string_view path) {
+  // Records one finished walk: its outcome counter and the lookup-latency
+  // histogram.
+  void RecordWalk(obs::WalkOutcome outcome, uint64_t latency_ns) {
     if (!enabled()) {
       return;
     }
-    RecordWalkSlow(outcome, latency_ns, path);
+    state_->outcomes[static_cast<size_t>(outcome)].Add();
+    state_->ops[static_cast<size_t>(obs::ObsOp::kLookup)].Record(latency_ns);
   }
 
   // Records one coherence journal span (instants pass duration 0) into the
@@ -160,44 +155,17 @@ class Observability {
         journals;
     std::vector<std::unique_ptr<obs::SeqRing<obs::SpanEvent>>> span_rings;
 
-    // §3.3 hash family for heat-sketch keys. A fixed seed (not the kernel's
-    // signer key): heat keys only need distribution, and a stable seed
-    // makes sketch contents reproducible across runs.
-    PathHashKey heat_key;
-    PathHasher heat_hasher;
-    obs::PathHeatSketch hot_paths;
-    obs::PathHeatSketch slow_paths;
-    obs::PathHeatSketch miss_dirs;
-
-    // Tail-latency attribution cells, one per TraceOp. Relaxed atomics:
-    // written only when a *traced* request completes (the sampling rate),
-    // never on the untraced warm path.
-    struct AttributionCell {
-      std::atomic<uint64_t> traced{0};
-      std::atomic<uint64_t> total_ns{0};
-      std::atomic<uint64_t> queue_ns{0};
-      std::atomic<uint64_t> dispatch_ns{0};
-      std::atomic<uint64_t> walk_fast_ns{0};
-      std::atomic<uint64_t> walk_slow_ns{0};
-      std::atomic<uint64_t> io_ns{0};
-      std::atomic<uint64_t> inval_ns{0};
-      std::atomic<uint64_t> other_ns{0};
-      std::atomic<uint64_t> gate_waits{0};
-      std::atomic<uint64_t> epoch_retries{0};
-      std::atomic<uint64_t> shortcut_resumes{0};
-      std::atomic<uint64_t> spans_dropped{0};
-    };
-    std::array<AttributionCell, obs::kTraceOpCount> attribution;
-
     // Flight recorder: the last kFlightRecorderDepth fully traced requests
-    // per stats shard. A per-shard mutex (touched at the sampling rate, not
-    // per op) keeps the ~1 KiB RequestTrace copies torn-read-free without a
-    // word-by-word atomic protocol.
+    // per stats shard, and the shard's tail-latency attribution totals, one
+    // per TraceOp. A per-shard mutex (touched at the sampling rate, not per
+    // op) keeps the ~1 KiB RequestTrace copies torn-read-free without a
+    // word-by-word atomic protocol; a snapshot sums the shards' totals.
     struct FlightRecorder {
       mutable std::mutex mu;
       // slot = seq % ring.size()
       std::array<obs::RequestTrace, obs::kFlightRecorderDepth> ring;
       uint64_t seq = 0;  // total traces recorded
+      std::array<obs::OpAttribution, obs::kTraceOpCount> attribution{};
     };
     std::vector<std::unique_ptr<FlightRecorder>> flight;
 
@@ -207,9 +175,6 @@ class Observability {
     // structure its snapshot callback reads is still alive.
     std::unique_ptr<obs::Sampler> sampler;
   };
-
-  void RecordWalkSlow(obs::WalkOutcome outcome, uint64_t latency_ns,
-                      std::string_view path);
 
   // ops + outcomes only — the cheap periodic sample the sampler diffs.
   static obs::ObsSnapshot CoreSample(const State& s);

@@ -1,7 +1,7 @@
 // Request-scoped tracing (DESIGN.md §13): the span model and the per-thread
 // trace context every layer hooks into.
 //
-// The aggregate surfaces (histograms, heat sketches, journal) can say *that*
+// The aggregate surfaces (histograms, counters, journal) can say *that*
 // p99.9 spiked; a request trace says *why this request* was slow. A sampled
 // (or force-flagged) SubmissionQueueEntry carries a nonzero trace id; while
 // it executes, a RequestTrace rides the executing thread as a thread-local

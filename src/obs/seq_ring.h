@@ -1,5 +1,5 @@
-// SeqRing: the one lock-free ring every obs record stream lands in — walk
-// traces, coherence journal events and request spans (DESIGN.md §9).
+// SeqRing: the one lock-free ring every obs record stream lands in —
+// coherence journal events and request spans (DESIGN.md §9).
 //
 // Each stats shard owns one ring per stream, so writers rarely share a
 // ring; the protocol still has to survive two writers that wrap onto the
@@ -109,6 +109,8 @@ class SeqRing {
   size_t capacity() const { return slots_.size(); }
 
  private:
+  friend struct SeqRingTestPeer;  // tests move head_ back
+
   static constexpr size_t kWords = sizeof(Record) / sizeof(uint64_t);
 
   struct Slot {

@@ -5,7 +5,6 @@
 #include <cstdarg>
 #include <cstdio>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace dircache {
@@ -32,38 +31,6 @@ void AppendOpJson(std::string* out, const HistogramSummary& h) {
           ",\"mean_ns\":%.1f,\"p50_ns\":%" PRIu64 ",\"p95_ns\":%" PRIu64
           ",\"p99_ns\":%" PRIu64 ",\"max_ns\":%" PRIu64 "}",
           h.count, h.sum_ns, h.MeanNs(), h.P50(), h.P95(), h.P99(), h.max_ns);
-}
-
-void AppendJsonEscaped(std::string* out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          Appendf(out, "\\u%04x", static_cast<unsigned>(c));
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
-
-void AppendHeatListJson(std::string* out, const char* key,
-                        const std::vector<HeatEntry>& entries) {
-  Appendf(out, "\"%s\":[", key);
-  for (size_t i = 0; i < entries.size(); ++i) {
-    const HeatEntry& e = entries[i];
-    Appendf(out, "%s{\"path\":\"", i == 0 ? "" : ",");
-    AppendJsonEscaped(out, e.path);
-    Appendf(out, "\",\"count\":%" PRIu64 ",\"err\":%" PRIu64 "}", e.count,
-            e.err);
-  }
-  *out += "]";
 }
 
 void AppendJournalEventJson(std::string* out, const JournalEventRecord& ev) {
@@ -109,18 +76,6 @@ void AppendAttributionJson(std::string* out, const OpAttribution& a) {
           a.shortcut_resumes, a.spans_dropped);
 }
 
-void AppendHeatListText(std::string* out, const char* title,
-                        const std::vector<HeatEntry>& entries) {
-  if (entries.empty()) {
-    return;
-  }
-  Appendf(out, "  %s:\n", title);
-  for (const HeatEntry& e : entries) {
-    Appendf(out, "    %8" PRIu64 " (+-%" PRIu64 ")  %s\n", e.count, e.err,
-            e.path.c_str());
-  }
-}
-
 }  // namespace
 
 std::string ObsSnapshot::ToText() const {
@@ -147,9 +102,6 @@ std::string ObsSnapshot::ToText() const {
     Appendf(&out, "    %-20s %" PRIu64 "\n",
             WalkOutcomeName(static_cast<WalkOutcome>(i)), outcomes[i]);
   }
-  AppendHeatListText(&out, "hottest paths (fastpath hits)", heat.hot_paths);
-  AppendHeatListText(&out, "slowpath paths", heat.slow_paths);
-  AppendHeatListText(&out, "top miss directories", heat.miss_dirs);
   if (!journal.empty()) {
     Appendf(&out, "  coherence journal (oldest first):\n");
     for (const JournalEventRecord& ev : journal) {
@@ -300,13 +252,7 @@ std::string ObsSnapshot::ToJson() const {
             s.slow_walks, s.invalidations, s.p50_ns, s.p95_ns, s.p99_ns,
             s.hit_rate);
   }
-  out += "]},\"heat\":{";
-  AppendHeatListJson(&out, "hot_paths", heat.hot_paths);
-  out += ",";
-  AppendHeatListJson(&out, "slow_paths", heat.slow_paths);
-  out += ",";
-  AppendHeatListJson(&out, "miss_dirs", heat.miss_dirs);
-  out += "},\"journal\":[";
+  out += "]},\"journal\":[";
   for (size_t i = 0; i < journal.size(); ++i) {
     if (i != 0) {
       out += ",";

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "src/obs/event_journal.h"
-#include "src/obs/heat_sketch.h"
 #include "src/obs/histogram.h"
 #include "src/obs/request_trace.h"
 #include "src/obs/walk_trace.h"
@@ -63,7 +62,13 @@ namespace obs {
 //    slowpath (walks - fast_hits), fastpath misses included; under v4 it
 //    counted only the kSlow* outcomes, which a fastpath kernel's misses
 //    never reach, so it read 0 there.
-inline constexpr int kObsSchemaVersion = 5;
+//
+// v5 -> v6: a section was REMOVED: the `heat` section (the top-K path heat
+// sketches `hot_paths`, `slow_paths` and `miss_dirs`) is gone; no bench,
+// script or policy read it, and it cost every recorded walk a second path
+// hash and a locked slot scan. Every other field is unchanged in name,
+// position and meaning, so a v5 reader that skips `heat` parses v6.
+inline constexpr int kObsSchemaVersion = 6;
 
 // printf-style append to `out` (one bounded stack buffer per call: split
 // wide rows across calls). Shared by the snapshot and report renderers.
@@ -74,7 +79,7 @@ void Appendf(std::string* out, const char* fmt, ...)
 // ObsOpName(). kInvalidate is the write-side cost the paper's Figure 7
 // worries about (chmod/rename invalidation storms).
 enum class ObsOp : uint8_t {
-  kLookup = 0,  // every path resolution (recorded by the walker)
+  kLookup = 0,  // every walk (recorded by the walker)
   kOpen,
   kStat,
   kRename,
@@ -174,6 +179,23 @@ struct OpAttribution {
   uint64_t epoch_retries = 0;  // optimistic -> locked walk fallbacks
   uint64_t shortcut_resumes = 0;  // walks resumed from a cached ancestor
   uint64_t spans_dropped = 0;  // spans lost to the per-trace cap
+
+  OpAttribution& operator+=(const OpAttribution& o) {
+    traced += o.traced;
+    total_ns += o.total_ns;
+    queue_ns += o.queue_ns;
+    dispatch_ns += o.dispatch_ns;
+    walk_fast_ns += o.walk_fast_ns;
+    walk_slow_ns += o.walk_slow_ns;
+    io_ns += o.io_ns;
+    inval_ns += o.inval_ns;
+    other_ns += o.other_ns;
+    gate_waits += o.gate_waits;
+    epoch_retries += o.epoch_retries;
+    shortcut_resumes += o.shortcut_resumes;
+    spans_dropped += o.spans_dropped;
+    return *this;
+  }
 };
 
 // One tenant's dentry-cache charge (schema v4 `memory.tenants` rows). The
@@ -223,9 +245,6 @@ struct ObsSnapshot {
   // Background-sampler time series + watchdogs (empty/inactive when the
   // sampler is off).
   ObsTimeline timeline;
-
-  // Top-K path heat (hottest paths, slowpath paths, top miss directories).
-  HeatSnapshot heat;
 
   // Most recent coherence journal events, oldest first (at most
   // kJournalSnapshotLimit).

@@ -3,9 +3,8 @@
 // Every path resolution is classified by *where* it was decided — the
 // question Figure 3 / §6.3 of the paper keep asking ("why did this lookup
 // fall off the fastpath?"). The classification feeds the per-outcome
-// counters, the lookup-latency histogram and the path heat sketches; a
-// traced request additionally carries the walk as a walk_fast/walk_slow
-// span (request_trace.h).
+// counters and the lookup-latency histogram; a traced request additionally
+// carries the walk as a walk_fast/walk_slow span (request_trace.h).
 #ifndef DIRCACHE_OBS_WALK_TRACE_H_
 #define DIRCACHE_OBS_WALK_TRACE_H_
 

@@ -73,11 +73,11 @@ class Kernel {
   Observability& obs() { return obs_; }
 
   // The introspection API: a versioned snapshot of latency histograms,
-  // walk-outcome counts, recent traces, path heat, the coherence journal,
-  // the sampler timeline, the flat cache counters, and (schema v4) the
-  // cache memory-accounting block. Supersedes reading stats().ToString().
-  // Safe to call concurrently with lookups; always includes the counter and
-  // memory sections even when obs is disabled.
+  // walk-outcome counts, the coherence journal, request spans and their
+  // attribution, the sampler timeline, the flat cache counters, and
+  // (schema v4) the cache memory-accounting block. Supersedes reading
+  // stats().ToString(). Safe to call concurrently with lookups; always
+  // includes the counter and memory sections even when obs is disabled.
   obs::ObsSnapshot Observe() const;
   CacheUsage MeasureCacheUsage() const;
 

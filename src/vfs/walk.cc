@@ -509,7 +509,15 @@ Result<PathHandle> PathWalker::Resolve(Task& task, const PathHandle* base,
   const uint64_t latency_ns = NowNanos() - t0;
   const WalkTraceScratch done = g_walk_trace;
   g_walk_trace = saved;
-  obs.RecordWalk(done.outcome, latency_ns, path);
+  // Every walk that runs classifies itself. A path DoResolve rejects before
+  // either walk (empty, over PATH_MAX, a kWalkParent final name of `.`/`..`
+  // or over NAME_MAX) is not a walk, so it records no outcome, latency or
+  // span. CacheStats::lookups still counts the two kWalkParent rejections:
+  // perfbench's vfs.fast_hit_ratio divides by it.
+  if (!done.classified) {
+    return r;
+  }
+  obs.RecordWalk(done.outcome, latency_ns);
   // Child span for traced requests: one walk = one span, classified fast
   // vs slow by its outcome (arg0 = components, arg1 = the outcome code).
   if (obs::g_active_trace != nullptr) {

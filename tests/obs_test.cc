@@ -1,10 +1,10 @@
 // Observability subsystem tests (DESIGN.md §9–§10): histogram bucketing,
 // the lock-free SeqRing behind the journal and span streams
-// (including multi-writer wraparound and torn-read skipping), the path heat
-// sketches, the background sampler's timeline and watchdogs, the versioned
-// snapshot and its Chrome-trace export, the invariant auditor, and — most
-// load-bearing — that a disabled kernel records nothing and keeps the warm
-// hit path shared-write-free.
+// (including multi-writer wraparound and torn-read skipping), the
+// background sampler's timeline and watchdogs, the versioned snapshot and
+// its Chrome-trace export, the invariant auditor, and — most load-bearing —
+// that a disabled kernel records nothing and keeps the warm hit path
+// shared-write-free.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -17,7 +17,6 @@
 
 #include "src/obs/audit.h"
 #include "src/obs/event_journal.h"
-#include "src/obs/heat_sketch.h"
 #include "src/obs/histogram.h"
 #include "src/obs/request_trace.h"
 #include "src/obs/seq_ring.h"
@@ -28,6 +27,18 @@
 #include "tests/test_util.h"
 
 namespace dircache {
+namespace obs {
+
+// Moves a ring's head the way a descheduled writer's stale store does.
+struct SeqRingTestPeer {
+  template <typename Record>
+  static void SetHead(SeqRing<Record>& ring, uint64_t head) {
+    ring.head_.store(head, std::memory_order_relaxed);
+  }
+};
+
+}  // namespace obs
+
 namespace {
 
 using obs::BucketFor;
@@ -38,7 +49,6 @@ using obs::JournalEvent;
 using obs::JournalEventRecord;
 using obs::LatencyHistogram;
 using obs::ObsOp;
-using obs::PathHeatSketch;
 using obs::SeqRing;
 using obs::SpanEvent;
 using obs::WalkOutcome;
@@ -300,48 +310,31 @@ TYPED_TEST(SeqRingTest, TwoSlotStressNeverYieldsMixedRecords) {
   ExpectFullAndIntact(ring);
 }
 
-// --- heat sketch ----------------------------------------------------------
-
-TEST(HeatSketch, CountsAndLabelsHeavyHitters) {
-  PathHeatSketch sketch(8);
-  for (int i = 0; i < 100; ++i) {
-    sketch.Record(/*key=*/1, "/hot/a");
+// A writer descheduled between reading and advancing the head stores a
+// stale ticket back. The next push meets a slot carrying a newer ticket,
+// drops its record and jumps the head past that ticket, so one lap later
+// the ring holds new records again.
+TEST(SeqRing, HeadMovedBackJumpsPastTheNewestTicket) {
+  using Codec = RecordCodec<SpanEvent>;
+  SeqRing<SpanEvent> ring(8);
+  for (uint64_t id = 1; id <= 100; ++id) {  // tickets 0..99
+    ring.Push(Codec::Make(id));
   }
-  for (int i = 0; i < 50; ++i) {
-    sketch.Record(/*key=*/2, "/hot/b");
+  obs::SeqRingTestPeer::SetHead(ring, 3);
+  ring.Push(Codec::Make(101));  // meets ticket 99 in slot 3: dropped
+  for (uint64_t id = 102; id <= 109; ++id) {
+    ring.Push(Codec::Make(id));
   }
-  sketch.Record(/*key=*/3, "/cold");
-  std::vector<obs::HeatEntry> top = sketch.Drain(/*topk=*/2);
-  ASSERT_EQ(top.size(), 2u);
-  EXPECT_EQ(top[0].path, "/hot/a");
-  EXPECT_EQ(top[0].count, 100u);
-  EXPECT_EQ(top[0].err, 0u);  // seated in an empty slot: exact
-  EXPECT_EQ(top[1].path, "/hot/b");
-  EXPECT_EQ(top[1].count, 50u);
-}
-
-TEST(HeatSketch, TakeoverInheritsErrorBoundAndKeepsHeavyKeys) {
-  PathHeatSketch sketch(2);  // 2 slots: force Space-Saving evictions
-  for (int i = 0; i < 1000; ++i) {
-    sketch.Record(1, "/heavy");
+  std::vector<SpanEvent> out;
+  ring.Drain(&out);
+  std::vector<uint64_t> ids;
+  for (const SpanEvent& r : out) {
+    EXPECT_TRUE(Intact(r));
+    ids.push_back(Codec::Id(r));
   }
-  // A stream of distinct one-shot keys churns the second slot.
-  for (uint64_t k = 100; k < 200; ++k) {
-    sketch.Record(k, "/churn");
-  }
-  std::vector<obs::HeatEntry> top = sketch.Drain(10);
-  ASSERT_FALSE(top.empty());
-  // The classic Space-Saving guarantee: the heavy key survives the churn,
-  // its count is >= truth, overstating by at most err.
-  EXPECT_EQ(top[0].path, "/heavy");
-  EXPECT_GE(top[0].count, 1000u);
-  EXPECT_LE(top[0].count - top[0].err, 1000u);
-  // Churn keys carry a nonzero inherited error bound.
-  if (top.size() > 1) {
-    EXPECT_GT(top[1].err, 0u);
-  }
-  sketch.Reset();
-  EXPECT_TRUE(sketch.Drain(10).empty());
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(ids, (std::vector<uint64_t>{102, 103, 104, 105, 106, 107, 108,
+                                        109}));
 }
 
 // --- kernel integration ---------------------------------------------------
@@ -419,21 +412,21 @@ TEST(Observe, SnapshotJsonShape) {
   std::string json = snap.ToJson();
   // Versioned, fixed-field-order contract (scripts/bench_smoke.sh greps
   // for the schema_version; renames here are schema bumps).
-  EXPECT_NE(json.find("\"schema_version\":5"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"schema_version\":6"), std::string::npos) << json;
   EXPECT_NE(json.find("\"enabled\":true"), std::string::npos);
   for (const char* key :
        {"\"ops\"", "\"walk_outcomes\"", "\"counters\"",
         "\"lookup\"", "\"p50_ns\"", "\"p95_ns\"", "\"p99_ns\"",
-        "\"fast_hit\"", "\"timeline\"", "\"heat\"", "\"journal\"",
-        "\"hot_paths\"", "\"slow_paths\"", "\"miss_dirs\"", "\"spans\"",
+        "\"fast_hit\"", "\"timeline\"", "\"journal\"", "\"spans\"",
         "\"attribution\"", "\"memory\"", "\"budget_bytes\"",
         "\"dlht_resize_in_flight\"", "\"tenants\"", "\"flight_dumps\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
   }
   // v5 removed the walk-trace array and the heat entries' Count-Min
-  // estimate.
+  // estimate; v6 removed the heat section.
   EXPECT_EQ(json.find("\"trace\""), std::string::npos) << json;
   EXPECT_EQ(json.find("\"cm_est\""), std::string::npos) << json;
+  EXPECT_EQ(json.find("\"heat\""), std::string::npos) << json;
   // Field order is part of the contract: version first, ops before counters,
   // every v2 section strictly after the last v1 field, every v3 section
   // strictly after the last v2 field, and the v4 memory section between
@@ -443,15 +436,14 @@ TEST(Observe, SnapshotJsonShape) {
   EXPECT_LT(json.find("\"ops\""), json.find("\"walk_outcomes\""));
   EXPECT_LT(json.find("\"walk_outcomes\""), json.find("\"counters\""));
   EXPECT_LT(json.find("\"counters\""), json.find("\"timeline\""));
-  EXPECT_LT(json.find("\"timeline\""), json.find("\"heat\""));
-  EXPECT_LT(json.find("\"heat\""), json.find("\"journal\""));
+  EXPECT_LT(json.find("\"timeline\""), json.find("\"journal\""));
   EXPECT_LT(json.find("\"journal\""), json.find("\"spans\""));
   EXPECT_LT(json.find("\"spans\""), json.find("\"attribution\""));
   EXPECT_LT(json.find("\"attribution\""), json.find("\"memory\""));
   EXPECT_LT(json.find("\"memory\""), json.find("\"flight_dumps\""));
 
   std::string text = snap.ToText();
-  EXPECT_NE(text.find("schema v5"), std::string::npos) << text;
+  EXPECT_NE(text.find("schema v6"), std::string::npos) << text;
   EXPECT_NE(text.find("fast_hit"), std::string::npos);
 }
 
@@ -459,11 +451,51 @@ TEST(Observe, ResetClearsHistogramsAndOutcomes) {
   TestWorld w(CacheConfig::Optimized(), nullptr, ObsConfig::Enabled());
   ASSERT_OK(w.root->Mkdir("/r"));
   EXPECT_OK(w.root->Statx(kAtFdCwd, "/r", 0));
-  ASSERT_GT(w.kernel->Observe().TotalWalks(), 0u);
+  // A forced-trace statx fills the statx attribution row.
+  Stat st;
+  server::Sqe s = server::Sqe::Statx(kAtFdCwd, "/r", 0, &st);
+  s.trace_force = 1;
+  server::Cqe c;
+  w.root->SubmitBatch(&s, 1, &c);
+  ASSERT_TRUE(c.ok()) << c.error_name();
+  constexpr size_t kStatxIdx = static_cast<size_t>(obs::TraceOp::kStatx);
+  obs::ObsSnapshot before = w.kernel->Observe();
+  ASSERT_GT(before.TotalWalks(), 0u);
+  ASSERT_EQ(before.attribution[kStatxIdx].traced, 1u);
+  ASSERT_GT(before.attribution[kStatxIdx].total_ns, 0u);
   w.kernel->obs().Reset();
   obs::ObsSnapshot snap = w.kernel->Observe();
   EXPECT_EQ(snap.TotalWalks(), 0u);
   EXPECT_EQ(snap.Op(ObsOp::kStat).count, 0u);
+  const obs::OpAttribution& at = snap.attribution[kStatxIdx];
+  EXPECT_EQ(at.traced, 0u);
+  EXPECT_EQ(at.total_ns, 0u);
+  EXPECT_EQ(at.walk_fast_ns + at.walk_slow_ns, 0u);
+  EXPECT_EQ(at.other_ns, 0u);
+}
+
+// A path rejected before any walk (empty, over PATH_MAX, a parent walk's
+// final name of `.` or over NAME_MAX) is not a walk: it records no outcome
+// and no lookup latency.
+TEST(Observe, RejectedPathsAreNotWalks) {
+  TestWorld w(CacheConfig::Optimized(), nullptr, ObsConfig::Enabled());
+  ASSERT_OK(w.root->Mkdir("/a"));
+  obs::ObsSnapshot before = w.kernel->Observe();
+  EXPECT_ERR(w.root->Access("/" + std::string(4999, 'p'), 0),
+             Errno::kENAMETOOLONG);
+  EXPECT_ERR(w.root->Access("", 0), Errno::kENOENT);
+  EXPECT_ERR(w.root->Mkdir("/a/."), Errno::kEINVAL);
+  EXPECT_ERR(w.root->Mkdir("/a/" + std::string(300, 'n')),
+             Errno::kENAMETOOLONG);
+  obs::ObsSnapshot after = w.kernel->Observe();
+  EXPECT_EQ(after.TotalWalks(), before.TotalWalks());
+  EXPECT_EQ(after.Op(ObsOp::kLookup).count, before.Op(ObsOp::kLookup).count);
+
+  EXPECT_OK(w.root->Statx(kAtFdCwd, "/a", 0));
+  obs::ObsSnapshot walked = w.kernel->Observe();
+  EXPECT_EQ(walked.TotalWalks(), after.TotalWalks() + 1);
+  EXPECT_EQ(walked.Op(ObsOp::kLookup).count,
+            after.Op(ObsOp::kLookup).count + 1);
 }
 
 TEST(Observe, SyscallHistogramsCoverTheTaxonomy) {
@@ -487,35 +519,6 @@ TEST(Observe, SyscallHistogramsCoverTheTaxonomy) {
   // Rename invalidates the renamed entry's subtree — the write-side cost
   // has its own histogram.
   EXPECT_GT(snap.Op(ObsOp::kInvalidate).count, 0u);
-}
-
-// --- heat sketches through the kernel -------------------------------------
-
-TEST(Observe, HeatSectionAttributesHitsAndMisses) {
-  TestWorld w(CacheConfig::Optimized(), nullptr, ObsConfig::Enabled());
-  ASSERT_OK(w.root->Mkdir("/h"));
-  auto fd = w.root->Open("/h/hot", kOCreat | kOWrite);
-  ASSERT_OK(fd);
-  ASSERT_OK(w.root->Close(*fd));
-  EXPECT_OK(w.root->Statx(kAtFdCwd, "/h/hot", 0));  // populate the fastpath
-  for (int i = 0; i < 50; ++i) {
-    EXPECT_OK(w.root->Statx(kAtFdCwd, "/h/hot", 0));
-  }
-  // Fresh (uncached) paths fast-miss; their parent dir is the miss source.
-  for (int i = 0; i < 20; ++i) {
-    EXPECT_ERR(w.root->Statx(kAtFdCwd, "/h/miss" + std::to_string(i), 0),
-               Errno::kENOENT);
-  }
-
-  obs::ObsSnapshot snap = w.kernel->Observe();
-  ASSERT_FALSE(snap.heat.hot_paths.empty());
-  EXPECT_EQ(snap.heat.hot_paths[0].path, "/h/hot");
-  EXPECT_GE(snap.heat.hot_paths[0].count, 50u);
-  ASSERT_FALSE(snap.heat.miss_dirs.empty());
-  EXPECT_EQ(snap.heat.miss_dirs[0].path, "/h");
-  EXPECT_GE(snap.heat.miss_dirs[0].count, 20u);
-  // The cold walks those misses fell back to show up as slowpath paths.
-  EXPECT_FALSE(snap.heat.slow_paths.empty());
 }
 
 // --- coherence journal through the kernel ---------------------------------
